@@ -38,7 +38,6 @@ from .numerics import (
     LinearOperatorBand,
     SteppingScheme,
     build_diffusion,
-    gradient_matrix,
     propagate_period,
     propagate_tangent,
     step,
@@ -93,7 +92,6 @@ from .prevalence import (
     RHO_EDGES,
     STRATEGIES,
     SamplerSpec,
-    VERDICT_ORDER,
     WILSON_Z,
     box_uniform,
     estimate_prevalence,

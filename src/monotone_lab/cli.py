@@ -308,7 +308,7 @@ def cmd_prevalence(ns):
     report = prevalence.estimate_prevalence(
         exp.system, sampler, count=count, budget=exp.budget, threads=ns.threads
     )
-    for name in prevalence.VERDICT_ORDER:
+    for name in asymptotics.VERDICTS:
         print(f"{name}: {report.counts[name]}")
     if report.stable_fraction is None:
         print("stable fraction undefined (no samples)")

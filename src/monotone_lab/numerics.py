@@ -3,7 +3,7 @@
 The continuous model is a scalar reaction-diffusion equation on the unit
 interval (or ring, or radial segment) with a time-periodic reaction,
 
-    du/dt = kappa_d * A u + f(t, x, u, du/dx),      A = second-order operator,
+    du/dt = kappa_d * A u + f(t, x, u),      A = second-order operator,
 
 whose time-tau solution operator is the period map studied everywhere else in
 the package. Space is discretized by second-order central differences
@@ -48,23 +48,16 @@ class SteppingScheme:
     theta
         Implicitness of the diffusion solve, in [0, 1]. The default 1/2 is
         Crank-Nicolson; the reaction stays explicit regardless.
-    newton_tol, newton_max_iter
-        Reserved for a fully implicit stepping mode; the implicit-explicit
-        path never reads them.
     """
 
     steps_per_period: int = 200
     theta: float = 0.5
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 20
 
     def __post_init__(self):
         if self.steps_per_period < 1:
             raise ValueError("steps_per_period must be at least 1")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
-        if self.newton_tol <= 0 or self.newton_max_iter < 1:
-            raise ValueError("newton parameters must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,49 +148,15 @@ def build_diffusion(grid):
     return LinearOperatorBand(grid, main, lower, upper)
 
 
-def gradient_matrix(grid):
-    """Central first-derivative matrix matching the diffusion boundary rules.
-
-    Used only by reactions that consume du/dx. Dirichlet and radial outer
-    boundaries difference against an eliminated zero; mirrored ghosts make
-    the derivative vanish at Neumann walls and at the radial axis; the ring
-    wraps.
-    """
-    n = grid.n
-    if grid.kind == "flat":
-        raise GridError("no gradient operator on a flat grid")
-    if n < 3:
-        raise GridError(f"gradient operator needs at least 3 nodes, got {n}")
-    half = 1.0 / (2.0 * grid.h)
-    d = np.zeros((n, n))
-    for i in range(1, n - 1):
-        d[i, i - 1] = -half
-        d[i, i + 1] = half
-    if grid.kind == "dirichlet":
-        d[0, 1] = half
-        d[n - 1, n - 2] = -half
-    elif grid.kind in ("neumann", "radial"):
-        # mirrored ghost at the lower wall (and upper wall for neumann)
-        if grid.kind == "radial":
-            d[n - 1, n - 2] = -half
-    else:  # ring
-        d[0, 1] = half
-        d[0, n - 1] = -half
-        d[n - 1, n - 2] = -half
-        d[n - 1, 0] = half
-    return d
-
-
 class _Propagator:
     """Precomputed one-period integrator for a single parabolic system.
 
-    Holds the dense step matrices, the forcing samples at the step times,
-    and specialized reaction closures, so that repeated propagation is a
-    short numpy loop.
+    Holds the dense step matrices and the reaction amplitudes at the step
+    times, so that repeated propagation is a short numpy loop. Built once per
+    system by ``Parabolic.propagator``.
     """
 
-    def __init__(self, system):
-        par = system.kind
+    def __init__(self, par):
         grid = par.grid
         scheme = par.scheme
         n = grid.n
@@ -213,48 +172,18 @@ class _Propagator:
             s_inv = np.linalg.inv(a_imp)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"implicit diffusion matrix is singular: {exc}") from None
-        self.grid = grid
-        self.n = n
-        self.m_steps = m_steps
-        self.dt = dt
+        nl = par.nonlinearity
+        if nl.profile is not None and nl.profile.shape != (n,):
+            raise DimensionMismatchError(
+                f"spatial profile has shape {nl.profile.shape}, grid has {n} nodes"
+            )
         self.tau = par.tau
+        self.nl = nl
         self.step_mat = s_inv @ (eye + (1.0 - scheme.theta) * dt * lap)
         self.source_mat = s_inv * dt
-        self.times = dt * np.arange(m_steps)
-        nl = par.nonlinearity
-        self.nl = nl
-        self.forcing = nl.forcing(self.times, par.tau)
-        self.uses_gradient = nl.uses_gradient
-        self.grad = gradient_matrix(grid) if self.uses_gradient else None
-        self.xs = grid.nodes() if nl.form == "custom" else None
-        if nl.profile is None:
-            self.profile = 1.0
-        else:
-            prof = np.asarray(nl.profile, dtype=float)
-            if prof.shape != (n,):
-                raise DimensionMismatchError(
-                    f"spatial profile has shape {prof.shape}, grid has {n} nodes"
-                )
-            self.profile = prof
-
-    # reaction and its u-derivative at step k (forcing sampled on the step grid)
-    def _f(self, k, u, ux):
-        nl = self.nl
-        if nl.form == "cubic":
-            return (self.forcing[k] * nl.strength) * self.profile * (u - u * u * u)
-        if nl.form == "linear":
-            return (self.forcing[k] * nl.strength) * self.profile * u
-        return nl.custom_value(self.times[k], self.xs, u, ux)
-
-    def _f_du(self, k, u, ux):
-        nl = self.nl
-        if nl.form == "cubic":
-            return (self.forcing[k] * nl.strength) * self.profile * (1.0 - 3.0 * u * u)
-        if nl.form == "linear":
-            return (self.forcing[k] * nl.strength) * (
-                self.profile * np.ones_like(u) if np.isscalar(self.profile) else self.profile
-            )
-        return nl.custom_du(self.times[k], self.xs, u, ux)
+        # amplitudes over the whole step grid at once: one array evaluation
+        # instead of a scalar forcing call per step
+        self.amps = nl.amplitude(dt * np.arange(m_steps), par.tau)
 
     def _guard(self, u, k, escape_sup, iteration=0):
         sup = float(np.max(np.abs(u)))
@@ -273,10 +202,10 @@ class _Propagator:
     def period(self, u0, escape_sup, iteration=0):
         """Advance one full period from phase t = 0. Returns the raw vector."""
         u = np.asarray(u0, dtype=float)
+        rate = self.nl.rate
         f_prev = None
-        for k in range(self.m_steps):
-            ux = self.grad @ u if self.uses_gradient else None
-            f_k = self._f(k, u, ux)
+        for k, amp in enumerate(self.amps):
+            f_k = rate(amp, u)
             expl = f_k if f_prev is None else 1.5 * f_k - 0.5 * f_prev
             u = self.step_mat @ u + self.source_mat @ expl
             f_prev = f_k
@@ -292,20 +221,13 @@ class _Propagator:
         u = np.asarray(u0, dtype=float)
         v = np.asarray(v0, dtype=float)
         block = v.ndim == 2
+        rate, rate_du = self.nl.rate, self.nl.rate_du
         f_prev = None
         g_prev = None
-        for k in range(self.m_steps):
-            ux = self.grad @ u if self.uses_gradient else None
-            f_k = self._f(k, u, ux)
-            du = self._f_du(k, u, ux)
-            if block:
-                jv = du[:, None] * v
-            else:
-                jv = du * v
-            if self.uses_gradient and self.nl.custom_dux is not None:
-                dux = self.nl.custom_dux(self.times[k], self.xs, u, ux)
-                gv = self.grad @ v
-                jv = jv + (dux[:, None] * gv if block else dux * gv)
+        for k, amp in enumerate(self.amps):
+            f_k = rate(amp, u)
+            du = rate_du(amp, u)
+            jv = du[:, None] * v if block else du * v
             expl = f_k if f_prev is None else 1.5 * f_k - 0.5 * f_prev
             expl_v = jv if g_prev is None else 1.5 * jv - 0.5 * g_prev
             u = self.step_mat @ u + self.source_mat @ expl
@@ -320,29 +242,10 @@ class _Propagator:
     def step_once(self, u0, t, escape_sup):
         """A single startup-weighted step from an arbitrary phase t."""
         u = np.asarray(u0, dtype=float)
-        ux = self.grad @ u if self.uses_gradient else None
-        nl = self.nl
-        if nl.form == "custom":
-            f_k = nl.custom_value(t, self.xs, u, ux)
-        else:
-            amp = nl.forcing(t, self.tau) * nl.strength
-            base = (u - u * u * u) if nl.form == "cubic" else u
-            f_k = amp * self.profile * base
+        f_k = self.nl.rate(self.nl.amplitude(t, self.tau), u)
         u = self.step_mat @ u + self.source_mat @ f_k
         self._guard(u, 0, escape_sup)
         return u
-
-
-_PROPAGATORS = {}
-
-
-def _propagator(system):
-    key = id(system)
-    prop = _PROPAGATORS.get(key)
-    if prop is None or prop[0] is not system:
-        prop = (system, _Propagator(system))
-        _PROPAGATORS[key] = prop
-    return prop[1]
 
 
 def _require_parabolic(system):
@@ -368,7 +271,7 @@ def step(state, t, system):
     """
     _require_parabolic(system)
     _check_state(system, state)
-    u = _propagator(system).step_once(state.values, t, 2.0 * system.kappa)
+    u = system.kind.propagator.step_once(state.values, t, 2.0 * system.kappa)
     return state.with_values(u)
 
 
@@ -376,7 +279,7 @@ def propagate_period(state, system):
     """The period map: integrate one full forcing period from phase t = 0."""
     _require_parabolic(system)
     _check_state(system, state)
-    u = _propagator(system).period(state.values, 2.0 * system.kappa)
+    u = system.kind.propagator.period(state.values, 2.0 * system.kappa)
     return state.with_values(u)
 
 
@@ -389,7 +292,7 @@ def propagate_tangent(state, tangent, system):
     _require_parabolic(system)
     _check_state(system, state)
     _check_state(system, tangent)
-    _, v = _propagator(system).period_with_tangent(
+    _, v = system.kind.propagator.period_with_tangent(
         state.values, tangent.values, 2.0 * system.kappa
     )
     return tangent.with_values(v)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import GridError, OrderError
 from .order import StateVector
-from .asymptotics import ClassifyBudget, classify_orbit
+from .asymptotics import VERDICTS, ClassifyBudget, classify_orbit
 
 STRATEGIES = ("box_uniform", "smooth_field", "line_scan")
 
@@ -257,7 +257,7 @@ class PrevalenceReport:
         }
 
     def to_csv(self):
-        lines = [f"{name},{self.counts[name]}" for name in VERDICT_ORDER]
+        lines = [f"{name},{self.counts[name]}" for name in VERDICTS]
         lines.append(f"samples,{self.count}")
         if self.stable_fraction is None:
             lines.append("stable_fraction,undefined")
@@ -267,9 +267,6 @@ class PrevalenceReport:
             lo, hi = self.wilson_95
             lines.append(f"wilson_95,{lo:.17g},{hi:.17g}")
         return "\n".join(lines) + "\n"
-
-
-VERDICT_ORDER = ("stable_cycle", "unstable_cycle", "unresolved", "escaped")
 
 
 def prevalence_report_from_json(doc):
@@ -350,7 +347,7 @@ def estimate_prevalence(system, sampler=None, count=200, budget=None, threads=No
     results = _classify_many(system, sampler, range(count), resolved, threads)
     wall = time.perf_counter() - start
 
-    counts = {name: 0 for name in VERDICT_ORDER}
+    counts = {name: 0 for name in VERDICTS}
     periods = {}
     rhos = []
     for verdict, period, rho in results:

@@ -18,55 +18,64 @@ The parabolic reaction is a(t) * strength * g(u) with the periodic factor
 a(t) = 1 + modulation * sin(2 pi t / tau), mean one over a period, and
 g(u) = u (1 - u^2) (cubic form) or g(u) = u (linear form). A strictly
 positive spatial profile can multiply the reaction for symmetry-breaking
-experiments; custom reactions supply their own callables and may consume
-du/dx (experimental, and excluded from the smoothness and growth caveats
-documented in the validators).
+experiments.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from functools import cached_property
+from typing import Optional, Union
 
 import numpy as np
 
 from .errors import DimensionMismatchError, EscapeError, GridError, NumericalError
 from .grids import Grid
-from .numerics import SteppingScheme, _propagator
+from .numerics import SteppingScheme, _Propagator
 from .order import PropertyReport, StateVector, draw_box_state
 
 
 @dataclass(frozen=True, eq=False)
 class Nonlinearity:
-    """Reaction specification for parabolic systems."""
+    """Reaction specification for parabolic systems.
+
+    The reaction at amplitude amp = ``amplitude(t, tau)`` is
+    amp * profile * g(u); ``rate`` and ``rate_du`` are its only definition.
+    """
 
     form: str = "cubic"
     strength: float = 1.0
     modulation: float = 0.0
     profile: Optional[np.ndarray] = None
-    custom_value: Optional[Callable] = None
-    custom_du: Optional[Callable] = None
-    custom_dux: Optional[Callable] = None
-    uses_gradient: bool = False
 
     def __post_init__(self):
-        if self.form not in ("cubic", "linear", "custom"):
+        if self.form not in ("cubic", "linear"):
             raise ValueError(f"unknown reaction form {self.form!r}")
         if not 0.0 <= self.modulation < 1.0:
             raise ValueError("modulation must lie in [0, 1)")
-        if self.form == "custom" and (self.custom_value is None or self.custom_du is None):
-            raise ValueError("custom reactions need custom_value and custom_du")
-        if self.uses_gradient and self.form != "custom":
-            raise ValueError("only custom reactions may consume du/dx")
+        if self.profile is not None:
+            object.__setattr__(self, "profile", np.asarray(self.profile, dtype=float))
 
     def forcing(self, t, tau):
         """Periodic amplitude a(t), mean one over a period."""
         return 1.0 + self.modulation * np.sin(2.0 * np.pi * np.asarray(t) / tau)
 
-    def value(self, t, tau, u, ux=None, xs=None):
-        """Reaction value without the spatial profile factor."""
-        if self.form == "custom":
-            return self.custom_value(t, xs, u, ux)
-        base = u - u * u * u if self.form == "cubic" else u
-        return self.forcing(t, tau) * self.strength * base
+    def amplitude(self, t, tau):
+        """Reaction amplitude a(t) * strength at phase (or phases) t."""
+        return self.forcing(t, tau) * self.strength
+
+    def _scale(self, amp):
+        return amp if self.profile is None else amp * self.profile
+
+    def rate(self, amp, u):
+        """Reaction amp * profile * g(u) on a state array u."""
+        if self.form == "cubic":
+            return self._scale(amp) * (u - u * u * u)
+        return self._scale(amp) * u
+
+    def rate_du(self, amp, u):
+        """Derivative of ``rate`` in u, entrywise (the reaction is local)."""
+        if self.form == "cubic":
+            return self._scale(amp) * (1.0 - 3.0 * u * u)
+        return self._scale(amp) * np.ones_like(u)
 
 
 @dataclass(frozen=True)
@@ -133,6 +142,11 @@ class Parabolic:
             raise ValueError("period tau must be positive")
         if self.diffusivity < 0.0:
             raise ValueError("diffusivity must be nonnegative")
+
+    @cached_property
+    def propagator(self):
+        """The one-period integrator, built on first use and kept with the system."""
+        return _Propagator(self)
 
 
 SystemKind = Union[AnalyticScalar, LinearCooperative, Parabolic]
@@ -282,7 +296,7 @@ def apply_map(system, u, iteration=0):
     """Apply the map once to a raw value array. Fast path for orbit loops."""
     kind = system.kind
     if isinstance(kind, Parabolic):
-        return _propagator(system).period(u, 2.0 * system.kappa, iteration)
+        return kind.propagator.period(u, 2.0 * system.kappa, iteration)
     if isinstance(kind, AnalyticScalar):
         y = kind.value(np.asarray(u, dtype=float))
     else:
@@ -323,7 +337,7 @@ def jacobian(system, x):
         raise DimensionMismatchError(
             f"state grid {x.grid} does not match system grid {system.grid}"
         )
-    _, v = _propagator(system).period_with_tangent(
+    _, v = kind.propagator.period_with_tangent(
         x.values, np.eye(system.n), 2.0 * system.kappa
     )
     return v
@@ -338,11 +352,7 @@ def _reaction_sample(system, t, node, u):
     if isinstance(kind, AnalyticScalar):
         return kind.value(u) - u
     nl = kind.nonlinearity
-    prof = 1.0 if nl.profile is None else float(nl.profile[node])
-    xs = kind.grid.nodes() if nl.form == "custom" else None
-    x_node = None if xs is None else xs[node]
-    val = nl.value(t, kind.tau, np.asarray(u), ux=np.asarray(0.0), xs=x_node)
-    return prof * float(val)
+    return float(nl.rate(nl.amplitude(t, kind.tau), np.full(system.n, u))[node])
 
 
 def validate_dissipativity(system, sample_count=200, seed=7083):
@@ -423,7 +433,7 @@ def check_strong_positivity(system, probe_count=50, seed=7085, eta=1e-12):
             if np.max(v) <= 0.0:
                 v[0] = 1.0
         if isinstance(kind, Parabolic):
-            _, dv = _propagator(system).period_with_tangent(
+            _, dv = kind.propagator.period_with_tangent(
                 x.values, v, 2.0 * system.kappa
             )
         elif isinstance(kind, AnalyticScalar):

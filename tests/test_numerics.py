@@ -1,6 +1,9 @@
 """Discretization structure, stepping accuracy, and tangent consistency."""
 
+import gc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +17,6 @@ from monotone_lab import (
     SteppingScheme,
     build_diffusion,
     evaluate,
-    gradient_matrix,
     parabolic_system,
     propagate_period,
     propagate_tangent,
@@ -92,26 +94,6 @@ def test_diffusion_rejects_flat_and_tiny_grids():
         build_diffusion(Grid("flat", 8))
     with pytest.raises(GridError):
         build_diffusion(Grid("dirichlet", 2))
-    with pytest.raises(GridError):
-        gradient_matrix(Grid("flat", 8))
-
-
-def test_gradient_matrix_second_order():
-    n = 64
-    gd = Grid("dirichlet", n)
-    xs = gd.nodes()
-    err = gradient_matrix(gd) @ np.sin(np.pi * xs) - np.pi * np.cos(np.pi * xs)
-    assert np.max(np.abs(err)) < 0.02
-
-    gn = Grid("neumann", n)
-    xs = gn.nodes()
-    err = gradient_matrix(gn) @ np.cos(np.pi * xs) + np.pi * np.sin(np.pi * xs)
-    assert np.max(np.abs(err)) < 0.02
-
-    gr = Grid("ring", n)
-    xs = gr.nodes()
-    err = gradient_matrix(gr) @ np.sin(2 * np.pi * xs) - 2 * np.pi * np.cos(2 * np.pi * xs)
-    assert np.max(np.abs(err)) < 0.02
 
 
 def test_stepping_scheme_validation():
@@ -120,8 +102,6 @@ def test_stepping_scheme_validation():
         SteppingScheme(steps_per_period=0)
     with pytest.raises(ValueError):
         SteppingScheme(theta=1.2)
-    with pytest.raises(ValueError):
-        SteppingScheme(newton_tol=-1.0)
 
 
 # ------------------------------------------------------- stepping accuracy
@@ -285,3 +265,16 @@ def test_period_map_is_thread_safe(dirichlet5):
         threaded = list(pool.map(lambda s: evaluate(dirichlet5, s).values, states))
     for a, b in zip(serial, threaded):
         np.testing.assert_array_equal(a, b)
+
+
+def test_propagator_lives_and_dies_with_its_system():
+    system = parabolic_system("dirichlet", 8, 5.0, steps_per_period=10)
+    evaluate(system, system.zero_state())
+    prop = system.kind.propagator
+    # config renames and re-flags specs with dataclasses.replace
+    renamed = replace(system, name="renamed")
+    assert renamed.kind.propagator is prop
+    kind = weakref.ref(system.kind)
+    del system, renamed, prop
+    gc.collect()
+    assert kind() is None

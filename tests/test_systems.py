@@ -40,9 +40,7 @@ def test_nonlinearity_validation():
     with pytest.raises(ValueError):
         Nonlinearity(modulation=1.0)
     with pytest.raises(ValueError):
-        Nonlinearity(form="custom")  # missing callables
-    with pytest.raises(ValueError):
-        Nonlinearity(form="cubic", uses_gradient=True)
+        Nonlinearity(form="custom")
 
 
 def test_forcing_has_mean_one():
@@ -52,6 +50,22 @@ def test_forcing_has_mean_one():
     assert avg == pytest.approx(1.0, abs=1e-10)
     assert nl.forcing(0.0, 1.0) == pytest.approx(1.0)
     assert nl.forcing(0.25, 1.0) == pytest.approx(1.3)
+
+
+@pytest.mark.parametrize("form", ["cubic", "linear"])
+@pytest.mark.parametrize("profile", ["none", "wave"])
+def test_rate_du_matches_central_differences(form, profile):
+    grid = Grid("ring", 16)
+    prof = spatial_profile(grid, profile)
+    nl = Nonlinearity(form=form, strength=5.0, modulation=0.3, profile=prof)
+    amp = nl.amplitude(0.2, 1.0)
+    u = 1.2 * np.sin(2.0 * np.pi * grid.nodes()) + 0.1
+    g = u - u**3 if form == "cubic" else u
+    scale = 1.0 if prof is None else prof
+    np.testing.assert_allclose(nl.rate(amp, u), amp * scale * g, rtol=1e-14, atol=1e-13)
+    eps = 1e-6
+    fd = (nl.rate(amp, u + eps) - nl.rate(amp, u - eps)) / (2.0 * eps)
+    np.testing.assert_allclose(nl.rate_du(amp, u), fd, rtol=1e-8, atol=1e-8)
 
 
 def test_scalar_families_closed_forms():
