@@ -4,8 +4,9 @@ For a strongly monotone map, convergence to a linearly stable cycle is
 predicted for almost every initial state, in the measure-theoretic sense
 of prevalence. The ensemble estimator samples initial states, classifies
 each orbit, and aggregates verdict counts with a Wilson interval on the
-stable fraction. Sampling is deterministic per (seed, index), so reports
-are byte-identical across thread counts, wall time aside.
+stable fraction. Samples advance through the map in lockstep blocks, and
+sampling is deterministic per (seed, index), so reports are byte-identical
+across runs, wall time aside.
 """
 
 import json
@@ -41,18 +42,17 @@ print(f"  period histogram {rep.period_histogram}")
 
 # ------------------------------------ parabolic map, smooth profiles
 
-# random low-mode profiles inside the trapping box; the classifier runs
-# the full detect/polish/grade pipeline per sample, fanned out over a
-# thread pool
+# random low-mode profiles inside the trapping box; the orbits advance
+# together as the columns of one block, and each sample whose cycle is
+# detected runs the polish/grade pipeline on its own
 system = parabolic_system("dirichlet", 31, 15.0)
 rep = estimate_prevalence(
     system,
     sampler=smooth_field(amplitude=0.8, modes=6, seed=2024),
     count=150,
     budget=ClassifyBudget(max_iterations=400, p_max=8),
-    threads=4,
 )
-print("\nDirichlet cubic period map, 150 smooth random profiles, 4 threads")
+print("\nDirichlet cubic period map, 150 smooth random profiles")
 for verdict, k in rep.counts.items():
     print(f"  {verdict:14s} {k:4d}")
 lo, hi = rep.wilson_95

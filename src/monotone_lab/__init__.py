@@ -74,6 +74,7 @@ from .asymptotics import (
     SideEstimate,
     SpectralRadiusResult,
     VERDICTS,
+    classify_many,
     classify_orbit,
     cycle_spectral_radius,
     default_tol_cyc,

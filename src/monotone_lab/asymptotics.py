@@ -19,7 +19,6 @@ Escape of an orbit past twice the trapping amplitude is a verdict here, not
 an error; non-finite arithmetic still raises.
 """
 
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -28,7 +27,7 @@ import numpy as np
 from .errors import DimensionMismatchError, EscapeError, NumericalError, OrderError
 from .grids import Grid
 from .order import StateVector
-from .systems import Parabolic, jacobian, apply_map
+from .systems import Parabolic, apply_map, apply_map_columns, jacobian
 
 VERDICTS = ("stable_cycle", "unstable_cycle", "unresolved", "escaped")
 
@@ -196,6 +195,27 @@ class CycleCandidate:
     points: np.ndarray
 
 
+def _scan_periods(tails, p_max, tol_cyc):
+    """Minimal period of each column of a tail block, 0 where none is found.
+
+    ``tails`` has shape (length, n, K): row t holds state t of K tails. A
+    period p is accepted for a column when the last 2 * p_max states agree
+    with their p-shifted predecessors to within tol_cyc in sup norm over
+    window and nodes; the smallest accepted p wins.
+    """
+    length, _, count = tails.shape
+    window = 2 * p_max
+    base = tails[length - window:]
+    periods = np.zeros(count, dtype=int)
+    for p in range(1, p_max + 1):
+        shifted = tails[length - window - p: length - p]
+        gaps = np.abs(base - shifted).reshape(-1, count).max(axis=0)
+        periods[(periods == 0) & (gaps < tol_cyc)] = p
+        if periods.all():
+            break
+    return periods
+
+
 def detect_cycle(tail, p_max, tol_cyc):
     """Scan a trajectory tail for the minimal period p <= p_max.
 
@@ -203,7 +223,8 @@ def detect_cycle(tail, p_max, tol_cyc):
     the last 2 * p_max states agree with their p-shifted predecessors to
     within tol_cyc in sup norm, so each candidate is vetted over at least two
     full turns of the cycle and divisor aliasing picks the smallest period
-    first. Returns a CycleCandidate or None.
+    first. Returns a CycleCandidate or None. This is the one-column case of
+    the scan ``classify_many`` runs on a block of orbits.
     """
     arr = _as_state_array(tail)
     length = arr.shape[0]
@@ -213,13 +234,10 @@ def detect_cycle(tail, p_max, tol_cyc):
         raise ValueError(
             f"tail holds {length} states, need at least 3 * p_max = {3 * p_max}"
         )
-    window = 2 * p_max
-    base = arr[length - window:]
-    for p in range(1, p_max + 1):
-        shifted = arr[length - window - p: length - p]
-        if float(np.max(np.abs(base - shifted))) < tol_cyc:
-            return CycleCandidate(p, arr[length - p:].copy())
-    return None
+    p = int(_scan_periods(arr[:, :, None], p_max, tol_cyc)[0])
+    if p == 0:
+        return None
+    return CycleCandidate(p, arr[length - p:].copy())
 
 
 @dataclass(eq=False)
@@ -407,36 +425,81 @@ def classify_orbit(system, x0, budget=None):
     p_max is detected and graded, escaped when the orbit leaves the inflated
     trapping box, unresolved when the budget runs out first. Detection runs
     on a sliding window of the last 3 * p_max iterates, every check_every
-    steps once the window fills, and once more at the final iterate.
+    steps once the window fills, and once more at the final iterate. This
+    is ``classify_many`` on a single start.
+    """
+    u = _initial_values(system, x0)
+    return classify_many(system, u[:, None], budget)[0]
+
+
+def classify_many(system, starts, budget=None):
+    """Classify the orbits of the columns of ``starts`` (n, K) in lockstep.
+
+    All live orbits advance as one block through the map, each column with
+    its own sliding window; a column retires when it escapes or when its
+    cycle is detected and graded, and the rest run on. Returns one
+    Classification per column, in column order.
+
+    A column's states may differ in the last bits from those of its start
+    classified alone, because a block product rounds differently from a
+    vector product, and the rounding depends on the block's width. So rho
+    agrees with ``classify_orbit``'s to roundoff; verdicts, iterations and
+    periods agree unless a recurrence gap or an escape sits within roundoff
+    of its threshold.
     """
     budget = (budget if budget is not None else ClassifyBudget()).resolve(system)
-    window_len = 3 * budget.p_max
-    window = deque(maxlen=window_len)
-    u = _initial_values(system, x0)
-    window.append(u)
-    iters = 0
-    try:
-        while iters < budget.max_iterations:
-            u = apply_map(system, u, iteration=iters + 1)
-            iters += 1
-            window.append(u)
-            if len(window) == window_len and (
-                iters % budget.check_every == 0 or iters == budget.max_iterations
-            ):
-                cand = detect_cycle(np.asarray(window), budget.p_max, budget.tol_cyc)
-                if cand is not None:
-                    return _grade_candidate(system, cand, budget, iters)
-    except EscapeError as exc:
-        return Classification(
-            "escaped", None, iters, f"orbit escaped at iteration {iters + 1}: {exc}"
+    block = np.array(starts, dtype=float)
+    if block.ndim != 2 or block.shape[0] != system.n:
+        raise DimensionMismatchError(
+            f"starts have shape {block.shape}, system expects ({system.n}, K)"
         )
-    return Classification(
-        "unresolved",
-        None,
-        iters,
-        f"no cycle of period at most {budget.p_max} within "
-        f"{budget.max_iterations} iterations at tolerance {budget.tol_cyc:g}",
-    )
+    window_len = 3 * budget.p_max
+    window = np.empty((window_len,) + block.shape)
+    window[0] = block
+    live = np.arange(block.shape[1])
+    results = [None] * block.shape[1]
+    iters = 0
+
+    def retire(done):
+        return np.delete(live, done), np.delete(block, done, 1), np.delete(window, done, 2)
+
+    while iters < budget.max_iterations and live.size:
+        block, failures = apply_map_columns(system, block, iteration=iters + 1)
+        iters += 1
+        if failures:
+            for j, exc in sorted(failures.items()):
+                if not isinstance(exc, EscapeError):
+                    raise exc
+                results[live[j]] = Classification(
+                    "escaped", None, iters - 1,
+                    f"orbit escaped at iteration {iters}: {exc}",
+                )
+            live, block, window = retire(list(failures))
+            if not live.size:
+                break
+        window[iters % window_len] = block
+        if iters >= window_len - 1 and (
+            iters % budget.check_every == 0 or iters == budget.max_iterations
+        ):
+            # the window rows in iterate order, oldest first
+            tails = window[(iters + 1 + np.arange(window_len)) % window_len]
+            periods = _scan_periods(tails, budget.p_max, budget.tol_cyc)
+            resolved = np.flatnonzero(periods)
+            for j in resolved:
+                p = int(periods[j])
+                cand = CycleCandidate(p, tails[window_len - p:, :, j].copy())
+                results[live[j]] = _grade_candidate(system, cand, budget, iters)
+            if resolved.size:
+                live, block, window = retire(resolved)
+    for i in live:
+        results[i] = Classification(
+            "unresolved",
+            None,
+            iters,
+            f"no cycle of period at most {budget.p_max} within "
+            f"{budget.max_iterations} iterations at tolerance {budget.tol_cyc:g}",
+        )
+    return results
 
 
 def _grade_candidate(system, cand, budget, iters):

@@ -6,8 +6,9 @@ probe-omega, symmetry. Each takes a config file and writes data files
 mode and no figure rendering.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical or
-validation failure. The environment variable MONOTONE_LAB_THREADS
-overrides any --threads flag.
+validation failure. The --threads flag and the MONOTONE_LAB_THREADS
+variable are accepted for compatibility; ensembles run in lockstep
+blocks on one thread, so neither changes speed or results.
 """
 
 import argparse

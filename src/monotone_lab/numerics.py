@@ -154,6 +154,12 @@ class _Propagator:
     Holds the dense step matrices and the reaction amplitudes at the step
     times, so that repeated propagation is a short numpy loop. Built once per
     system by ``Parabolic.propagator``.
+
+    States are vectors (n,) or blocks (n, K) of K states as columns; a block
+    costs the interpreter what one vector does. Escape is checked once per
+    period from the running peak of |u|. A column whose peak is not inside
+    the inflated box is replayed alone through the per-step guarded loop,
+    which raises the error of the first offending step.
     """
 
     def __init__(self, par):
@@ -172,18 +178,13 @@ class _Propagator:
             s_inv = np.linalg.inv(a_imp)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"implicit diffusion matrix is singular: {exc}") from None
-        nl = par.nonlinearity
-        if nl.profile is not None and nl.profile.shape != (n,):
-            raise DimensionMismatchError(
-                f"spatial profile has shape {nl.profile.shape}, grid has {n} nodes"
-            )
         self.tau = par.tau
-        self.nl = nl
+        self.nl = par.nonlinearity
         self.step_mat = s_inv @ (eye + (1.0 - scheme.theta) * dt * lap)
         self.source_mat = s_inv * dt
         # amplitudes over the whole step grid at once: one array evaluation
         # instead of a scalar forcing call per step
-        self.amps = nl.amplitude(dt * np.arange(m_steps), par.tau)
+        self.amps = self.nl.amplitude(dt * np.arange(m_steps), par.tau)
 
     def _guard(self, u, k, escape_sup, iteration=0):
         sup = float(np.max(np.abs(u)))
@@ -199,44 +200,88 @@ class _Propagator:
             )
         return sup
 
-    def period(self, u0, escape_sup, iteration=0):
-        """Advance one full period from phase t = 0. Returns the raw vector."""
-        u = np.asarray(u0, dtype=float)
-        rate = self.nl.rate
+    def _run(self, u, v, escape_sup, iteration, guarded):
+        """The step loop over one period, for a vector or a column block.
+
+        ``v`` (or None) is the tangent, advanced in lockstep: one column per
+        base column, or a block of columns along a single base vector.
+        Guarded runs check every step and raise at the first offending one;
+        unguarded runs return the entrywise peak of |u| for the caller to
+        test once.
+        """
+        rate, rate_du = self.nl.rate, self.nl.rate_du
+        along = v is not None and v.ndim > u.ndim
+        peak = None if guarded else np.zeros_like(u)
         f_prev = None
+        g_prev = None
         for k, amp in enumerate(self.amps):
             f_k = rate(amp, u)
             expl = f_k if f_prev is None else 1.5 * f_k - 0.5 * f_prev
+            if v is not None:
+                du = rate_du(amp, u)
+                jv = du[:, None] * v if along else du * v
+                expl_v = jv if g_prev is None else 1.5 * jv - 0.5 * g_prev
+                v = self.step_mat @ v + self.source_mat @ expl_v
+                g_prev = jv
             u = self.step_mat @ u + self.source_mat @ expl
             f_prev = f_k
-            self._guard(u, k, escape_sup, iteration)
+            if guarded:
+                self._guard(u, k, escape_sup, iteration)
+                if v is not None and not np.all(np.isfinite(v)):
+                    raise NumericalError(f"non-finite tangent at step {k}")
+            else:
+                np.maximum(peak, np.abs(u), out=peak)
+        return u, v, peak
+
+    def period_columns(self, u0, escape_sup, iteration=0):
+        """Advance a vector or column block one period; failures as values.
+
+        Returns ``(u, failures)``: ``failures`` maps the index of every
+        column that left the box (0 for a vector) to the EscapeError or
+        NumericalError the guarded loop raised for it. Those columns of
+        ``u`` hold no meaningful state.
+        """
+        u0 = np.asarray(u0, dtype=float)
+        # a column that leaves the box keeps stepping to the end of the
+        # period, the replay below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            u, _, peak = self._run(u0, None, escape_sup, iteration, guarded=False)
+        failures = {}
+        # the replay of a column is the authority: a block product may round
+        # a column's peak across the threshold that the vector product keeps
+        for j in np.flatnonzero(~(np.max(peak, axis=0) <= escape_sup)):
+            col = u0 if u0.ndim == 1 else u0[:, j]
+            try:
+                self._run(col, None, escape_sup, iteration, guarded=True)
+            except (EscapeError, NumericalError) as exc:
+                failures[int(j)] = exc
+        return u, failures
+
+    def period(self, u0, escape_sup, iteration=0):
+        """Advance one full period from phase t = 0. Returns the raw state.
+
+        ``u0`` is a vector (n,) or a column block (n, K); the first column
+        that leaves the box raises its EscapeError or NumericalError.
+        """
+        u, failures = self.period_columns(u0, escape_sup, iteration)
+        if failures:
+            raise failures[min(failures)]
         return u
 
     def period_with_tangent(self, u0, v0, escape_sup):
         """Advance base and tangent in lockstep for one period.
 
         ``v0`` may be a single vector (n,) or a block of columns (n, m);
-        the block form assembles Jacobians in one pass.
+        the block form assembles Jacobians in one pass. The tangent is
+        checked for finiteness once, at the end: a non-finite entry stays
+        non-finite through later steps.
         """
-        u = np.asarray(u0, dtype=float)
-        v = np.asarray(v0, dtype=float)
-        block = v.ndim == 2
-        rate, rate_du = self.nl.rate, self.nl.rate_du
-        f_prev = None
-        g_prev = None
-        for k, amp in enumerate(self.amps):
-            f_k = rate(amp, u)
-            du = rate_du(amp, u)
-            jv = du[:, None] * v if block else du * v
-            expl = f_k if f_prev is None else 1.5 * f_k - 0.5 * f_prev
-            expl_v = jv if g_prev is None else 1.5 * jv - 0.5 * g_prev
-            u = self.step_mat @ u + self.source_mat @ expl
-            v = self.step_mat @ v + self.source_mat @ expl_v
-            f_prev = f_k
-            g_prev = jv
-            self._guard(u, k, escape_sup)
-            if not np.all(np.isfinite(v)):
-                raise NumericalError(f"non-finite tangent at step {k}")
+        u0 = np.asarray(u0, dtype=float)
+        v0 = np.asarray(v0, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u, v, peak = self._run(u0, v0, escape_sup, 0, guarded=False)
+        if not (np.max(peak) <= escape_sup and np.all(np.isfinite(v))):
+            u, v, _ = self._run(u0, v0, escape_sup, 0, guarded=True)
         return u, v
 
     def step_once(self, u0, t, escape_sup):

@@ -12,15 +12,21 @@ verdicts are confined to isolated parameter values, so refining the
 resolution should never grow the exceptional set beyond shrinking
 neighborhoods of the points already found.
 
+Samples are classified in lockstep, BLOCK_WIDTH consecutive indices at a
+time, as the columns of one block (``asymptotics.classify_many``).
+
 Determinism contract: the random stream of sample i is seeded by the pair
-(sampler seed, i), and aggregation runs in index order, so the report is
-identical for any worker-thread count apart from the wall_time field.
+(sampler seed, i), and aggregation runs in index order. A sample's bits may
+depend on the block it runs in, since a block product can round differently
+from a vector product; its verdict, iterations and period do not, and its
+rho agrees with ``classify_orbit``'s to roundoff. The block width is a
+constant, so the report is a function of its inputs alone: identical for
+any thread count, apart from the wall_time field.
 """
 
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,7 +34,7 @@ import numpy as np
 
 from .errors import GridError, OrderError
 from .order import StateVector
-from .asymptotics import VERDICTS, ClassifyBudget, classify_orbit
+from .asymptotics import VERDICTS, ClassifyBudget, classify_many
 
 STRATEGIES = ("box_uniform", "smooth_field", "line_scan")
 
@@ -40,6 +46,10 @@ CAVEAT = (
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
 RHO_EDGES = np.linspace(0.0, 2.0, 21)
+
+# Samples classified together as the columns of one block. Constant, since
+# a sample's bits depend on the width of the block it runs in.
+BLOCK_WIDTH = 128
 
 
 @dataclass(eq=False)
@@ -172,7 +182,11 @@ def sample_initial(sampler, index, grid):
 
 
 def resolve_threads(requested=None):
-    """Worker-thread count: MONOTONE_LAB_THREADS overrides the argument."""
+    """Requested thread count: MONOTONE_LAB_THREADS overrides the argument.
+
+    Kept for callers that read the setting; the ensembles run in lockstep
+    blocks and do not use it.
+    """
     env = os.environ.get("MONOTONE_LAB_THREADS")
     if env is not None:
         try:
@@ -204,18 +218,20 @@ def _check_sampler_box(system, sampler):
                 )
 
 
-def _classify_many(system, sampler, indices, budget, threads):
-    def one(i):
-        state = sample_initial(sampler, i, system.grid)
-        cls = classify_orbit(system, state, budget)
-        if cls.cycle is None:
-            return cls.verdict, None, None
-        return cls.verdict, cls.cycle.period, cls.cycle.rho
-
-    if threads <= 1:
-        return [one(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, indices))
+def _classify_many(system, sampler, indices, budget):
+    """(verdict, period, rho) per index, classified BLOCK_WIDTH at a time."""
+    results = []
+    for lo in range(0, len(indices), BLOCK_WIDTH):
+        chunk = indices[lo:lo + BLOCK_WIDTH]
+        starts = np.stack(
+            [sample_initial(sampler, i, system.grid).values for i in chunk], axis=1
+        )
+        for cls in classify_many(system, starts, budget):
+            if cls.cycle is None:
+                results.append((cls.verdict, None, None))
+            else:
+                results.append((cls.verdict, cls.cycle.period, cls.cycle.rho))
+    return results
 
 
 @dataclass(eq=False)
@@ -327,7 +343,7 @@ def estimate_prevalence(system, sampler=None, count=200, budget=None, threads=No
     the applications of the map until closure, which for a period map of a
     time-periodic problem is the multiple k of the forcing period. Refuses
     systems declared non-monotone, since the prevalence prediction is about
-    monotone dynamics.
+    monotone dynamics. ``threads`` is accepted and ignored.
     """
     if not system.monotone_expected:
         raise ValueError(
@@ -341,10 +357,9 @@ def estimate_prevalence(system, sampler=None, count=200, budget=None, threads=No
     _check_sampler_box(system, sampler)
     if sampler.strategy == "line_scan" and count > sampler.resolution:
         raise ValueError("count exceeds the line_scan resolution")
-    threads = resolve_threads(threads)
     resolved = (budget if budget is not None else ClassifyBudget()).resolve(system)
     start = time.perf_counter()
-    results = _classify_many(system, sampler, range(count), resolved, threads)
+    results = _classify_many(system, sampler, range(count), resolved)
     wall = time.perf_counter() - start
 
     counts = {name: 0 for name in VERDICTS}
@@ -446,19 +461,16 @@ def line_probe(system, sampler, budget=None, threads=None):
     The exceptional list holds every index whose verdict is not
     stable_cycle together with its parameter value; the prediction under
     test is that these stay confined to isolated parameter values as the
-    resolution grows.
+    resolution grows. ``threads`` is accepted and ignored.
     """
     if sampler.strategy != "line_scan":
         raise ValueError("line_probe needs a line_scan sampler")
     if not system.monotone_expected:
         raise ValueError("line probes apply to monotone systems")
     _check_sampler_box(system, sampler)
-    threads = resolve_threads(threads)
     resolved = (budget if budget is not None else ClassifyBudget()).resolve(system)
     start = time.perf_counter()
-    results = _classify_many(
-        system, sampler, range(sampler.resolution), resolved, threads
-    )
+    results = _classify_many(system, sampler, range(sampler.resolution), resolved)
     wall = time.perf_counter() - start
     s_values = [float(s) for s in sampler.s_values()]
     verdicts = [r[0] for r in results]

@@ -1,5 +1,8 @@
 """Orbit classification: detection, refinement, stability, and probes."""
 
+from collections import deque
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,9 @@ from monotone_lab import (
     OrderError,
     Parabolic,
     VERDICTS,
+    apply_map,
+    build_experiment,
+    classify_many,
     classify_orbit,
     cycle_spectral_radius,
     default_tol_cyc,
@@ -24,8 +30,13 @@ from monotone_lab import (
     omega_set,
     refine_cycle,
     separation_probe,
+    load_config,
+    sample_initial,
     set_distance,
+    smooth_field,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 LOGISTIC_R = 3.2
 
@@ -267,6 +278,90 @@ def test_classify_parabolic_fixed_profile(neumann5):
     np.testing.assert_allclose(cls.cycle.points[0], 1.0, atol=1e-6)
     # homogeneous-mode multiplier of the forced ODE w' = -10 a(t) w
     assert cls.cycle.rho == pytest.approx(np.exp(-10.0), rel=0.05)
+
+
+def engine_case(name, cat):
+    """(system, starts as columns, budget) for one engine-equivalence case."""
+    rng = np.random.default_rng(31)
+    if name == "cubic_map":
+        starts = np.concatenate([[0.0, 1.0, -1.0], rng.uniform(-1.4, 1.4, 20)])
+        return cat[name], starts[None, :], None
+    if name == "linear_cooperative":
+        starts = rng.uniform(-1.4, 1.4, (2, 12))
+        starts[:, 3] = [10.0, 0.0]  # escapes at the first map
+        return cat[name], starts, None
+    exp = build_experiment(load_config(CONFIGS / name))
+    sampler = smooth_field(amplitude=1.0, seed=31)
+    starts = np.stack(
+        [sample_initial(sampler, i, exp.system.grid).values for i in range(6)], axis=1
+    )
+    return exp.system, starts, exp.budget
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "cubic_map",
+        "linear_cooperative",
+        "dirichlet_cubic_5.cfg",
+        "dirichlet_cubic_15.cfg",
+        "neumann_cubic_5.cfg",
+        "radial_cubic_15.cfg",
+        "ring_cubic_5.cfg",
+    ],
+)
+def test_classify_many_matches_classify_orbit(name, cat):
+    system, starts, budget = engine_case(name, cat)
+    together = classify_many(system, starts, budget)
+    assert len(together) == starts.shape[1]
+    for j, got in enumerate(together):
+        want = classify_orbit(system, starts[:, j], budget)
+        assert (got.verdict, got.iterations_used) == (want.verdict, want.iterations_used)
+        if want.cycle is None:
+            assert got.cycle is None
+            assert got.diagnostics == want.diagnostics
+        else:
+            assert got.cycle.period == want.cycle.period
+            assert got.cycle.rho == pytest.approx(want.cycle.rho, rel=1e-9)
+    verdicts = {cls.verdict for cls in together}
+    if name == "cubic_map":
+        assert verdicts == {"stable_cycle", "unstable_cycle"}
+    if name == "linear_cooperative":
+        assert verdicts == {"stable_cycle", "escaped"}
+
+
+def test_classify_many_validates_block_shape(coop):
+    with pytest.raises(DimensionMismatchError):
+        classify_many(coop, np.zeros((3, 2)))
+    assert classify_many(coop, np.zeros((2, 0))) == []
+
+
+@pytest.mark.parametrize("name", ["dirichlet_cubic_15", "ring_cubic_5"])
+def test_classify_orbit_matches_stagewise_rerun(name, cat):
+    # the stages by hand: map iterates, window scans at the checkpoints,
+    # polish and grading; classify_orbit must reproduce them bit for bit
+    system = cat[name]
+    budget = ClassifyBudget(max_iterations=400, p_max=8).resolve(system)
+    xs = system.grid.nodes()
+    for amp in (0.4, -0.7):
+        u = amp * np.sin(np.pi * xs) + 0.1 * np.cos(3.0 * xs)
+        cls = classify_orbit(system, u, budget)
+        window = deque([u], maxlen=3 * budget.p_max)
+        cand = None
+        k = 0
+        while cand is None:
+            k += 1
+            u = apply_map(system, u, iteration=k)
+            window.append(u)
+            if len(window) == window.maxlen and k % budget.check_every == 0:
+                cand = detect_cycle(np.asarray(window), budget.p_max, budget.tol_cyc)
+        rec = refine_cycle(
+            system, cand, newton_tol=budget.newton_tol, max_newton=budget.newton_max_iter
+        )
+        assert cls.iterations_used == k
+        assert cls.cycle.period == rec.period
+        np.testing.assert_array_equal(cls.cycle.points, rec.points)
+        assert cls.cycle.rho == cycle_spectral_radius(system, rec)
 
 
 def test_classification_serialization(cubic):

@@ -4,6 +4,7 @@ import gc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,15 +14,23 @@ from monotone_lab import (
     EscapeError,
     Grid,
     GridError,
+    NumericalError,
     StateVector,
     SteppingScheme,
+    apply_map,
     build_diffusion,
+    build_experiment,
     evaluate,
+    load_config,
+    parabolic_catalog,
     parabolic_system,
     propagate_period,
     propagate_tangent,
     step,
 )
+from monotone_lab.systems import apply_map_columns
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def discrete_mu1(n):
@@ -206,9 +215,67 @@ def test_escape_during_period_integration():
 
 
 def test_profile_shape_must_match_grid():
-    system = parabolic_system("dirichlet", 32, profile=np.ones(5))
     with pytest.raises(DimensionMismatchError):
+        system = parabolic_system("dirichlet", 32, profile=np.ones(5))
         evaluate(system, system.zero_state())
+
+
+def first_escape_per_step(system, u0):
+    """(step, sup) where a plain step-by-step period loop first leaves the box."""
+    prop = system.kind.propagator
+    u = u0
+    f_prev = None
+    for k, amp in enumerate(prop.amps):
+        f_k = prop.nl.rate(amp, u)
+        expl = f_k if f_prev is None else 1.5 * f_k - 0.5 * f_prev
+        u = prop.step_mat @ u + prop.source_mat @ expl
+        f_prev = f_k
+        sup = float(np.max(np.abs(u)))
+        if sup > 2.0 * system.kappa:
+            return k, sup
+    return None
+
+
+def test_escape_is_reported_at_its_step():
+    exp = build_experiment(load_config(CONFIGS / "dirichlet_linear_unstable.cfg"))
+    system = exp.system
+    steps = system.kind.scheme.steps_per_period
+    start = np.full(system.n, 2.9)
+    want_step, want_sup = first_escape_per_step(system, start)
+    assert want_step < steps - 1
+    with pytest.raises(EscapeError) as info:
+        apply_map(system, start, iteration=3)
+    err = info.value
+    assert (err.iteration, err.step, err.sup) == (3, want_step, want_sup)
+    nan_start = np.zeros(system.n)
+    nan_start[5] = np.nan
+    with pytest.raises(NumericalError, match="at step 0$"):
+        apply_map(system, nan_start)
+    # in a block, each failing column gets its own error and the rest run on
+    xs = system.grid.nodes()
+    good = 0.1 * np.sin(np.pi * xs)
+    block = np.stack([good, nan_start, start], axis=1)
+    out, failures = apply_map_columns(system, block, iteration=3)
+    assert sorted(failures) == [1, 2]
+    assert isinstance(failures[1], NumericalError)
+    esc = failures[2]
+    assert (esc.iteration, esc.step, esc.sup) == (3, want_step, want_sup)
+    np.testing.assert_allclose(out[:, 0], apply_map(system, good), rtol=1e-12, atol=1e-15)
+
+
+def test_one_column_block_reproduces_the_vector_period():
+    for name, system in parabolic_catalog().items():
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            u = rng.uniform(-1.0, 1.0, system.n)
+            col = apply_map(system, u[:, None])
+            np.testing.assert_array_equal(col[:, 0], apply_map(system, u), err_msg=name)
+        block = rng.uniform(-1.0, 1.0, (system.n, 5))
+        wide = apply_map(system, block)
+        for j in range(5):
+            np.testing.assert_allclose(
+                wide[:, j], apply_map(system, block[:, j]), rtol=1e-12, atol=1e-15
+            )
 
 
 # ------------------------------------------------------------ tangent map

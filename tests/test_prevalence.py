@@ -13,10 +13,13 @@ from monotone_lab import (
     RHO_EDGES,
     SamplerSpec,
     box_uniform,
+    classify_many,
+    classify_orbit,
     estimate_prevalence,
     line_probe,
     line_report_from_json,
     line_scan,
+    parabolic_system,
     prevalence_report_from_json,
     report_export,
     resolve_threads,
@@ -170,15 +173,18 @@ def test_prevalence_zero_samples(cubic):
     assert round_tripped.to_json() == rep.to_json()
 
 
-def test_prevalence_report_thread_invariance(cubic):
-    kwargs = dict(
-        sampler=box_uniform(amplitude=1.4, seed=23), count=100, budget=FAST
+def test_prevalence_report_thread_invariance(cubic, dirichlet15):
+    cases = (
+        (cubic, box_uniform(amplitude=1.4, seed=23), 100),
+        (dirichlet15, smooth_field(amplitude=1.0, seed=23), 12),
     )
-    one = estimate_prevalence(cubic, threads=1, **kwargs).to_json()
-    four = estimate_prevalence(cubic, threads=4, **kwargs).to_json()
-    one.pop("wall_time")
-    four.pop("wall_time")
-    assert json.dumps(one, sort_keys=True) == json.dumps(four, sort_keys=True)
+    for system, sampler, count in cases:
+        kwargs = dict(sampler=sampler, count=count, budget=FAST)
+        one = estimate_prevalence(system, threads=1, **kwargs).to_json()
+        four = estimate_prevalence(system, threads=4, **kwargs).to_json()
+        one.pop("wall_time")
+        four.pop("wall_time")
+        assert json.dumps(one, sort_keys=True) == json.dumps(four, sort_keys=True)
 
 
 def test_prevalence_csv_schema(cubic):
@@ -268,12 +274,38 @@ def test_line_report_serialization(cubic):
     assert line_report_from_json(doc).to_json() == rep.to_json()
 
 
-def test_line_probe_thread_invariance(cubic):
-    one = line_probe(cubic, line_sampler(51), budget=FAST, threads=1).to_json()
-    four = line_probe(cubic, line_sampler(51), budget=FAST, threads=4).to_json()
-    one.pop("wall_time")
-    four.pop("wall_time")
-    assert json.dumps(one, sort_keys=True) == json.dumps(four, sort_keys=True)
+def dirichlet_line(system, resolution):
+    xs = system.grid.nodes()
+    return line_scan(
+        -0.3 * np.sin(np.pi * xs), np.sin(np.pi * xs) + 0.05,
+        s_min=0.0, s_max=0.6, resolution=resolution,
+    )
+
+
+def test_line_probe_thread_invariance(cubic, dirichlet15):
+    cases = ((cubic, line_sampler(51)), (dirichlet15, dirichlet_line(dirichlet15, 9)))
+    for system, sampler in cases:
+        one = line_probe(system, sampler, budget=FAST, threads=1).to_json()
+        four = line_probe(system, sampler, budget=FAST, threads=4).to_json()
+        one.pop("wall_time")
+        four.pop("wall_time")
+        assert json.dumps(one, sort_keys=True) == json.dumps(four, sort_keys=True)
+
+
+def test_line_probe_retires_escapes_at_staggered_iterations():
+    # a linear reaction stronger than the slowest diffusion mode: every
+    # point escapes, the farther from zero the sooner
+    system = parabolic_system("dirichlet", 32, strength=10.5, form="linear")
+    sampler = dirichlet_line(system, 13)
+    budget = ClassifyBudget(max_iterations=40, p_max=4)
+    rep = line_probe(system, sampler, budget=budget)
+    starts = [sample_initial(sampler, i, system.grid) for i in range(13)]
+    alone = [classify_orbit(system, x0, budget) for x0 in starts]
+    together = classify_many(system, np.stack([x.values for x in starts], axis=1), budget)
+    assert rep.verdicts == [cls.verdict for cls in alone]
+    assert [c.iterations_used for c in together] == [c.iterations_used for c in alone]
+    assert len({c.iterations_used for c in alone}) > 2
+    assert set(rep.verdicts) == {"escaped"}
 
 
 def test_rho_edges_cover_unit_radius():

@@ -66,6 +66,12 @@ def test_rate_du_matches_central_differences(form, profile):
     eps = 1e-6
     fd = (nl.rate(amp, u + eps) - nl.rate(amp, u - eps)) / (2.0 * eps)
     np.testing.assert_allclose(nl.rate_du(amp, u), fd, rtol=1e-8, atol=1e-8)
+    # a block holds one state per column, the profile multiplies each column
+    block = np.stack([u, -0.5 * u, u + 0.3], axis=1)
+    for fn in (nl.rate, nl.rate_du):
+        out = fn(amp, block)
+        for j in range(block.shape[1]):
+            np.testing.assert_array_equal(out[:, j], fn(amp, block[:, j]))
 
 
 def test_scalar_families_closed_forms():
@@ -240,6 +246,44 @@ def test_trapping_fails_for_expanding_map():
     system = linear_cooperative(matrix=[[2.0]], kappa=1.0)
     rep = trapping_check(system, horizon=50, sample_count=10, seed=3)
     assert not rep.passed
+    assert rep.violations == 10
+    assert rep.worst_margin == np.inf
+
+
+def per_start_trapping(system, states, horizon):
+    """(violations, worst) of the trapping check, one start at a time."""
+    violations, worst = 0, -np.inf
+    for x in states:
+        exited = False
+        try:
+            y = x
+            for _ in range(horizon):
+                y = evaluate(system, y)
+                worst = max(worst, y.sup_norm() - system.kappa)
+                exited = exited or y.sup_norm() > system.kappa
+        except EscapeError:
+            exited, worst = True, np.inf
+        violations += exited
+    return violations, worst
+
+
+def test_trapping_block_matches_per_start_orbits(ring5):
+    rng = np.random.default_rng(4)
+    states = [ring5.state(rng.uniform(-1.4, 1.4, ring5.n)) for _ in range(6)]
+    rep = trapping_check(ring5, horizon=15, initial_states=states)
+    violations, worst = per_start_trapping(ring5, states, 15)
+    assert rep.pairs_tested == 6
+    assert rep.violations == violations
+    assert rep.worst_margin == pytest.approx(worst, rel=1e-9)
+    # starts that leave the inflated box count as exits with margin inf
+    wild = parabolic_system("dirichlet", 16, strength=25.0, form="linear")
+    xs = wild.grid.nodes()
+    mixed = [wild.state(a * np.sin(np.pi * xs)) for a in (0.001, 0.5, 0.0)]
+    rep = trapping_check(wild, horizon=3, initial_states=mixed)
+    assert (rep.violations, rep.worst_margin) == per_start_trapping(wild, mixed, 3)
+    assert rep.violations == 2
+    with pytest.raises(DimensionMismatchError):
+        trapping_check(ring5, horizon=1, initial_states=[wild.zero_state()])
 
 
 def test_strong_positivity_on_catalog(cubic, coop, dirichlet5):
