@@ -35,7 +35,6 @@ from .order import (
     strongly_less,
 )
 from .numerics import (
-    LinearOperatorBand,
     SteppingScheme,
     build_diffusion,
     propagate_period,
@@ -101,7 +100,6 @@ from .prevalence import (
     line_scan,
     prevalence_report_from_json,
     report_export,
-    resolve_threads,
     sample_initial,
     smooth_field,
     wilson_interval,

@@ -19,7 +19,7 @@ Escape of an orbit past twice the trapping amplitude is a verdict here, not
 an error; non-finite arithmetic still raises.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -27,6 +27,7 @@ import numpy as np
 from .errors import DimensionMismatchError, EscapeError, NumericalError, OrderError
 from .grids import Grid
 from .order import StateVector
+from .reports import JsonReport
 from .systems import Parabolic, apply_map, apply_map_columns, jacobian
 
 VERDICTS = ("stable_cycle", "unstable_cycle", "unresolved", "escaped")
@@ -241,11 +242,10 @@ def detect_cycle(tail, p_max, tol_cyc):
 
 
 @dataclass(eq=False)
-class CycleRecord:
+class CycleRecord(JsonReport):
     """A polished periodic orbit: consecutive iterates, one row per point."""
 
-    grid: Grid
-    points: np.ndarray
+    grid: Grid = field(metadata={"json": False})
     period: int
     residual: float
     rho: Optional[float] = None
@@ -253,21 +253,10 @@ class CycleRecord:
     rho_method: str = ""
     newton_converged: bool = False
     newton_iterations: int = 0
+    points: np.ndarray = field(kw_only=True)
 
     def state(self, i):
         return StateVector(self.points[i], self.grid)
-
-    def to_json(self):
-        return {
-            "period": self.period,
-            "residual": self.residual,
-            "rho": self.rho,
-            "stability": self.stability,
-            "rho_method": self.rho_method,
-            "newton_converged": self.newton_converged,
-            "newton_iterations": self.newton_iterations,
-            "points": np.asarray(self.points).tolist(),
-        }
 
 
 def _jacobian_at(system, values):
@@ -339,11 +328,11 @@ def refine_cycle(system, candidate, newton_tol=1e-12, max_newton=12):
     residual = float(np.max(np.abs(xs[period] - points[0])))
     return CycleRecord(
         system.grid,
-        points,
         period,
         residual,
         newton_converged=converged,
         newton_iterations=iters_used,
+        points=points,
     )
 
 
@@ -401,21 +390,13 @@ def _radius_result(rho, method, iterations, detail):
 # classification
 
 @dataclass(eq=False)
-class Classification:
+class Classification(JsonReport):
     """Outcome of one classify_orbit run."""
 
     verdict: str
-    cycle: Optional[CycleRecord]
     iterations_used: int
     diagnostics: str = ""
-
-    def to_json(self):
-        return {
-            "verdict": self.verdict,
-            "iterations_used": self.iterations_used,
-            "diagnostics": self.diagnostics,
-            "cycle": None if self.cycle is None else self.cycle.to_json(),
-        }
+    cycle: Optional[CycleRecord] = None
 
 
 def classify_orbit(system, x0, budget=None):
@@ -471,7 +452,7 @@ def classify_many(system, starts, budget=None):
                 if not isinstance(exc, EscapeError):
                     raise exc
                 results[live[j]] = Classification(
-                    "escaped", None, iters - 1,
+                    "escaped", iters - 1,
                     f"orbit escaped at iteration {iters}: {exc}",
                 )
             live, block, window = retire(list(failures))
@@ -494,7 +475,6 @@ def classify_many(system, starts, budget=None):
     for i in live:
         results[i] = Classification(
             "unresolved",
-            None,
             iters,
             f"no cycle of period at most {budget.p_max} within "
             f"{budget.max_iterations} iterations at tolerance {budget.tol_cyc:g}",
@@ -518,7 +498,7 @@ def _grade_candidate(system, cand, budget, iters):
     )
     if not rec.newton_converged:
         notes += ", refinement did not converge"
-    return Classification(verdict, rec, iters, notes)
+    return Classification(verdict, iters, notes, rec)
 
 
 # ---------------------------------------------------------------------------
@@ -560,30 +540,20 @@ def set_distance(first, second):
 # probes
 
 @dataclass(eq=False)
-class SideEstimate:
+class SideEstimate(JsonReport):
     """One-sided omega limit estimate for a fixed perturbation direction."""
 
     sign: int
     verdicts: list
-    sets: list
+    sets: list = field(metadata={"json": False})
     consistent: bool
     limit: Optional[np.ndarray]
     distance_to_base: Optional[float]
     membership: str  # member / not_member / inconclusive
 
-    def to_json(self):
-        return {
-            "sign": self.sign,
-            "verdicts": list(self.verdicts),
-            "consistent": self.consistent,
-            "limit": None if self.limit is None else np.asarray(self.limit).tolist(),
-            "distance_to_base": self.distance_to_base,
-            "membership": self.membership,
-        }
-
 
 @dataclass(eq=False)
-class OmegaProbeReport:
+class OmegaProbeReport(JsonReport):
     base_point: np.ndarray
     direction: np.ndarray
     eps_values: tuple
@@ -594,22 +564,6 @@ class OmegaProbeReport:
     lower: SideEstimate
     direction_disagreement: Optional[float] = None
     notes: str = ""
-
-    def to_json(self):
-        return {
-            "base_point": np.asarray(self.base_point).tolist(),
-            "direction": np.asarray(self.direction).tolist(),
-            "eps_values": list(self.eps_values),
-            "tol_set": self.tol_set,
-            "base_verdict": self.base_verdict,
-            "omega_base": None
-            if self.omega_base is None
-            else np.asarray(self.omega_base).tolist(),
-            "upper": self.upper.to_json(),
-            "lower": self.lower.to_json(),
-            "direction_disagreement": self.direction_disagreement,
-            "notes": self.notes,
-        }
 
 
 def _probe_direction(system, direction):

@@ -7,8 +7,8 @@ mode and no figure rendering.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical or
 validation failure. The --threads flag and the MONOTONE_LAB_THREADS
-variable are accepted for compatibility; ensembles run in lockstep
-blocks on one thread, so neither changes speed or results.
+variable are accepted and ignored: ensembles run in lockstep blocks on
+one thread, so neither changes speed or results.
 """
 
 import argparse
@@ -233,7 +233,7 @@ def cmd_validate(ns):
     if not system.monotone_expected:
         print("note: system is declared non-monotone; failures above are expected")
     payload = {
-        "schema_version": 1,
+        "schema_version": 2,
         "kind": "validate",
         "system_name": system.name,
         "all_pass": all_pass,

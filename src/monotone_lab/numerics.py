@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, EscapeError, GridError, NumericalError
-from .grids import Grid
 
 
 @dataclass(frozen=True)
@@ -60,36 +59,15 @@ class SteppingScheme:
             raise ValueError("theta must lie in [0, 1]")
 
 
-@dataclass(frozen=True, eq=False)
-class LinearOperatorBand:
-    """Tridiagonal operator with optional periodic wrap corners.
-
-    ``main`` has length n, ``lower`` and ``upper`` length n-1. ``corner_low``
-    is the (0, n-1) entry and ``corner_high`` the (n-1, 0) entry; both are
-    zero except on ring grids. Entries carry units of 1/length^2.
-    """
-
-    grid: Grid
-    main: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    corner_low: float = 0.0
-    corner_high: float = 0.0
-
-    def to_dense(self):
-        a = np.diag(self.main).astype(float)
-        a += np.diag(self.lower, -1)
-        a += np.diag(self.upper, 1)
-        a[0, -1] += self.corner_low
-        a[-1, 0] += self.corner_high
-        return a
-
-    def row_sums(self):
-        return self.to_dense().sum(axis=1)
+def _tridiagonal(main, lower, upper):
+    a = np.diag(main)
+    a += np.diag(lower, -1)
+    a += np.diag(upper, 1)
+    return a
 
 
 def build_diffusion(grid):
-    """Second-order diffusion operator for the grid, as a banded matrix.
+    """Second-order diffusion operator for the grid, as a dense (n, n) matrix.
 
     Boundary handling by kind:
 
@@ -97,7 +75,8 @@ def build_diffusion(grid):
       simply lose a neighbor.
     * neumann: mirrored ghost nodes, so boundary rows read 2 (u_1 - u_0)/h^2
       and rows sum to zero.
-    * ring: periodic wrap through the corner entries, rows sum to zero.
+    * ring: periodic wrap through the corner entries (0, n-1) and (n-1, 0),
+      rows sum to zero.
     * radial: profile u(r) in ``dim`` space dimensions. The interior stencil
       is the conservation form of u'' + (dim-1)/r u', with face weights
       (r +- h/2)^(dim-1) / r^(dim-1); this keeps every off-diagonal entry
@@ -117,18 +96,20 @@ def build_diffusion(grid):
     if grid.kind == "dirichlet":
         main = np.full(n, -2.0 * inv)
         off = np.full(n - 1, inv)
-        return LinearOperatorBand(grid, main, off, off.copy())
+        return _tridiagonal(main, off, off)
     if grid.kind == "neumann":
         main = np.full(n, -2.0 * inv)
         lower = np.full(n - 1, inv)
         upper = np.full(n - 1, inv)
         upper[0] = 2.0 * inv
         lower[-1] = 2.0 * inv
-        return LinearOperatorBand(grid, main, lower, upper)
+        return _tridiagonal(main, lower, upper)
     if grid.kind == "ring":
         main = np.full(n, -2.0 * inv)
         off = np.full(n - 1, inv)
-        return LinearOperatorBand(grid, main, off, off.copy(), corner_low=inv, corner_high=inv)
+        a = _tridiagonal(main, off, off)
+        a[0, -1] = a[-1, 0] = inv
+        return a
     # radial
     dim = grid.dim
     r = grid.nodes()
@@ -145,7 +126,7 @@ def build_diffusion(grid):
         main[i] = -(w_minus + w_plus)
         if i < n - 1:
             upper[i] = w_plus
-    return LinearOperatorBand(grid, main, lower, upper)
+    return _tridiagonal(main, lower, upper)
 
 
 class _Propagator:
@@ -169,7 +150,7 @@ class _Propagator:
         m_steps = scheme.steps_per_period
         dt = par.tau / m_steps
         if par.diffusivity != 0.0:
-            lap = par.diffusivity * build_diffusion(grid).to_dense()
+            lap = par.diffusivity * build_diffusion(grid)
         else:
             lap = np.zeros((n, n))
         eye = np.eye(n)

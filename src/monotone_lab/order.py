@@ -14,12 +14,12 @@ strictly below implies below.
 """
 
 from dataclasses import dataclass
-import json
 
 import numpy as np
 
 from .errors import DimensionMismatchError, EscapeError, OrderError
 from .grids import Grid
+from .reports import JsonReport
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def order_interval_sample(a, b, count, seed):
 
 
 @dataclass
-class PropertyReport:
+class PropertyReport(JsonReport):
     """Outcome of a sampled property check.
 
     ``worst_margin`` is check-specific: for violation-style checks it is the
@@ -133,18 +133,6 @@ class PropertyReport:
     @property
     def passed(self):
         return self.violations == 0
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "check_name": self.check_name,
-                "pairs_tested": self.pairs_tested,
-                "violations": self.violations,
-                "worst_margin": self.worst_margin,
-                "seed": self.seed,
-            },
-            indent=2,
-        )
 
 
 def draw_box_state(system, rng):

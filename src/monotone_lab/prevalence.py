@@ -25,7 +25,6 @@ any thread count, apart from the wall_time field.
 """
 
 import json
-import os
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -35,6 +34,7 @@ import numpy as np
 from .errors import GridError, OrderError
 from .order import StateVector
 from .asymptotics import VERDICTS, ClassifyBudget, classify_many
+from .reports import JsonReport
 
 STRATEGIES = ("box_uniform", "smooth_field", "line_scan")
 
@@ -181,25 +181,6 @@ def sample_initial(sampler, index, grid):
     return StateVector(u, grid)
 
 
-def resolve_threads(requested=None):
-    """Requested thread count: MONOTONE_LAB_THREADS overrides the argument.
-
-    Kept for callers that read the setting; the ensembles run in lockstep
-    blocks and do not use it.
-    """
-    env = os.environ.get("MONOTONE_LAB_THREADS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            value = 0
-        if value >= 1:
-            return value
-    if requested is not None and requested >= 1:
-        return int(requested)
-    return 1
-
-
 def _check_sampler_box(system, sampler):
     if sampler.strategy in ("box_uniform", "smooth_field"):
         if sampler.amplitude > system.kappa:
@@ -235,7 +216,9 @@ def _classify_many(system, sampler, indices, budget):
 
 
 @dataclass(eq=False)
-class PrevalenceReport:
+class PrevalenceReport(JsonReport):
+    KIND = "prevalence"
+
     system_name: str
     sampler: dict
     count: int
@@ -243,34 +226,11 @@ class PrevalenceReport:
     counts: dict
     stable_fraction: Optional[float]
     wilson_95: Optional[tuple]
-    period_histogram: dict
+    period_histogram: dict[int, int]
     rho_histogram: dict
     caveat: str = CAVEAT
     wall_time: float = 0.0
     schema_version: int = 1
-
-    def to_json(self):
-        return {
-            "schema_version": self.schema_version,
-            "kind": "prevalence",
-            "system_name": self.system_name,
-            "sampler": dict(self.sampler),
-            "count": self.count,
-            "budget": dict(self.budget),
-            "counts": dict(self.counts),
-            "stable_fraction": self.stable_fraction,
-            "wilson_95": None if self.wilson_95 is None else list(self.wilson_95),
-            "period_histogram": {
-                str(k): v for k, v in sorted(self.period_histogram.items())
-            },
-            "rho_histogram": {
-                "edges": list(self.rho_histogram["edges"]),
-                "counts": list(self.rho_histogram["counts"]),
-                "overflow": self.rho_histogram["overflow"],
-            },
-            "caveat": self.caveat,
-            "wall_time": self.wall_time,
-        }
 
     def to_csv(self):
         lines = [f"{name},{self.counts[name]}" for name in VERDICTS]
@@ -285,26 +245,7 @@ class PrevalenceReport:
         return "\n".join(lines) + "\n"
 
 
-def prevalence_report_from_json(doc):
-    wilson = doc.get("wilson_95")
-    return PrevalenceReport(
-        system_name=doc["system_name"],
-        sampler=dict(doc["sampler"]),
-        count=doc["count"],
-        budget=dict(doc["budget"]),
-        counts=dict(doc["counts"]),
-        stable_fraction=doc["stable_fraction"],
-        wilson_95=None if wilson is None else tuple(wilson),
-        period_histogram={int(k): v for k, v in doc["period_histogram"].items()},
-        rho_histogram={
-            "edges": list(doc["rho_histogram"]["edges"]),
-            "counts": list(doc["rho_histogram"]["counts"]),
-            "overflow": doc["rho_histogram"]["overflow"],
-        },
-        caveat=doc["caveat"],
-        wall_time=doc["wall_time"],
-        schema_version=doc["schema_version"],
-    )
+prevalence_report_from_json = PrevalenceReport.from_json
 
 
 def wilson_interval(successes, total, z=WILSON_Z):
@@ -389,7 +330,7 @@ def estimate_prevalence(system, sampler=None, count=200, budget=None, threads=No
         counts=counts,
         stable_fraction=fraction,
         wilson_95=wilson,
-        period_histogram=periods,
+        period_histogram=dict(sorted(periods.items())),
         rho_histogram={
             "edges": [float(e) for e in RHO_EDGES],
             "counts": [int(c) for c in in_range],
@@ -400,7 +341,9 @@ def estimate_prevalence(system, sampler=None, count=200, budget=None, threads=No
 
 
 @dataclass(eq=False)
-class LineReport:
+class LineReport(JsonReport):
+    KIND = "line_probe"
+
     system_name: str
     sampler: dict
     budget: dict
@@ -413,22 +356,6 @@ class LineReport:
     wall_time: float = 0.0
     schema_version: int = 1
 
-    def to_json(self):
-        return {
-            "schema_version": self.schema_version,
-            "kind": "line_probe",
-            "system_name": self.system_name,
-            "sampler": dict(self.sampler),
-            "budget": dict(self.budget),
-            "s_values": list(self.s_values),
-            "verdicts": list(self.verdicts),
-            "rhos": list(self.rhos),
-            "stable_count": self.stable_count,
-            "bad": [dict(entry) for entry in self.bad],
-            "bad_fraction": self.bad_fraction,
-            "wall_time": self.wall_time,
-        }
-
     def to_csv(self):
         lines = ["index,s,verdict,rho"]
         for i, (s, verdict, rho) in enumerate(
@@ -439,20 +366,7 @@ class LineReport:
         return "\n".join(lines) + "\n"
 
 
-def line_report_from_json(doc):
-    return LineReport(
-        system_name=doc["system_name"],
-        sampler=dict(doc["sampler"]),
-        budget=dict(doc["budget"]),
-        s_values=list(doc["s_values"]),
-        verdicts=list(doc["verdicts"]),
-        rhos=list(doc["rhos"]),
-        stable_count=doc["stable_count"],
-        bad=[dict(entry) for entry in doc["bad"]],
-        bad_fraction=doc["bad_fraction"],
-        wall_time=doc["wall_time"],
-        schema_version=doc["schema_version"],
-    )
+line_report_from_json = LineReport.from_json
 
 
 def line_probe(system, sampler, budget=None, threads=None):

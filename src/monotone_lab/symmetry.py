@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DimensionMismatchError, GridError
 from .grids import Grid
 from .order import PropertyReport, StateVector, draw_box_state
+from .reports import JsonReport
 from .asymptotics import ClassifyBudget, classify_orbit
 from .systems import evaluate
 
@@ -106,21 +107,13 @@ def apply_action(action, g, u):
 
 
 @dataclass(eq=False)
-class SymmetryVerdict:
+class SymmetryVerdict(JsonReport):
     """Deviation of one state from invariance under an action."""
 
     deviation: float
     symmetric: bool
     per_generator: list
     tol_sym: float
-
-    def to_json(self):
-        return {
-            "deviation": self.deviation,
-            "symmetric": self.symmetric,
-            "per_generator": list(self.per_generator),
-            "tol_sym": self.tol_sym,
-        }
 
 
 def symmetry_deviation(u, action, tol_sym=1e-5):
@@ -183,8 +176,10 @@ def classify_symmetric_limit(system, action, x0, budget=None, tol_sym=1e-5):
 
 
 @dataclass(eq=False)
-class SymmetrySurvey:
+class SymmetrySurvey(JsonReport):
     """Aggregated symmetric-limit statistics over an ensemble of starts."""
+
+    KIND = "symmetry_survey"
 
     count: int
     stable_count: int
@@ -194,20 +189,7 @@ class SymmetrySurvey:
     verdicts: list
     deviations: list
     tol_sym: float
-
-    def to_json(self):
-        return {
-            "schema_version": 1,
-            "kind": "symmetry_survey",
-            "count": self.count,
-            "stable_count": self.stable_count,
-            "symmetric_count": self.symmetric_count,
-            "symmetric_fraction": self.symmetric_fraction,
-            "max_deviation": self.max_deviation,
-            "verdicts": list(self.verdicts),
-            "deviations": list(self.deviations),
-            "tol_sym": self.tol_sym,
-        }
+    schema_version: int = 1
 
 
 def symmetric_limit_survey(system, action, states, budget=None, tol_sym=1e-5):

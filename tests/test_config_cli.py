@@ -1,6 +1,7 @@
 """Config grammar, experiment building, and the command-line front end."""
 
 import json
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from monotone_lab import (
     parse_config,
     serialize_config,
 )
-from monotone_lab.cli import main
+from monotone_lab.cli import _build_parser, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -172,6 +173,19 @@ def cfg(name):
     return str(CONFIG_DIR / name)
 
 
+def test_readme_command_lines_parse():
+    text = (CONFIG_DIR.parent / "README.md").read_text()
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    assert lines
+    parser = _build_parser()
+    for line in lines:
+        words = shlex.split(line)
+        assert words[0] == "monotone-lab", line
+        parser.parse_args(words[1:])
+
+
 def test_cli_usage_errors(capsys):
     assert main([]) == 1
     assert main(["bogus"]) == 1
@@ -187,11 +201,17 @@ def test_cli_missing_or_malformed_config(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_validate_passes_on_cubic(capsys):
-    assert main(["validate", cfg("cubic.cfg")]) == 0
+def test_cli_validate_passes_on_cubic(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert main(["validate", cfg("cubic.cfg"), "--json", str(report)]) == 0
     out = capsys.readouterr().out
     assert "check_monotone: PASS" in out
     assert "overall: PASS" in out
+    doc = json.loads(report.read_text())
+    assert doc["schema_version"] == 2
+    # each check is a JSON object, not a JSON document nested as a string
+    violations = doc["checks"]["check_monotone"]["violations"]
+    assert type(violations) is int and violations == 0
 
 
 def test_cli_validate_fails_on_logistic(tmp_path, capsys):

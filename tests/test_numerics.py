@@ -49,32 +49,31 @@ def diffusion_only(n, steps, grid="dirichlet"):
 # ---------------------------------------------------------- operator shape
 
 def test_dirichlet_operator_entries():
-    op = build_diffusion(Grid("dirichlet", 8))
+    a = build_diffusion(Grid("dirichlet", 8))
     inv = 81.0  # h = 1/9
-    np.testing.assert_allclose(op.main, -2.0 * inv)
-    np.testing.assert_allclose(op.lower, inv)
-    np.testing.assert_allclose(op.upper, inv)
-    assert op.corner_low == 0.0 and op.corner_high == 0.0
-    sums = op.row_sums()
+    np.testing.assert_allclose(np.diag(a), -2.0 * inv)
+    np.testing.assert_allclose(np.diag(a, -1), inv)
+    np.testing.assert_allclose(np.diag(a, 1), inv)
+    assert a[0, -1] == 0.0 and a[-1, 0] == 0.0
+    sums = a.sum(axis=1)
     np.testing.assert_allclose(sums[1:-1], 0.0, atol=1e-9)
     assert sums[0] == pytest.approx(-inv)
     assert sums[-1] == pytest.approx(-inv)
 
 
 def test_neumann_operator_conserves_mass():
-    op = build_diffusion(Grid("neumann", 9))
-    np.testing.assert_allclose(op.row_sums(), 0.0, atol=1e-9)
+    a = build_diffusion(Grid("neumann", 9))
+    np.testing.assert_allclose(a.sum(axis=1), 0.0, atol=1e-9)
     inv = 1.0 / Grid("neumann", 9).h ** 2
-    assert op.upper[0] == pytest.approx(2.0 * inv)
-    assert op.lower[-1] == pytest.approx(2.0 * inv)
+    assert np.diag(a, 1)[0] == pytest.approx(2.0 * inv)
+    assert np.diag(a, -1)[-1] == pytest.approx(2.0 * inv)
 
 
 def test_ring_operator_is_circulant():
     n = 8
-    op = build_diffusion(Grid("ring", n))
-    dense = op.to_dense()
+    dense = build_diffusion(Grid("ring", n))
     np.testing.assert_allclose(dense.sum(axis=1), 0.0, atol=1e-9)
-    assert op.corner_low > 0.0 and op.corner_high > 0.0
+    assert dense[0, -1] > 0.0 and dense[-1, 0] > 0.0
     # invariance under the one-node cyclic shift S u = roll(u, 1)
     shift = np.zeros((n, n))
     for i in range(n):
@@ -85,13 +84,13 @@ def test_ring_operator_is_circulant():
 @pytest.mark.parametrize("dim", [2, 3, 4, 6])
 def test_radial_operator_structure(dim):
     n = 16
-    op = build_diffusion(Grid("radial", n, dim=dim))
-    assert np.all(op.lower > 0.0)
-    assert np.all(op.upper > 0.0)
+    a = build_diffusion(Grid("radial", n, dim=dim))
+    assert np.all(np.diag(a, -1) > 0.0)
+    assert np.all(np.diag(a, 1) > 0.0)
     inv = float(n * n)
-    assert op.main[0] == pytest.approx(-2.0 * dim * inv)
-    assert op.upper[0] == pytest.approx(2.0 * dim * inv)
-    sums = op.row_sums()
+    assert a[0, 0] == pytest.approx(-2.0 * dim * inv)
+    assert a[0, 1] == pytest.approx(2.0 * dim * inv)
+    sums = a.sum(axis=1)
     # conservation form: interior rows sum to zero, outer row leaks to the
     # eliminated zero boundary
     np.testing.assert_allclose(sums[1:-1], 0.0, atol=1e-6 * inv)

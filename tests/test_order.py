@@ -1,7 +1,5 @@
 """Order relations, tolerance semantics, and sampled monotonicity checks."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -223,7 +221,7 @@ def test_draw_ordered_pair_stays_ordered_and_boxed(cubic):
 
 def test_property_report_serialization(cubic):
     rep = check_monotone(cubic, pair_count=40, seed=1)
-    data = json.loads(rep.to_json())
+    data = rep.to_json()
     assert set(data) == {"check_name", "pairs_tested", "violations", "worst_margin", "seed"}
     assert data["pairs_tested"] == 40
     assert rep.passed == (rep.violations == 0)

@@ -22,7 +22,6 @@ from monotone_lab import (
     parabolic_system,
     prevalence_report_from_json,
     report_export,
-    resolve_threads,
     sample_initial,
     smooth_field,
     wilson_interval,
@@ -103,21 +102,6 @@ def test_line_scan_addressing():
         sample_initial(spec, 101, grid)
     with pytest.raises(ValueError):
         sample_initial(spec, -1, grid)
-
-
-# ----------------------------------------------------------------- threads
-
-def test_resolve_threads_precedence(monkeypatch):
-    monkeypatch.delenv("MONOTONE_LAB_THREADS", raising=False)
-    assert resolve_threads() == 1
-    assert resolve_threads(4) == 4
-    assert resolve_threads(0) == 1
-    monkeypatch.setenv("MONOTONE_LAB_THREADS", "8")
-    assert resolve_threads(4) == 8
-    monkeypatch.setenv("MONOTONE_LAB_THREADS", "not-a-number")
-    assert resolve_threads(4) == 4
-    monkeypatch.setenv("MONOTONE_LAB_THREADS", "0")
-    assert resolve_threads(4) == 4
 
 
 # ------------------------------------------------------------- estimation
@@ -210,6 +194,19 @@ def test_prevalence_json_round_trip(cubic):
     assert prevalence_report_from_json(doc).to_json() == rep.to_json()
     with pytest.raises(ValueError):
         report_export(rep, format="yaml")
+    # a non-empty report: the interval comes back as a tuple and the
+    # period histogram with int keys
+    rep = estimate_prevalence(
+        cubic, sampler=box_uniform(amplitude=1.4, seed=23), count=40, budget=FAST
+    )
+    assert rep.period_histogram
+    back = prevalence_report_from_json(json.loads(report_export(rep)))
+    assert back.to_json() == rep.to_json()
+    assert isinstance(back.wilson_95, tuple)
+    assert back.wilson_95 == rep.wilson_95
+    assert back.period_histogram == rep.period_histogram
+    assert all(type(k) is int for k in back.period_histogram)
+    assert back.to_csv() == rep.to_csv()
 
 
 # ----------------------------------------------------------------- wilson
@@ -271,7 +268,9 @@ def test_line_report_serialization(cubic):
     assert len(lines) == 12
     doc = json.loads(report_export(rep))
     assert doc["kind"] == "line_probe"
-    assert line_report_from_json(doc).to_json() == rep.to_json()
+    back = line_report_from_json(doc)
+    assert back.to_json() == rep.to_json()
+    assert back.to_csv() == rep.to_csv()
 
 
 def dirichlet_line(system, resolution):
