@@ -9,15 +9,12 @@ sampling is deterministic per (seed, index), so reports are byte-identical
 across runs, wall time aside.
 """
 
-import json
-
 from monotone_lab import (
     ClassifyBudget,
     box_uniform,
     cubic_map,
     estimate_prevalence,
     parabolic_system,
-    report_export,
     smooth_field,
 )
 
@@ -70,7 +67,7 @@ print(f"  caveat: {rep.caveat}")
 
 # ------------------------------------------------------ export shapes
 
-doc = json.loads(report_export(rep, format="json"))
-print("\nJSON export keys:", ", ".join(sorted(doc)))
+doc = rep.to_json()
+print("\nJSON export keys:", ", ".join(doc))
 print("CSV export:")
-print(report_export(rep, format="csv"))
+print(rep.to_csv())

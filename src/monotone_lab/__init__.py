@@ -18,16 +18,16 @@ from .errors import (
     NumericalError,
     OrderError,
 )
-from .grids import GRID_KINDS, Grid
+from .grids import Grid
 from .order import (
     CHECK_TOL,
     DEFAULT_TOL,
     OrderTolerances,
     PropertyReport,
     StateVector,
+    ValidationReport,
     check_monotone,
     check_strong_monotone,
-    draw_box_state,
     draw_ordered_pair,
     leq,
     order_interval_sample,
@@ -65,13 +65,12 @@ from .systems import (
 )
 from .asymptotics import (
     Classification,
+    ClassificationReport,
     ClassifyBudget,
     CycleCandidate,
     CycleRecord,
     OmegaProbeReport,
-    OrbitRecord,
     SideEstimate,
-    SpectralRadiusResult,
     VERDICTS,
     classify_many,
     classify_orbit,
@@ -86,20 +85,14 @@ from .asymptotics import (
     set_distance,
 )
 from .prevalence import (
-    CAVEAT,
     LineReport,
     PrevalenceReport,
     RHO_EDGES,
-    STRATEGIES,
     SamplerSpec,
-    WILSON_Z,
     box_uniform,
     estimate_prevalence,
     line_probe,
-    line_report_from_json,
     line_scan,
-    prevalence_report_from_json,
-    report_export,
     sample_initial,
     smooth_field,
     wilson_interval,
@@ -119,7 +112,6 @@ from .symmetry import (
     trivial_action,
 )
 from .config import (
-    Experiment,
     build_experiment,
     load_config,
     parse_config,

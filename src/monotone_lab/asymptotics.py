@@ -110,19 +110,12 @@ class OrbitRecord:
     def state(self, i):
         return StateVector(self.samples[i], self.grid)
 
-    def final(self):
-        return self.state(len(self) - 1)
-
     def to_csv(self):
         cols = ",".join(f"node_{j}" for j in range(self.samples.shape[1]))
         lines = [f"iter,{cols}"]
         for idx, row in zip(self.indices, self.samples):
             lines.append(str(int(idx)) + "," + ",".join(f"{v:.17g}" for v in row))
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv())
 
 
 def iterate_orbit(system, x0, n_iter, thinning=1):
@@ -399,6 +392,23 @@ class Classification(JsonReport):
     cycle: Optional[CycleRecord] = None
 
 
+@dataclass(eq=False)
+class ClassificationReport(JsonReport):
+    """The document of one classification: the Classification fields after
+    the system name, and the SymmetryVerdict of every cycle point when the
+    system has a group action (None without one)."""
+
+    KIND = "classification"
+
+    system_name: str
+    verdict: str
+    iterations_used: int
+    diagnostics: str
+    cycle: Optional[CycleRecord]
+    symmetry: Optional[list]
+    schema_version: int = 2
+
+
 def classify_orbit(system, x0, budget=None):
     """Iterate from x0 and classify the orbit's eventual behavior.
 
@@ -554,6 +564,8 @@ class SideEstimate(JsonReport):
 
 @dataclass(eq=False)
 class OmegaProbeReport(JsonReport):
+    KIND = "omega_probe"
+
     base_point: np.ndarray
     direction: np.ndarray
     eps_values: tuple
@@ -564,6 +576,7 @@ class OmegaProbeReport(JsonReport):
     lower: SideEstimate
     direction_disagreement: Optional[float] = None
     notes: str = ""
+    schema_version: int = 1
 
 
 def _probe_direction(system, direction):

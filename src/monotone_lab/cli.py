@@ -5,6 +5,13 @@ probe-omega, symmetry. Each takes a config file and writes data files
 (JSON reports, orbit CSV, two-column plot data); there is no interactive
 mode and no figure rendering.
 
+Every JSON document is one library report, written as its ``to_json()``:
+validate a ValidationReport, classify a ClassificationReport, prevalence a
+PrevalenceReport, probe-line a LineReport, probe-omega an OmegaProbeReport
+and symmetry a SymmetrySurvey. A command builds its report, prints its
+summary from it and writes it; the header (``schema_version``, ``kind``)
+comes from the report class.
+
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical or
 validation failure. The --threads flag and the MONOTONE_LAB_THREADS
 variable are accepted and ignored: ensembles run in lockstep blocks on
@@ -110,24 +117,15 @@ def main(argv=None):
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if getattr(ns, "func", None) is None:
-        parser.print_usage(sys.stderr)
-        return 1
-    try:
+        if getattr(ns, "func", None) is None:
+            parser.print_usage(sys.stderr)
+            return 1
         return ns.func(ns)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    # ConfigError is a ValueError
+    except (_UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -147,13 +145,11 @@ def _write_text(path, text):
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit_json(path, payload, label):
-    text = json.dumps(payload, indent=2) + "\n"
+def _emit_json(path, report, label):
+    """Write the report's document to path, if one was given."""
     if path:
-        _write_text(path, text)
+        _write_text(path, json.dumps(report.to_json(), indent=2) + "\n")
         print(f"{label} written to {path}")
-    else:
-        print(text, end="")
 
 
 def _default_smooth(exp):
@@ -205,44 +201,37 @@ def _flag_vector(name, text, n):
 def cmd_validate(ns):
     exp = _load(ns.config)
     system = exp.system
-    checks = {}
-    all_pass = True
-
-    def record(name, report):
-        nonlocal all_pass
-        checks[name] = report.to_json()
-        all_pass = all_pass and report.passed
-        print(
-            f"{name}: {'PASS' if report.passed else 'FAIL'} "
-            f"(violations {report.violations}/{report.pairs_tested}, "
-            f"worst margin {report.worst_margin:.3g})"
-        )
-
-    record("check_monotone", order.check_monotone(system))
-    record("check_strong_monotone", order.check_strong_monotone(system))
-    record("check_strong_positivity", systems.check_strong_positivity(system))
+    checks = {
+        "check_monotone": order.check_monotone(system),
+        "check_strong_monotone": order.check_strong_monotone(system),
+        "check_strong_positivity": systems.check_strong_positivity(system),
+    }
     try:
-        record("validate_dissipativity", systems.validate_dissipativity(system))
+        checks["validate_dissipativity"] = systems.validate_dissipativity(system)
     except ValueError as exc:
         checks["validate_dissipativity"] = {"skipped": True, "reason": str(exc)}
-        print(f"validate_dissipativity: SKIPPED ({exc})")
-    record("trapping_check", systems.trapping_check(system))
+    checks["trapping_check"] = systems.trapping_check(system)
     if exp.action is not None:
-        record("check_equivariance", symmetry.check_equivariance(system, exp.action))
+        checks["check_equivariance"] = symmetry.check_equivariance(system, exp.action)
+    all_pass = all(
+        c.passed for c in checks.values() if isinstance(c, order.PropertyReport)
+    )
+    report = order.ValidationReport(system.name, all_pass, checks)
 
+    for name, check in report.checks.items():
+        if isinstance(check, order.PropertyReport):
+            print(
+                f"{name}: {'PASS' if check.passed else 'FAIL'} "
+                f"(violations {check.violations}/{check.pairs_tested}, "
+                f"worst margin {check.worst_margin:.3g})"
+            )
+        else:
+            print(f"{name}: SKIPPED ({check['reason']})")
     if not system.monotone_expected:
         print("note: system is declared non-monotone; failures above are expected")
-    payload = {
-        "schema_version": 2,
-        "kind": "validate",
-        "system_name": system.name,
-        "all_pass": all_pass,
-        "checks": checks,
-    }
-    if ns.json_out:
-        _emit_json(ns.json_out, payload, "validation report")
-    print(f"overall: {'PASS' if all_pass else 'FAIL'}")
-    if all_pass or ns.report_only:
+    _emit_json(ns.json_out, report, "validation report")
+    print(f"overall: {'PASS' if report.all_pass else 'FAIL'}")
+    if report.all_pass or ns.report_only:
         return 0
     return 2
 
@@ -284,17 +273,12 @@ def cmd_classify(ns):
     else:
         cls = asymptotics.classify_orbit(exp.system, x0, exp.budget)
         verdicts = None
-    payload = {
-        "schema_version": 1,
-        "kind": "classification",
-        "system_name": exp.system.name,
-    }
-    payload.update(cls.to_json())
-    if verdicts is not None:
-        payload["symmetry"] = [v.to_json() for v in verdicts]
-    print(f"verdict: {cls.verdict} ({cls.diagnostics})")
-    if ns.json_out:
-        _emit_json(ns.json_out, payload, "classification report")
+    report = asymptotics.ClassificationReport(
+        exp.system.name, cls.verdict, cls.iterations_used, cls.diagnostics,
+        cls.cycle, verdicts,
+    )
+    print(f"verdict: {report.verdict} ({report.diagnostics})")
+    _emit_json(ns.json_out, report, "classification report")
     return 0
 
 
@@ -302,7 +286,7 @@ def cmd_prevalence(ns):
     exp = _load(ns.config)
     sampler = exp.sampler
     if sampler is None:
-        sampler = prevalence.box_uniform(amplitude=0.9 * exp.system.kappa)
+        sampler = prevalence.box_uniform(prevalence.default_amplitude(exp.system))
     if ns.seed is not None:
         sampler = replace(sampler, seed=ns.seed)
     count = ns.samples if ns.samples is not None else exp.count
@@ -320,8 +304,7 @@ def cmd_prevalence(ns):
             f"(Wilson 95% [{lo:.4f}, {hi:.4f}])"
         )
     print(f"note: {report.caveat}")
-    if ns.out:
-        _emit_json(ns.out, report.to_json(), "prevalence report")
+    _emit_json(ns.out, report, "prevalence report")
     if ns.csv_out:
         _write_text(ns.csv_out, report.to_csv())
         print(f"prevalence CSV written to {ns.csv_out}")
@@ -331,32 +314,30 @@ def cmd_prevalence(ns):
 def cmd_probe_line(ns):
     exp = _load(ns.config)
     system = exp.system
-    sampler = exp.sampler if (
-        exp.sampler is not None and exp.sampler.strategy == "line_scan"
-    ) else None
-    base = sampler.base if sampler else None
-    direction = sampler.direction if sampler else None
-    s_min = sampler.s_min if sampler else 0.0
-    s_max = sampler.s_max if sampler else 1.0
-    resolution = sampler.resolution if sampler else 101
+    line = {}
+    if exp.sampler is not None and exp.sampler.strategy == "line_scan":
+        line = {
+            key: getattr(exp.sampler, key)
+            for key in ("base", "direction", "s_min", "s_max", "resolution")
+        }
     if ns.base is not None:
-        base = _flag_vector("base", ns.base, system.n)
+        line["base"] = _flag_vector("base", ns.base, system.n)
     if ns.direction is not None:
-        direction = _flag_vector("direction", ns.direction, system.n)
+        line["direction"] = _flag_vector("direction", ns.direction, system.n)
     if ns.s_range is not None:
         try:
             lo, hi = ns.s_range.split(":", 1)
-            s_min, s_max = float(lo), float(hi)
+            line["s_min"], line["s_max"] = float(lo), float(hi)
         except ValueError as exc:
             raise ConfigError(f"bad --range {ns.s_range!r}, expected A:B") from exc
     if ns.resolution is not None:
-        resolution = ns.resolution
-    if base is None or direction is None:
+        line["resolution"] = ns.resolution
+    if "base" not in line or "direction" not in line:
         raise ConfigError(
             "probe-line needs a line: give --base/--direction or a "
             "[sampling] line_scan section"
         )
-    sampler = prevalence.line_scan(base, direction, s_min, s_max, resolution)
+    sampler = prevalence.line_scan(**line)
     report = prevalence.line_probe(
         system, sampler, budget=exp.budget, threads=ns.threads
     )
@@ -366,8 +347,7 @@ def cmd_probe_line(ns):
     )
     for entry in report.bad:
         print(f"  s = {entry['s']:.6g}: {entry['verdict']}")
-    if ns.out:
-        _emit_json(ns.out, report.to_json(), "line report")
+    _emit_json(ns.out, report, "line report")
     return 0
 
 
@@ -396,10 +376,7 @@ def cmd_probe_omega(ns):
         )
     if report.notes:
         print(f"note: {report.notes}")
-    if ns.out:
-        payload = {"schema_version": 1, "kind": "omega_probe"}
-        payload.update(report.to_json())
-        _emit_json(ns.out, payload, "omega probe report")
+    _emit_json(ns.out, report, "omega probe report")
     return 0
 
 
@@ -407,6 +384,9 @@ def cmd_symmetry(ns):
     exp = _load(ns.config)
     if exp.action is None:
         raise ConfigError("symmetry command needs a [symmetry] section")
+    count = ns.samples if ns.samples is not None else exp.count
+    if count < 0:
+        raise ValueError("count must be nonnegative")
     system = exp.system
     gate = symmetry.check_equivariance(system, exp.action)
     if not gate.passed:
@@ -420,23 +400,19 @@ def cmd_symmetry(ns):
     sampler = exp.sampler if exp.sampler is not None else _default_smooth(exp)
     if ns.seed is not None:
         sampler = replace(sampler, seed=ns.seed)
-    count = ns.samples if ns.samples is not None else exp.count
     states = [
         prevalence.sample_initial(sampler, i, system.grid) for i in range(count)
     ]
     survey = symmetry.symmetric_limit_survey(
         system, exp.action, states, exp.budget, exp.tol_sym
     )
+    survey.sampler = sampler.describe()
     print(
         f"symmetric limits: {survey.symmetric_count}/{survey.count} "
         f"(fraction {survey.symmetric_fraction:.4f}), max deviation "
         f"{survey.max_deviation:.3g}"
     )
-    payload = survey.to_json()
-    payload["system_name"] = system.name
-    payload["sampler"] = sampler.describe()
-    if ns.out:
-        _emit_json(ns.out, payload, "symmetry survey")
+    _emit_json(ns.out, survey, "symmetry survey")
     return 0
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .asymptotics import ClassifyBudget
-from .prevalence import SamplerSpec
+from .prevalence import SamplerSpec, default_amplitude
 from .symmetry import (
     GroupAction,
     interval_reflection,
@@ -307,7 +307,7 @@ def _build_sampler(cfg, system):
     count = table.take("count", int, 200)
     try:
         if strategy in ("box_uniform", "smooth_field"):
-            amplitude = table.take("amplitude", float, min(1.0, 0.9 * system.kappa))
+            amplitude = table.take("amplitude", float, default_amplitude(system))
             if strategy == "box_uniform":
                 sampler = SamplerSpec("box_uniform", seed=seed, amplitude=amplitude)
             else:

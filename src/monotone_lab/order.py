@@ -135,6 +135,19 @@ class PropertyReport(JsonReport):
         return self.violations == 0
 
 
+@dataclass(eq=False)
+class ValidationReport(JsonReport):
+    """Standing-assumption checks by name; a check that could not run is
+    ``{"skipped": True, "reason": ...}`` and does not count in all_pass."""
+
+    KIND = "validate"
+
+    system_name: str
+    all_pass: bool
+    checks: dict
+    schema_version: int = 2
+
+
 def draw_box_state(system, rng):
     """One state drawn uniformly from the open trapping box of the system."""
     kappa = system.kappa

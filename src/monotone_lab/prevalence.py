@@ -24,7 +24,6 @@ constant, so the report is a function of its inputs alone: identical for
 any thread count, apart from the wall_time field.
 """
 
-import json
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -121,6 +120,11 @@ def box_uniform(amplitude=1.0, seed=0):
 
 def smooth_field(amplitude=1.0, modes=6, seed=0):
     return SamplerSpec("smooth_field", seed=seed, amplitude=amplitude, modes=modes)
+
+
+def default_amplitude(system):
+    """Box and smooth-field amplitude when none is given: 0.9 kappa."""
+    return 0.9 * system.kappa
 
 
 def line_scan(base, direction, s_min=0.0, s_max=1.0, resolution=101):
@@ -245,9 +249,6 @@ class PrevalenceReport(JsonReport):
         return "\n".join(lines) + "\n"
 
 
-prevalence_report_from_json = PrevalenceReport.from_json
-
-
 def wilson_interval(successes, total, z=WILSON_Z):
     """Wilson score interval; always contains the point estimate."""
     if total <= 0:
@@ -294,7 +295,7 @@ def estimate_prevalence(system, sampler=None, count=200, budget=None, threads=No
     if count < 0:
         raise ValueError("count must be nonnegative")
     if sampler is None:
-        sampler = box_uniform(amplitude=0.9 * system.kappa)
+        sampler = box_uniform(amplitude=default_amplitude(system))
     _check_sampler_box(system, sampler)
     if sampler.strategy == "line_scan" and count > sampler.resolution:
         raise ValueError("count exceeds the line_scan resolution")
@@ -366,9 +367,6 @@ class LineReport(JsonReport):
         return "\n".join(lines) + "\n"
 
 
-line_report_from_json = LineReport.from_json
-
-
 def line_probe(system, sampler, budget=None, threads=None):
     """Classify every point of a line_scan sweep and list the exceptions.
 
@@ -407,12 +405,3 @@ def line_probe(system, sampler, budget=None, threads=None):
         bad_fraction=len(bad) / len(verdicts) if verdicts else 0.0,
         wall_time=wall,
     )
-
-
-def report_export(report, format="json"):
-    """Render a report as a JSON or CSV document string."""
-    if format == "json":
-        return json.dumps(report.to_json(), indent=2) + "\n"
-    if format == "csv":
-        return report.to_csv()
-    raise ValueError(f"unknown export format {format!r}")

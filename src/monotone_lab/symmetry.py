@@ -12,6 +12,7 @@ system are generally asymmetric and say nothing about the limit.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -177,7 +178,11 @@ def classify_symmetric_limit(system, action, x0, budget=None, tol_sym=1e-5):
 
 @dataclass(eq=False)
 class SymmetrySurvey(JsonReport):
-    """Aggregated symmetric-limit statistics over an ensemble of starts."""
+    """Aggregated symmetric-limit statistics over an ensemble of starts.
+
+    The survey is handed the starts, not their sampler: ``sampler`` stays
+    None unless the caller describes where the starts came from.
+    """
 
     KIND = "symmetry_survey"
 
@@ -189,6 +194,8 @@ class SymmetrySurvey(JsonReport):
     verdicts: list
     deviations: list
     tol_sym: float
+    system_name: str
+    sampler: Optional[dict] = None
     schema_version: int = 1
 
 
@@ -222,5 +229,6 @@ def symmetric_limit_survey(system, action, states, budget=None, tol_sym=1e-5):
     count = len(verdicts)
     fraction = symmetric / count if count else 0.0
     return SymmetrySurvey(
-        count, stable, symmetric, fraction, worst, verdicts, deviations, tol_sym
+        count, stable, symmetric, fraction, worst, verdicts, deviations, tol_sym,
+        system.name,
     )

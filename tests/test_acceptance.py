@@ -339,6 +339,10 @@ def test_10_instability_probes_at_zero_and_one(cubic, report):
 def test_11_report_determinism_across_threads(tmp_path, report):
     env = dict(os.environ)
     env.pop("MONOTONE_LAB_THREADS", None)
+    # the subprocess imports the package from this checkout
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
     outputs = []
     for threads in ("1", "8"):
         out_path = tmp_path / f"threads_{threads}.json"

@@ -8,12 +8,27 @@ import numpy as np
 import pytest
 
 from monotone_lab import (
+    ClassificationReport,
     ClassifyBudget,
     ConfigError,
+    ValidationReport,
+    box_uniform,
     build_experiment,
+    check_monotone,
+    check_strong_monotone,
+    check_strong_positivity,
+    classify_orbit,
+    classify_symmetric_limit,
+    estimate_prevalence,
+    line_probe,
     load_config,
+    omega_plus_probe,
     parse_config,
+    sample_initial,
     serialize_config,
+    symmetric_limit_survey,
+    trapping_check,
+    validate_dissipativity,
 )
 from monotone_lab.cli import _build_parser, main
 
@@ -150,6 +165,20 @@ def test_build_overrides():
     assert system.kind.param == 3.5
 
 
+def test_build_sampler_default_amplitude():
+    # a [sampling] section without an amplitude draws from the same box as
+    # estimate_prevalence given no sampler: 0.9 kappa
+    for strategy in ("box_uniform", "smooth_field"):
+        exp = build_experiment(
+            parse_config(
+                f"[system]\nkind = cubic\nkappa = 1.5\n"
+                f"[sampling]\nstrategy = {strategy}"
+            )
+        )
+        assert exp.sampler.amplitude == 0.9 * 1.5
+    assert estimate_prevalence(exp.system, count=0).sampler["amplitude"] == 0.9 * 1.5
+
+
 def test_build_line_sampler_vectors():
     cfg = parse_config(
         "[system]\nkind = linear_cooperative\n"
@@ -173,6 +202,10 @@ def cfg(name):
     return str(CONFIG_DIR / name)
 
 
+def _load(name):
+    return build_experiment(load_config(CONFIG_DIR / name))
+
+
 def test_readme_command_lines_parse():
     text = (CONFIG_DIR.parent / "README.md").read_text()
     section = text.split("## Command line", 1)[1]
@@ -184,6 +217,123 @@ def test_readme_command_lines_parse():
         words = shlex.split(line)
         assert words[0] == "monotone-lab", line
         parser.parse_args(words[1:])
+
+
+def _validation(exp):
+    system = exp.system
+    checks = {
+        "check_monotone": check_monotone(system),
+        "check_strong_monotone": check_strong_monotone(system),
+        "check_strong_positivity": check_strong_positivity(system),
+        "validate_dissipativity": validate_dissipativity(system),
+        "trapping_check": trapping_check(system),
+    }
+    return ValidationReport(system.name, True, checks)
+
+
+def _classification(exp, x0):
+    if exp.action is None:
+        cls, verdicts = classify_orbit(exp.system, x0, exp.budget), None
+    else:
+        cls, verdicts = classify_symmetric_limit(
+            exp.system, exp.action, x0, exp.budget, exp.tol_sym
+        )
+    return ClassificationReport(
+        exp.system.name, cls.verdict, cls.iterations_used, cls.diagnostics,
+        cls.cycle, verdicts,
+    )
+
+
+def _survey(exp, count):
+    states = [sample_initial(exp.sampler, i, exp.system.grid) for i in range(count)]
+    survey = symmetric_limit_survey(
+        exp.system, exp.action, states, exp.budget, exp.tol_sym
+    )
+    survey.sampler = exp.sampler.describe()
+    return survey
+
+
+CLASSIFICATION_KEYS = [
+    "schema_version", "kind", "system_name", "verdict", "iterations_used",
+    "diagnostics", "cycle", "symmetry",
+]
+
+# Every JSON document the CLI writes, from a shipped config: the command
+# line, its key list and the library report the document must equal.
+DOCUMENTS = {
+    "validate": (
+        ["validate", "cubic.cfg", "--json"],
+        ["schema_version", "kind", "system_name", "all_pass", "checks"],
+        _validation,
+    ),
+    "classify": (
+        ["classify", "cubic.cfg", "--x0", "0.5", "--json"],
+        CLASSIFICATION_KEYS,
+        lambda exp: _classification(exp, 0.5),
+    ),
+    "classify-symmetry": (
+        ["classify", "ring_cubic_5.cfg", "--x0", "smooth:0", "--json"],
+        CLASSIFICATION_KEYS,
+        lambda exp: _classification(
+            exp, sample_initial(exp.sampler, 0, exp.system.grid)
+        ),
+    ),
+    "prevalence": (
+        ["prevalence", "cubic.cfg", "--samples", "20", "--seed", "3", "--out"],
+        [
+            "schema_version", "kind", "system_name", "sampler", "count",
+            "budget", "counts", "stable_fraction", "wilson_95",
+            "period_histogram", "rho_histogram", "caveat", "wall_time",
+        ],
+        lambda exp: estimate_prevalence(
+            exp.system, box_uniform(0.9 * exp.system.kappa, seed=3), count=20,
+            budget=exp.budget,
+        ),
+    ),
+    "probe-line": (
+        ["probe-line", "cubic_line.cfg", "--out"],
+        [
+            "schema_version", "kind", "system_name", "sampler", "budget",
+            "s_values", "verdicts", "rhos", "stable_count", "bad",
+            "bad_fraction", "wall_time",
+        ],
+        lambda exp: line_probe(exp.system, exp.sampler, budget=exp.budget),
+    ),
+    "probe-omega": (
+        ["probe-omega", "cubic.cfg", "--x0", "zero", "--eps", "1e-2,1e-3", "--out"],
+        [
+            "schema_version", "kind", "base_point", "direction", "eps_values",
+            "tol_set", "base_verdict", "omega_base", "upper", "lower",
+            "direction_disagreement", "notes",
+        ],
+        lambda exp: omega_plus_probe(
+            exp.system, 0.0, eps_values=(1e-2, 1e-3), budget=exp.budget
+        ),
+    ),
+    "symmetry": (
+        ["symmetry", "ring_cubic_5.cfg", "--samples", "3", "--out"],
+        [
+            "schema_version", "kind", "count", "stable_count", "symmetric_count",
+            "symmetric_fraction", "max_deviation", "verdicts", "deviations",
+            "tol_sym", "system_name", "sampler",
+        ],
+        lambda exp: _survey(exp, 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_cli_documents_are_library_reports(tmp_path, capsys, name):
+    argv, keys, build = DOCUMENTS[name]
+    path = tmp_path / "doc.json"
+    assert main([argv[0], cfg(argv[1]), *argv[2:], str(path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    assert list(doc) == keys
+    want = json.loads(json.dumps(build(_load(argv[1])).to_json()))
+    for got in (doc, want):
+        got.pop("wall_time", None)
+    assert doc == want
 
 
 def test_cli_usage_errors(capsys):
@@ -305,7 +455,7 @@ def test_cli_classify_with_symmetry(tmp_path, capsys):
     doc = json.loads(report.read_text())
     assert doc["kind"] == "classification"
     assert doc["cycle"]["period"] == 1
-    assert "symmetry" not in doc
+    assert doc["symmetry"] is None
 
     assert main(
         ["classify", cfg("ring_cubic_5.cfg"), "--x0", "smooth:0",
@@ -416,6 +566,9 @@ def test_cli_symmetry_survey(tmp_path, capsys):
 
 def test_cli_symmetry_requires_section_and_equivariance(tmp_path, capsys):
     assert main(["symmetry", cfg("cubic.cfg"), "--samples", "2"]) == 1
+    capsys.readouterr()
+    assert main(["symmetry", cfg("ring_cubic_5.cfg"), "--samples", "-3"]) == 1
+    assert "count must be nonnegative" in capsys.readouterr().err
     broken = tmp_path / "broken.cfg"
     broken.write_text(
         "[system]\nkind = parabolic\nstrength = 5.0\nspatial_profile = wave\n"

@@ -9,7 +9,9 @@ from monotone_lab import (
     ClassifyBudget,
     Grid,
     GridError,
+    LineReport,
     OrderError,
+    PrevalenceReport,
     RHO_EDGES,
     SamplerSpec,
     box_uniform,
@@ -17,11 +19,8 @@ from monotone_lab import (
     classify_orbit,
     estimate_prevalence,
     line_probe,
-    line_report_from_json,
     line_scan,
     parabolic_system,
-    prevalence_report_from_json,
-    report_export,
     sample_initial,
     smooth_field,
     wilson_interval,
@@ -152,8 +151,8 @@ def test_prevalence_zero_samples(cubic):
     lines = csv.strip().split("\n")
     assert len(lines) == 7
     assert "stable_fraction,undefined" in lines
-    doc = json.loads(report_export(rep))
-    round_tripped = prevalence_report_from_json(doc)
+    doc = json.loads(json.dumps(rep.to_json(), indent=2))
+    round_tripped = PrevalenceReport.from_json(doc)
     assert round_tripped.to_json() == rep.to_json()
 
 
@@ -189,18 +188,18 @@ def test_prevalence_json_round_trip(cubic):
         cubic, sampler=smooth_field(amplitude=1.0, seed=3), count=0, budget=FAST
     )
     assert rep.sampler["strategy"] == "smooth_field"
-    doc = json.loads(report_export(rep, format="json"))
+    doc = json.loads(json.dumps(rep.to_json(), indent=2))
     assert doc["kind"] == "prevalence"
-    assert prevalence_report_from_json(doc).to_json() == rep.to_json()
-    with pytest.raises(ValueError):
-        report_export(rep, format="yaml")
+    assert PrevalenceReport.from_json(doc).to_json() == rep.to_json()
     # a non-empty report: the interval comes back as a tuple and the
     # period histogram with int keys
     rep = estimate_prevalence(
         cubic, sampler=box_uniform(amplitude=1.4, seed=23), count=40, budget=FAST
     )
     assert rep.period_histogram
-    back = prevalence_report_from_json(json.loads(report_export(rep)))
+    back = PrevalenceReport.from_json(
+        json.loads(json.dumps(rep.to_json(), indent=2))
+    )
     assert back.to_json() == rep.to_json()
     assert isinstance(back.wilson_95, tuple)
     assert back.wilson_95 == rep.wilson_95
@@ -263,12 +262,12 @@ def test_line_probe_validation(cubic, logistic):
 
 def test_line_report_serialization(cubic):
     rep = line_probe(cubic, line_sampler(11), budget=FAST)
-    lines = report_export(rep, format="csv").strip().split("\n")
+    lines = rep.to_csv().strip().split("\n")
     assert lines[0] == "index,s,verdict,rho"
     assert len(lines) == 12
-    doc = json.loads(report_export(rep))
+    doc = json.loads(json.dumps(rep.to_json(), indent=2))
     assert doc["kind"] == "line_probe"
-    back = line_report_from_json(doc)
+    back = LineReport.from_json(doc)
     assert back.to_json() == rep.to_json()
     assert back.to_csv() == rep.to_csv()
 

@@ -59,8 +59,9 @@ CASES = {
     "OmegaProbeReport": (
         lambda cubic: omega_plus_probe(cubic, 0.0),
         [
-            "base_point", "direction", "eps_values", "tol_set", "base_verdict",
-            "omega_base", "upper", "lower", "direction_disagreement", "notes",
+            "schema_version", "kind", "base_point", "direction", "eps_values",
+            "tol_set", "base_verdict", "omega_base", "upper", "lower",
+            "direction_disagreement", "notes",
         ],
     ),
     "SymmetryVerdict": (
@@ -74,7 +75,7 @@ CASES = {
         [
             "schema_version", "kind", "count", "stable_count", "symmetric_count",
             "symmetric_fraction", "max_deviation", "verdicts", "deviations",
-            "tol_sym",
+            "tol_sym", "system_name", "sampler",
         ],
     ),
     "PropertyReport": (
