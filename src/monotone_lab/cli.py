@@ -156,8 +156,8 @@ def _default_smooth(exp):
     sampler = exp.sampler
     if sampler is not None and sampler.strategy == "smooth_field":
         return sampler
-    kappa = exp.system.kappa
-    return prevalence.smooth_field(amplitude=min(1.0, 0.9 * kappa), modes=6, seed=0)
+    amplitude = prevalence.default_amplitude(exp.system)
+    return prevalence.smooth_field(amplitude=amplitude, modes=6, seed=0)
 
 
 def _parse_x0(spec, exp):

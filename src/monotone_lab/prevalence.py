@@ -12,8 +12,8 @@ verdicts are confined to isolated parameter values, so refining the
 resolution should never grow the exceptional set beyond shrinking
 neighborhoods of the points already found.
 
-Samples are classified in lockstep, BLOCK_WIDTH consecutive indices at a
-time, as the columns of one block (``asymptotics.classify_many``).
+Samples are classified in lockstep, ``systems.BLOCK_WIDTH`` consecutive
+indices at a time, as the columns of one block (``asymptotics.classify_many``).
 
 Determinism contract: the random stream of sample i is seeded by the pair
 (sampler seed, i), and aggregation runs in index order. A sample's bits may
@@ -34,6 +34,7 @@ from .errors import GridError, OrderError
 from .order import StateVector
 from .asymptotics import VERDICTS, ClassifyBudget, classify_many
 from .reports import JsonReport
+from .systems import BLOCK_WIDTH
 
 STRATEGIES = ("box_uniform", "smooth_field", "line_scan")
 
@@ -45,11 +46,6 @@ CAVEAT = (
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
 RHO_EDGES = np.linspace(0.0, 2.0, 21)
-
-# Samples classified together as the columns of one block. Constant, since
-# a sample's bits depend on the width of the block it runs in.
-BLOCK_WIDTH = 128
-
 
 @dataclass(eq=False)
 class SamplerSpec:

@@ -1,0 +1,246 @@
+"""The sampled property checks, run as column blocks, against per-sample loops.
+
+Each reference below draws the same samples in the same order as its check
+and maps them one state at a time through ``evaluate`` or a vector tangent
+pass. Counts must agree exactly; margins agree to roundoff, or exactly
+where they are infinite.
+"""
+
+import numpy as np
+import pytest
+
+from monotone_lab import (
+    CHECK_TOL,
+    DEFAULT_TOL,
+    ClassifyBudget,
+    EscapeError,
+    check_equivariance,
+    check_monotone,
+    check_strong_monotone,
+    check_strong_positivity,
+    classify_symmetric_limit,
+    draw_ordered_pair,
+    evaluate,
+    interval_reflection,
+    negation_map,
+    parabolic_system,
+    ring_rotation,
+    sample_initial,
+    smooth_field,
+    symmetric_limit_survey,
+    trivial_action,
+)
+from monotone_lab.order import draw_box_state
+from monotone_lab.systems import BLOCK_WIDTH, Parabolic
+
+SYSTEMS = (
+    "cubic_map",
+    "linear_cooperative",
+    "logistic_map",
+    "negation_map",
+    "dirichlet_cubic_5",
+    "ring_cubic_5",
+)
+
+
+def system_named(cat, name):
+    return negation_map() if name == "negation_map" else cat[name]
+
+
+def action_for(system):
+    if system.grid.kind == "ring":
+        return ring_rotation(system.grid)
+    if system.grid.kind == "dirichlet":
+        return interval_reflection(system.grid)
+    return trivial_action(system.grid)
+
+
+def per_pair_monotone(system, pair_count, seed, strong):
+    """(violations, pairs tested, worst margin) of a monotone check, pair by pair."""
+    tol = CHECK_TOL if strong else DEFAULT_TOL
+    rng = np.random.default_rng(seed)
+    violations, tested = 0, 0
+    worst = np.inf if strong else -np.inf
+    for _ in range(pair_count):
+        x, y = draw_ordered_pair(system, rng)
+        if strong and np.max(y.values - x.values) <= tol.tol_eq:
+            continue
+        tested += 1
+        try:
+            fx, fy = evaluate(system, x), evaluate(system, y)
+        except EscapeError:
+            violations += 1
+            worst = -np.inf if strong else np.inf
+            continue
+        if strong:
+            gap = float(np.min(fy.values - fx.values))
+            worst = min(worst, gap)
+            violations += gap <= tol.eta_interior
+        else:
+            margin = float(np.max(fx.values - fy.values))
+            worst = max(worst, margin)
+            violations += margin > tol.tol_eq
+    return violations, tested, worst
+
+
+def per_probe_positivity(system, probe_count, seed, eta=1e-12):
+    """(violations, probes, worst gap) of the positivity check, probe by probe."""
+    rng = np.random.default_rng(seed)
+    n, kind = system.n, system.kind
+    violations, worst = 0, np.inf
+    for j in range(probe_count):
+        x = draw_box_state(system, rng)
+        if j < n:
+            v = np.zeros(n)
+            v[j] = 1.0
+        else:
+            v = rng.uniform(0.0, 1.0, size=n)
+        if isinstance(kind, Parabolic):
+            _, dv = kind.propagator.period_with_tangent(x.values, v, 2.0 * system.kappa)
+        elif hasattr(kind, "deriv"):
+            dv = kind.deriv(x.values) * v
+        else:
+            dv = kind.matrix @ v
+        gap = float(np.min(dv))
+        worst = min(worst, gap)
+        violations += gap <= eta
+    return violations, probe_count, worst
+
+
+def per_sample_equivariance(system, action, sample_count, seed, tol=1e-10):
+    """(violations, samples, worst gap) of the equivariance check, state by state."""
+    rng = np.random.default_rng(seed)
+    violations, worst = 0, -np.inf
+    for _ in range(sample_count):
+        x = draw_box_state(system, rng)
+        gap = -np.inf
+        try:
+            fx = evaluate(system, x)
+            for perm in action.generators:
+                f_gx = evaluate(system, x.with_values(x.values[perm]))
+                gap = max(gap, float(np.max(np.abs(f_gx.values - fx.values[perm]))))
+        except RuntimeError:
+            gap = np.inf
+        worst = max(worst, gap)
+        violations += gap > tol
+    return violations, sample_count, worst
+
+
+def assert_same(rep, expected):
+    violations, tested, worst = expected
+    assert (rep.violations, rep.pairs_tested) == (violations, tested)
+    if np.isinf(worst):
+        assert rep.worst_margin == worst
+    else:
+        assert abs(rep.worst_margin - worst) <= 1e-12
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_block_checks_match_per_sample_loops(cat, name):
+    system = system_named(cat, name)
+    # the per-sample references are slow on the PDEs; fewer samples there,
+    # still more probes than nodes so random directions are drawn too
+    pairs = 40 if isinstance(system.kind, Parabolic) else 200
+    probes = system.n + 10
+    assert_same(
+        check_monotone(system, pair_count=pairs, seed=7081),
+        per_pair_monotone(system, pairs, 7081, strong=False),
+    )
+    assert_same(
+        check_strong_monotone(system, pair_count=pairs, seed=7082),
+        per_pair_monotone(system, pairs, 7082, strong=True),
+    )
+    assert_same(
+        check_strong_positivity(system, probe_count=probes, seed=7085),
+        per_probe_positivity(system, probes, 7085),
+    )
+    action = action_for(system)
+    assert_same(
+        check_equivariance(system, action, sample_count=12, seed=7086),
+        per_sample_equivariance(system, action, 12, 7086),
+    )
+
+
+def test_escaping_pairs_are_violations_at_infinite_margin(logistic):
+    # the logistic map throws most box pairs out of the inflated box
+    rep = check_monotone(logistic, pair_count=200, seed=7081)
+    assert (rep.violations, rep.worst_margin) == (123, np.inf)
+    rep = check_strong_monotone(logistic, pair_count=200, seed=7082)
+    assert (rep.violations, rep.worst_margin) == (123, -np.inf)
+
+
+def test_equivariance_gap_is_infinite_where_a_column_escapes(logistic):
+    rep = check_equivariance(logistic, trivial_action(logistic.grid), seed=7086)
+    assert (rep.violations, rep.worst_margin) == (12, np.inf)
+    # a PDE whose states leave the box: every sample fails, as state by state
+    wild = parabolic_system("dirichlet", 16, strength=25.0, form="linear")
+    action = interval_reflection(wild.grid)
+    rep = check_equivariance(wild, action, sample_count=6, seed=3)
+    assert_same(rep, per_sample_equivariance(wild, action, 6, 3))
+    assert rep.violations == 6
+
+
+def test_positivity_escape_raises_the_first_failing_probe():
+    wild = parabolic_system("dirichlet", 16, strength=25.0, form="linear")
+    with pytest.raises(EscapeError) as block:
+        check_strong_positivity(wild, probe_count=5, seed=1)
+    with pytest.raises(EscapeError) as single:
+        per_probe_positivity(wild, 5, 1)
+    assert str(block.value) == str(single.value)
+    assert (block.value.step, block.value.sup) == (single.value.step, single.value.sup)
+
+
+def test_block_width_does_not_change_results(logistic):
+    count = 150
+    assert 2 * count > BLOCK_WIDTH
+    # a coarse ring keeps the per-sample references cheap
+    ring = parabolic_system("ring", 8, 5.0, steps_per_period=20)
+    for system in (logistic, ring):
+        assert_same(
+            check_monotone(system, pair_count=count, seed=11),
+            per_pair_monotone(system, count, 11, strong=False),
+        )
+        assert_same(
+            check_strong_monotone(system, pair_count=count, seed=12),
+            per_pair_monotone(system, count, 12, strong=True),
+        )
+        action = action_for(system)
+        assert_same(
+            check_equivariance(system, action, sample_count=count, seed=13),
+            per_sample_equivariance(system, action, count, 13),
+        )
+    assert_same(
+        check_strong_positivity(ring, probe_count=count, seed=14),
+        per_probe_positivity(ring, count, 14),
+    )
+
+
+def test_zero_samples():
+    ring = parabolic_system("ring", 8, 5.0, steps_per_period=20)
+    assert check_monotone(ring, pair_count=0).worst_margin == -np.inf
+    assert check_strong_monotone(ring, pair_count=0).pairs_tested == 0
+    assert check_strong_positivity(ring, probe_count=0).worst_margin == np.inf
+    rep = check_equivariance(ring, ring_rotation(ring.grid), sample_count=0)
+    assert (rep.violations, rep.worst_margin) == (0, -np.inf)
+
+
+def test_survey_matches_single_start_classification(ring5, cubic):
+    budget = ClassifyBudget(max_iterations=120, p_max=8)
+    action = ring_rotation(ring5.grid)
+    sampler = smooth_field(amplitude=1.0, modes=6, seed=5)
+    states = [sample_initial(sampler, i, ring5.grid) for i in range(6)]
+    survey = symmetric_limit_survey(ring5, action, states, budget=budget)
+    for x0, verdict, dev in zip(states, survey.verdicts, survey.deviations):
+        cls, per_point = classify_symmetric_limit(ring5, action, x0, budget)
+        assert verdict == cls.verdict
+        assert abs(dev - max(v.deviation for v in per_point)) <= 1e-12
+    # scalar starts and a mix of verdicts: cubic orbits from 0.3 settle at 1,
+    # from 0 they sit on the unstable fixed point
+    short = ClassifyBudget(max_iterations=300, p_max=4)
+    action = trivial_action(cubic.grid)
+    starts = [0.3, 0.0, 2.0]
+    survey = symmetric_limit_survey(cubic, action, starts, short)
+    expected = [
+        classify_symmetric_limit(cubic, action, x0, short)[0].verdict for x0 in starts
+    ]
+    assert survey.verdicts == expected

@@ -26,11 +26,13 @@ from monotone_lab import (
     parse_config,
     sample_initial,
     serialize_config,
+    smooth_field,
     symmetric_limit_survey,
     trapping_check,
     validate_dissipativity,
 )
 from monotone_lab.cli import _build_parser, main
+from monotone_lab.prevalence import default_amplitude
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -443,6 +445,23 @@ def test_cli_smooth_x0_is_deterministic(tmp_path, capsys):
         ) == 0
     capsys.readouterr()
     assert first.read_text() == second.read_text()
+
+
+def test_cli_smooth_x0_default_amplitude(tmp_path, capsys):
+    # without a smooth_field sampler, smooth:K draws at the package default
+    # amplitude, 0.9 kappa
+    exp = build_experiment(load_config(cfg("dirichlet_cubic_5.cfg")))
+    assert exp.sampler is None
+    orbit = tmp_path / "orbit.csv"
+    assert main(
+        ["simulate", cfg("dirichlet_cubic_5.cfg"), "--x0", "smooth:3",
+         "--iters", "1", "--out", str(orbit)]
+    ) == 0
+    capsys.readouterr()
+    first = orbit.read_text().splitlines()[1].split(",")
+    sampler = smooth_field(amplitude=default_amplitude(exp.system), modes=6, seed=0)
+    expected = sample_initial(sampler, 3, exp.system.grid).values
+    np.testing.assert_array_equal([float(v) for v in first[1:]], expected)
 
 
 def test_cli_classify_with_symmetry(tmp_path, capsys):
