@@ -1,10 +1,14 @@
 """Long-run behavior of the iterated maps.
 
 The pipeline is: iterate an orbit, watch a sliding window for low-period
-recurrence, polish the candidate cycle with a damped Newton step on the
-period-p displacement, and grade stability by the spectral radius of the
-monodromy product of Jacobians around the cycle. On top of that sit two
-probe experiments:
+recurrence, close the candidate cycle by iterating its first point (with a
+damped Newton step on the period-p displacement when it does not close),
+and grade stability by the spectral radius of the monodromy product of
+Jacobians around the cycle. ``classify_many`` runs it on a block of starts:
+the cycles that resolve together are closed and graded in block tangent
+passes, whose base images are the closure orbit, and ``refine_cycle`` /
+``cycle_spectral_radius`` grade a column alone when the block cannot. On
+top of that sit two probe experiments:
 
 * ``omega_plus_probe`` estimates the one-sided limit of omega sets under
   perturbations eps * v with v strongly positive and eps shrinking through
@@ -28,7 +32,9 @@ from .errors import DimensionMismatchError, EscapeError, NumericalError, OrderEr
 from .grids import Grid
 from .order import StateVector
 from .reports import JsonReport
-from .systems import Parabolic, apply_map, apply_map_columns, jacobian
+from .systems import (
+    BLOCK_WIDTH, Parabolic, apply_map, apply_map_columns, jacobian, tangent_columns,
+)
 
 VERDICTS = ("stable_cycle", "unstable_cycle", "unresolved", "escaped")
 
@@ -252,10 +258,6 @@ class CycleRecord(JsonReport):
         return StateVector(self.points[i], self.grid)
 
 
-def _jacobian_at(system, values):
-    return jacobian(system, system.state(values))
-
-
 def _orbit_of(system, z, period):
     xs = np.empty((period + 1, z.shape[0]))
     xs[0] = z
@@ -272,6 +274,11 @@ def refine_cycle(system, candidate, newton_tol=1e-12, max_newton=12):
     converged flag down. The returned points are regenerated by iterating
     the refined base point, so they are consecutive iterates by
     construction and the residual is the closure defect sup|F(last)-first|.
+
+    This is the one-column path of ``classify_many``'s block grading: a
+    candidate whose closure gap exceeds newton_tol is polished here, and a
+    candidate that closes gets from the block the points, residual and
+    flags this function returns for it.
     """
     pts = _as_state_array(candidate)
     period = pts.shape[0]
@@ -288,7 +295,7 @@ def refine_cycle(system, candidate, newton_tol=1e-12, max_newton=12):
                 break
             mono = eye
             for j in range(period):
-                mono = _jacobian_at(system, xs[j]) @ mono
+                mono = jacobian(system, system.state(xs[j])) @ mono
             try:
                 delta = np.linalg.solve(mono - eye, z - xs[period])
             except np.linalg.LinAlgError:
@@ -349,9 +356,22 @@ def cycle_spectral_radius(system, cycle, tol=1e-8, max_power_iter=10_000,
     within the budget (rotating complex pair, near-degenerate leading pair)
     the dense eigenvalue solve of the assembled product is used instead and
     reported as such.
+
+    This is the one-column dense path of ``classify_many``'s block grading:
+    the dense Jacobians of one state, graded as the block grader grades the
+    Jacobians it assembles. A start classified alone on a grid of at most
+    ``BLOCK_WIDTH`` nodes gets this rho bit for bit, and a column that the
+    block cannot grade falls back to it.
     """
     pts = _as_state_array(cycle)
-    mats = [_jacobian_at(system, row) for row in pts]
+    det = _perron_root(
+        [jacobian(system, system.state(row)) for row in pts], tol, max_power_iter
+    )
+    return det if detail else det.rho
+
+
+def _perron_root(mats, tol, max_power_iter):
+    """Power iteration on the product of ``mats``, dense eigvals fallback."""
     dim = mats[0].shape[0]
     w = np.ones(dim)
     lam_prev = None
@@ -361,22 +381,102 @@ def cycle_spectral_radius(system, cycle, tol=1e-8, max_power_iter=10_000,
             w_next = mat @ w_next
         lam = float(np.max(np.abs(w_next)))
         if lam == 0.0:
-            return _radius_result(0.0, "power", k, detail)
+            return SpectralRadiusResult(0.0, "power", k)
         w = w_next / lam
         if lam_prev is not None and abs(lam - lam_prev) <= tol * max(1.0, lam):
-            return _radius_result(lam, "power", k, detail)
+            return SpectralRadiusResult(lam, "power", k)
         lam_prev = lam
     mono = np.eye(dim)
     for mat in mats:
         mono = mat @ mono
     rho = float(np.max(np.abs(np.linalg.eigvals(mono))))
-    return _radius_result(rho, "dense", max_power_iter, detail)
+    return SpectralRadiusResult(rho, "dense", max_power_iter)
 
 
-def _radius_result(rho, method, iterations, detail):
-    if detail:
-        return SpectralRadiusResult(rho, method, iterations)
-    return rho
+# Matrix-free power iterations a column of a graded block gets before it
+# falls back to the dense path; the catalog's cycles settle in 2 or 3.
+_MATRIX_FREE_ITERATIONS = 8
+
+
+def _grade_cycles(system, firsts, period, newton_tol, tol=1e-8,
+                  max_power_iter=10_000):
+    """Close and grade K candidate cycles of one period as a block.
+
+    ``firsts`` (n, K) holds each candidate's first point. Pass j maps point
+    j of every column's closure orbit and carries tangents along it, so the
+    base images of the ``period`` passes are the closure orbit. While
+    K * n <= BLOCK_WIDTH the tangent seed is each column's identity and
+    ``_perron_root`` grades the assembled Jacobians; wider blocks carry one
+    power vector per column (``_matrix_free_radii``). Returns one graded
+    CycleRecord per column, or None for a column left to the one-column
+    path (see ``classify_many``).
+    """
+    n, count = firsts.shape
+    dense = count * n <= BLOCK_WIDTH
+    seed = np.repeat(np.eye(n)[:, None, :], count, axis=1) if dense else None
+    w = np.ones((n, count))
+    xs = np.empty((period + 1, n, count))
+    xs[0] = firsts
+    mats = []
+    good = np.ones(count, dtype=bool)
+    for j in range(period):
+        xs[j + 1], w, failures = tangent_columns(system, xs[j], seed if dense else w)
+        if failures:
+            gone = list(failures)
+            good[gone] = False
+            # keep the failed columns finite through the remaining passes
+            xs[j + 1][:, gone] = xs[j][:, gone]
+            w[:, gone] = 1.0
+        if dense:
+            mats.append(np.ascontiguousarray(w.transpose(1, 0, 2)))
+    gaps = np.max(np.abs(xs[period] - xs[0]), axis=0)
+    good &= gaps <= newton_tol
+    if dense:
+        radii = {
+            k: _perron_root([m[k] for m in mats], tol, max_power_iter)
+            for k in np.flatnonzero(good)
+        }
+    else:
+        radii = _matrix_free_radii(system, xs, w, np.flatnonzero(good), tol)
+    records = [None] * count
+    for k, det in radii.items():
+        records[k] = CycleRecord(
+            system.grid, period, float(gaps[k]), rho=det.rho,
+            rho_method=det.method, newton_converged=True,
+            points=xs[:period, :, k].copy(),
+        )
+    return records
+
+
+def _matrix_free_radii(system, xs, w, live, tol):
+    """Power iteration on the columns ``live`` of a closure orbit block.
+
+    ``xs`` (period + 1, n, K) is the closure orbit and ``w`` (n, K) the
+    monodromy applied to the all-ones vector, the first iterate. Returns
+    {column: SpectralRadiusResult} for the columns that settle.
+    """
+    period = xs.shape[0] - 1
+    radii = {}
+    w = w[:, live]
+    lam_prev = np.full(live.size, np.nan)
+    for k in range(1, _MATRIX_FREE_ITERATIONS + 1):
+        for j in range(period if k > 1 else 0):
+            _, w, failures = tangent_columns(system, xs[j][:, live], w)
+            if failures:
+                keep = np.ones(live.size, dtype=bool)
+                keep[list(failures)] = False
+                live, w, lam_prev = live[keep], w[:, keep], lam_prev[keep]
+        lam = np.max(np.abs(w), axis=0)
+        zero = lam == 0.0
+        # lam_prev is nan at the first iterate, which never settles
+        settled = zero | (np.abs(lam - lam_prev) <= tol * np.maximum(1.0, lam))
+        for col, val in zip(live[settled], lam[settled]):
+            radii[int(col)] = SpectralRadiusResult(float(val), "power", k)
+        keep = ~settled
+        live, w, lam_prev = live[keep], w[:, keep] / lam[keep], lam[keep]
+        if not live.size:
+            break
+    return radii
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +531,18 @@ def classify_many(system, starts, budget=None):
     cycle is detected and graded, and the rest run on. Returns one
     Classification per column, in column order.
 
+    The cycles detected at one checkpoint are graded per period p as one
+    block: p tangent passes from the candidates' first points close the
+    cycles and start a power iteration from the all-ones vector. While the
+    block has at most ``BLOCK_WIDTH`` tangent columns (K * n) each column
+    carries its identity, which assembles its dense Jacobians; wider blocks
+    carry one power vector per column. A column whose closure gap exceeds
+    newton_tol, that fails in a pass, or whose matrix-free iteration does
+    not settle within a few steps is graded alone by ``refine_cycle`` and
+    ``cycle_spectral_radius``, so Newton polish and the dense fallback keep
+    their behaviour. A single start on a grid of at most ``BLOCK_WIDTH``
+    nodes is graded bit for bit as those two functions grade it.
+
     A column's states may differ in the last bits from those of its start
     classified alone, because a block product rounds differently from a
     vector product, and the rounding depends on the block's width. So rho
@@ -476,10 +588,19 @@ def classify_many(system, starts, budget=None):
             tails = window[(iters + 1 + np.arange(window_len)) % window_len]
             periods = _scan_periods(tails, budget.p_max, budget.tol_cyc)
             resolved = np.flatnonzero(periods)
+            graded = {}
+            for p in sorted(set(periods[resolved].tolist())):
+                cols = resolved[periods[resolved] == p]
+                firsts = tails[window_len - p][:, cols]
+                records = _grade_cycles(system, firsts, p, budget.newton_tol)
+                graded.update(zip(cols, records))
             for j in resolved:
-                p = int(periods[j])
-                cand = CycleCandidate(p, tails[window_len - p:, :, j].copy())
-                results[live[j]] = _grade_candidate(system, cand, budget, iters)
+                rec = graded[j]
+                if rec is None:
+                    p = int(periods[j])
+                    cand = CycleCandidate(p, tails[window_len - p:, :, j].copy())
+                    rec = _refine_and_grade(system, cand, budget)
+                results[live[j]] = _graded_classification(rec, budget, iters)
             if resolved.size:
                 live, block, window = retire(resolved)
     for i in live:
@@ -492,18 +613,23 @@ def classify_many(system, starts, budget=None):
     return results
 
 
-def _grade_candidate(system, cand, budget, iters):
+def _refine_and_grade(system, cand, budget):
+    """The one-column path: Newton polish, then the dense spectral radius."""
     rec = refine_cycle(
         system, cand, newton_tol=budget.newton_tol, max_newton=budget.newton_max_iter
     )
     det = cycle_spectral_radius(system, rec, detail=True)
     rec.rho = det.rho
     rec.rho_method = det.method
-    stable = det.rho <= 1.0 + budget.tol_stab
+    return rec
+
+
+def _graded_classification(rec, budget, iters):
+    stable = rec.rho <= 1.0 + budget.tol_stab
     rec.stability = "stable" if stable else "unstable"
     verdict = "stable_cycle" if stable else "unstable_cycle"
     notes = (
-        f"period {rec.period}, spectral radius {det.rho:.6g} ({det.method}), "
+        f"period {rec.period}, spectral radius {rec.rho:.6g} ({rec.rho_method}), "
         f"closure residual {rec.residual:.3g}"
     )
     if not rec.newton_converged:
@@ -593,15 +719,14 @@ def _probe_direction(system, direction):
     return v
 
 
-def _one_side(system, base, v, sign, eps_values, budget, tol_set, omega_base):
+def _one_side(sign, classifications, tol_set, omega_base):
     sets = []
     verdicts = []
-    for eps in eps_values:
-        cls = classify_orbit(system, base + sign * eps * v, budget)
+    for cls in classifications:
         verdicts.append(cls.verdict)
         if cls.cycle is not None:
             sets.append(cls.cycle.points)
-    if len(sets) < len(eps_values):
+    if len(sets) < len(classifications):
         # some perturbed orbit failed to settle, no limit to speak of
         return SideEstimate(sign, verdicts, sets, False, None, None, "inconclusive")
     consistent = all(
@@ -632,6 +757,9 @@ def omega_plus_probe(system, x, direction=None, eps_values=(1e-2, 1e-3, 1e-4),
     extra_directions, when given, repeats the upper estimate along other
     strongly positive directions and reports the worst pairwise disagreement
     of the limits without altering the primary verdicts.
+
+    The base point and every perturbed start are classified together, as
+    the columns of one ``classify_many`` block.
     """
     base = _initial_values(system, x)
     v = _probe_direction(system, direction)
@@ -647,22 +775,25 @@ def omega_plus_probe(system, x, direction=None, eps_values=(1e-2, 1e-3, 1e-4),
             raise ValueError(
                 "largest perturbation leaves the trapping box; shrink eps or v"
             )
-    base_cls = classify_orbit(system, base, budget)
+    # (sign, direction) of each side: upper, lower, then the extra uppers
+    sides = [(1, v), (-1, v)]
+    sides += [(1, _probe_direction(system, other)) for other in extra_directions or ()]
+    starts = [base] + [base + sign * eps * w for sign, w in sides for eps in eps_values]
+    results = classify_many(system, np.stack(starts, axis=1), budget)
+    base_cls = results[0]
     omega_base = None if base_cls.cycle is None else base_cls.cycle.points
     notes = ""
     if base_cls.verdict in ("unresolved", "escaped"):
         notes = f"base orbit {base_cls.verdict}; membership cannot be graded"
-    upper = _one_side(system, base, v, 1, eps_values, budget, tol_set, omega_base)
-    lower = _one_side(system, base, v, -1, eps_values, budget, tol_set, omega_base)
+    count = len(eps_values)
+    estimates = [
+        _one_side(sign, results[1 + i * count: 1 + (i + 1) * count], tol_set, omega_base)
+        for i, (sign, _) in enumerate(sides)
+    ]
+    upper, lower = estimates[:2]
     disagreement = None
     if extra_directions:
-        limits = [] if upper.limit is None else [upper.limit]
-        for other in extra_directions:
-            w = _probe_direction(system, other)
-            est = _one_side(system, base, w, 1, eps_values, budget, tol_set,
-                            omega_base)
-            if est.limit is not None:
-                limits.append(est.limit)
+        limits = [est.limit for est in [upper] + estimates[2:] if est.limit is not None]
         if len(limits) >= 2:
             disagreement = max(
                 set_distance(limits[i], limits[j])

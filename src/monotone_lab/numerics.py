@@ -139,8 +139,9 @@ class _Propagator:
     States are vectors (n,) or blocks (n, K) of K states as columns; a block
     costs the interpreter what one vector does. Escape is checked once per
     period from the running peak of |u|. A column whose peak is not inside
-    the inflated box is replayed alone through the per-step guarded loop,
-    which raises the error of the first offending step.
+    the inflated box, or whose tangent turned non-finite, is replayed alone
+    through the per-step guarded loop, which raises the error of the first
+    offending step.
     """
 
     def __init__(self, par):
@@ -184,14 +185,17 @@ class _Propagator:
     def _run(self, u, v, escape_sup, iteration, guarded):
         """The step loop over one period, for a vector or a column block.
 
-        ``v`` (or None) is the tangent, advanced in lockstep: one column per
-        base column, or a block of columns along a single base vector.
-        Guarded runs check every step and raise at the first offending one;
-        unguarded runs return the entrywise peak of |u| for the caller to
-        test once.
+        ``v`` (or None) is the tangent, advanced in lockstep: one tangent
+        per base column (the shape of ``u``), or m tangents along each base
+        column ((n, m) for a vector, (n, K, m) for a block). Guarded runs
+        check every step and raise at the first offending one; unguarded
+        runs return the entrywise peak of |u| for the caller to test once.
         """
         rate, rate_du = self.nl.rate, self.nl.rate_du
         along = v is not None and v.ndim > u.ndim
+        # the products take m tangents along each of K columns as K * m
+        # plain columns
+        flat = (len(v), -1) if v is not None and v.ndim == 3 else None
         peak = None if guarded else np.zeros_like(u)
         f_prev = None
         g_prev = None
@@ -200,9 +204,15 @@ class _Propagator:
             expl = f_k if f_prev is None else 1.5 * f_k - 0.5 * f_prev
             if v is not None:
                 du = rate_du(amp, u)
-                jv = du[:, None] * v if along else du * v
+                jv = du[..., None] * v if along else du * v
                 expl_v = jv if g_prev is None else 1.5 * jv - 0.5 * g_prev
-                v = self.step_mat @ v + self.source_mat @ expl_v
+                if flat is None:
+                    v = self.step_mat @ v + self.source_mat @ expl_v
+                else:
+                    v = (
+                        self.step_mat @ v.reshape(flat)
+                        + self.source_mat @ expl_v.reshape(flat)
+                    ).reshape(jv.shape)
                 g_prev = jv
             u = self.step_mat @ u + self.source_mat @ expl
             f_prev = f_k
@@ -214,28 +224,46 @@ class _Propagator:
                 np.maximum(peak, np.abs(u), out=peak)
         return u, v, peak
 
-    def period_columns(self, u0, escape_sup, iteration=0):
-        """Advance a vector or column block one period; failures as values.
+    def tangent_columns(self, u0, v0, escape_sup, iteration=0):
+        """Advance a vector or column block and its tangent one period.
 
-        Returns ``(u, failures)``: ``failures`` maps the index of every
-        column that left the box (0 for a vector) to the EscapeError or
-        NumericalError the guarded loop raised for it. Those columns of
-        ``u`` hold no meaningful state.
+        ``v0`` is None (no tangent) or a tangent as ``_run`` takes it; the
+        identity as m tangents along a column assembles that column's
+        Jacobian. Returns ``(u, v, failures)``: ``failures`` maps the index
+        of every column (0 for a vector) that left the box or whose tangent
+        turned non-finite to the EscapeError or NumericalError the guarded
+        loop raised when that column was replayed alone. Those columns of
+        ``u`` and ``v`` hold no meaningful values.
         """
         u0 = np.asarray(u0, dtype=float)
+        v0 = None if v0 is None else np.asarray(v0, dtype=float)
         # a column that leaves the box keeps stepping to the end of the
-        # period, the replay below reports it
+        # period, the replay below reports it; a non-finite tangent entry
+        # stays non-finite, so one test at the end finds it
         with np.errstate(over="ignore", invalid="ignore"):
-            u, _, peak = self._run(u0, None, escape_sup, iteration, guarded=False)
+            u, v, peak = self._run(u0, v0, escape_sup, iteration, guarded=False)
+        ok = np.max(peak, axis=0) <= escape_sup
+        if v is not None:
+            ok &= np.isfinite(v).all(axis=(0, *range(u.ndim, v.ndim)))
         failures = {}
         # the replay of a column is the authority: a block product may round
         # a column's peak across the threshold that the vector product keeps
-        for j in np.flatnonzero(~(np.max(peak, axis=0) <= escape_sup)):
+        for j in np.flatnonzero(~ok):
             col = u0 if u0.ndim == 1 else u0[:, j]
+            tan = v0 if v0 is None or u0.ndim == 1 else v0[:, j]
             try:
-                self._run(col, None, escape_sup, iteration, guarded=True)
+                self._run(col, tan, escape_sup, iteration, guarded=True)
             except (EscapeError, NumericalError) as exc:
                 failures[int(j)] = exc
+        return u, v, failures
+
+    def period_columns(self, u0, escape_sup, iteration=0):
+        """Advance a vector or column block one period; failures as values.
+
+        Returns ``(u, failures)`` as ``tangent_columns`` does without a
+        tangent.
+        """
+        u, _, failures = self.tangent_columns(u0, None, escape_sup, iteration)
         return u, failures
 
     def period(self, u0, escape_sup, iteration=0):
@@ -252,17 +280,12 @@ class _Propagator:
     def period_with_tangent(self, u0, v0, escape_sup):
         """Advance base and tangent in lockstep for one period.
 
-        ``v0`` may be a single vector (n,) or a block of columns (n, m);
-        the block form assembles Jacobians in one pass. The tangent is
-        checked for finiteness once, at the end: a non-finite entry stays
-        non-finite through later steps.
+        Shapes as in ``tangent_columns``; the first failing column raises
+        its error.
         """
-        u0 = np.asarray(u0, dtype=float)
-        v0 = np.asarray(v0, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            u, v, peak = self._run(u0, v0, escape_sup, 0, guarded=False)
-        if not (np.max(peak) <= escape_sup and np.all(np.isfinite(v))):
-            u, v, _ = self._run(u0, v0, escape_sup, 0, guarded=True)
+        u, v, failures = self.tangent_columns(u0, v0, escape_sup)
+        if failures:
+            raise failures[min(failures)]
         return u, v
 
     def step_once(self, u0, t, escape_sup):

@@ -153,6 +153,24 @@ def _smooth_mode(grid, k, x):
     raise GridError("smooth_field sampling needs a spatial grid")
 
 
+def _line_s(sampler, index):
+    """``sampler.s_values()[index]`` without building the sweep.
+
+    The arithmetic of ``np.linspace`` for one index, so the value is the
+    same to the bit: index * step + s_min, with s_max itself at the end.
+    """
+    lo, hi, num = float(sampler.s_min), float(sampler.s_max), sampler.resolution
+    if num > 1 and index == num - 1:
+        return hi
+    delta = hi - lo
+    if num == 1:
+        return index * delta + lo
+    step = delta / (num - 1)
+    if step == 0.0:
+        return index / (num - 1) * delta + lo
+    return index * step + lo
+
+
 def sample_initial(sampler, index, grid):
     """Draw sample number `index` on `grid`. Deterministic in (seed, index)."""
     if index < 0:
@@ -164,8 +182,7 @@ def sample_initial(sampler, index, grid):
             )
         if sampler.base.shape != (grid.n,):
             raise ValueError("line_scan base does not fit the grid")
-        s = sampler.s_values()[index]
-        return StateVector(sampler.base + s * sampler.direction, grid)
+        return StateVector(sampler.base + _line_s(sampler, index) * sampler.direction, grid)
     rng = np.random.default_rng([sampler.seed, index])
     if sampler.strategy == "box_uniform":
         values = rng.uniform(-sampler.amplitude, sampler.amplitude, grid.n)

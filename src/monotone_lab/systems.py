@@ -371,25 +371,44 @@ def evaluate(system, x):
     return x.with_values(apply_map(system, x.values))
 
 
+def tangent_columns(system, u, w):
+    """Apply the map to a state or column block and its derivative to tangents.
+
+    ``u`` is a state (n,) or a block (n, K). ``w`` holds one tangent per
+    state (the shape of ``u``) or m tangents along each state ((n, m) for
+    a state, (n, K, m) for a block). Returns ``(y, dw, failures)``:
+    ``failures`` as ``apply_map_columns`` reports them, and for parabolic
+    systems also a column whose tangent turned non-finite. Parabolic
+    systems advance base and tangent in one lockstep pass.
+    """
+    kind = system.kind
+    if isinstance(kind, Parabolic):
+        return kind.propagator.tangent_columns(u, w, 2.0 * system.kappa)
+    u = np.asarray(u, dtype=float)
+    w = np.asarray(w, dtype=float)
+    y, failures = apply_map_columns(system, u)
+    if isinstance(kind, AnalyticScalar):
+        deriv = kind.deriv(u)
+        dw = (deriv[..., None] if w.ndim > u.ndim else deriv) * w
+    else:
+        dw = (kind.matrix @ w.reshape(len(w), -1)).reshape(w.shape)
+    return y, dw, failures
+
+
 def jacobian(system, x):
     """Dense derivative of the map at x, shape (n, n).
 
-    Parabolic systems propagate the identity block through the variational
-    recursion in a single lockstep pass.
+    The identity case of ``tangent_columns``: n tangents along one state.
+    Raises the EscapeError or NumericalError of a failing image.
     """
-    kind = system.kind
-    if isinstance(kind, AnalyticScalar):
-        return np.array([[kind.deriv(float(x.values[0]))]])
-    if isinstance(kind, LinearCooperative):
-        return kind.matrix.copy()
     if x.grid != system.grid:
         raise DimensionMismatchError(
             f"state grid {x.grid} does not match system grid {system.grid}"
         )
-    _, v = kind.propagator.period_with_tangent(
-        x.values, np.eye(system.n), 2.0 * system.kappa
-    )
-    return v
+    _, dw, failures = tangent_columns(system, x.values, np.eye(system.n))
+    if failures:
+        raise failures[0]
+    return dw
 
 
 # ---------------------------------------------------------------------------
@@ -493,18 +512,12 @@ def check_strong_positivity(system, probe_count=50, seed=7085, eta=1e-12):
                 vs[0, j] = 1.0
     if isinstance(kind, Parabolic):
         dv = np.empty_like(vs)
-        escape_sup = 2.0 * system.kappa
         for lo in range(0, probe_count, BLOCK_WIDTH):
             cols = slice(lo, lo + BLOCK_WIDTH)
-            try:
-                _, dv[:, cols] = kind.propagator.period_with_tangent(
-                    xs[:, cols], vs[:, cols], escape_sup
-                )
-            except NumericalError:
-                # raise the error of the first probe that fails alone
-                for j in range(probe_count)[cols]:
-                    kind.propagator.period_with_tangent(xs[:, j], vs[:, j], escape_sup)
-                raise
+            # the first failing probe of the block raises its own error
+            _, dv[:, cols] = kind.propagator.period_with_tangent(
+                xs[:, cols], vs[:, cols], 2.0 * system.kappa
+            )
     elif isinstance(kind, AnalyticScalar):
         dv = kind.deriv(xs) * vs
     else:

@@ -426,6 +426,27 @@ def test_omega_probe_multi_direction_consistency(cubic):
     assert rep.direction_disagreement < 1e-6
 
 
+def test_omega_probe_block_matches_starts_alone(cat):
+    # the base point and every perturbed start run as one block; each
+    # column's verdict and limit are those of its start classified alone
+    ring = cat["ring_cubic_5"]
+    budget = ClassifyBudget(max_iterations=200, p_max=4)
+    base = np.zeros(ring.n)
+    other = 1.0 + 0.5 * np.cos(2.0 * np.pi * ring.grid.nodes())
+    eps_values = (1e-2, 1e-3)
+    rep = omega_plus_probe(ring, base, eps_values=eps_values, budget=budget,
+                           extra_directions=[other])
+    assert rep.base_verdict == classify_orbit(ring, base, budget).verdict
+    ones = np.ones(ring.n)
+    for side, sign in ((rep.upper, 1.0), (rep.lower, -1.0)):
+        alone = [classify_orbit(ring, base + sign * eps * ones, budget)
+                 for eps in eps_values]
+        assert side.verdicts == [cls.verdict for cls in alone]
+        np.testing.assert_allclose(side.limit, alone[-1].cycle.points, atol=1e-12)
+    assert rep.upper.membership == rep.lower.membership == "member"
+    assert rep.direction_disagreement < 1e-6
+
+
 def test_omega_probe_validation(cubic, coop):
     with pytest.raises(ValueError):
         omega_plus_probe(cubic, 1.0, eps_values=(1.0,))

@@ -103,6 +103,23 @@ def test_line_scan_addressing():
         sample_initial(spec, -1, grid)
 
 
+@pytest.mark.parametrize(
+    "s_min, s_max",
+    [(0.0, 1.01), (-0.6, 0.6), (0.3, 0.3), (-1.0, -1e-3), (1e-17, 0.1), (0, 1)],
+)
+@pytest.mark.parametrize("resolution", [1, 2, 3, 7, 101, 1000])
+def test_line_scan_point_is_the_linspace_point(s_min, s_max, resolution):
+    # each index is addressed without building the sweep, to the bit
+    base = np.array([-0.2, 0.1, 0.4])
+    direction = np.array([1.0, 0.3, 2.5])
+    spec = line_scan(base, direction, s_min=s_min, s_max=s_max, resolution=resolution)
+    grid = Grid("flat", 3)
+    for index, s in enumerate(spec.s_values()):
+        np.testing.assert_array_equal(
+            sample_initial(spec, index, grid).values, base + s * direction
+        )
+
+
 # ------------------------------------------------------------- estimation
 
 def test_prevalence_refuses_non_monotone(logistic):
