@@ -357,11 +357,10 @@ def cycle_spectral_radius(system, cycle, tol=1e-8, max_power_iter=10_000,
     the dense eigenvalue solve of the assembled product is used instead and
     reported as such.
 
-    This is the one-column dense path of ``classify_many``'s block grading:
-    the dense Jacobians of one state, graded as the block grader grades the
-    Jacobians it assembles. A start classified alone on a grid of at most
-    ``BLOCK_WIDTH`` nodes gets this rho bit for bit, and a column that the
-    block cannot grade falls back to it.
+    This is the one-column case of ``classify_many``'s block grading: the
+    block grader assembles the same dense Jacobians in its tangent passes
+    and grades them the same way. A start classified alone gets this rho
+    bit for bit, and a column that the block cannot grade falls back to it.
     """
     pts = _as_state_array(cycle)
     det = _perron_root(
@@ -393,90 +392,44 @@ def _perron_root(mats, tol, max_power_iter):
     return SpectralRadiusResult(rho, "dense", max_power_iter)
 
 
-# Matrix-free power iterations a column of a graded block gets before it
-# falls back to the dense path; the catalog's cycles settle in 2 or 3.
-_MATRIX_FREE_ITERATIONS = 8
-
-
 def _grade_cycles(system, firsts, period, newton_tol, tol=1e-8,
                   max_power_iter=10_000):
     """Close and grade K candidate cycles of one period as a block.
 
     ``firsts`` (n, K) holds each candidate's first point. Pass j maps point
-    j of every column's closure orbit and carries tangents along it, so the
-    base images of the ``period`` passes are the closure orbit. While
-    K * n <= BLOCK_WIDTH the tangent seed is each column's identity and
-    ``_perron_root`` grades the assembled Jacobians; wider blocks carry one
-    power vector per column (``_matrix_free_radii``). Returns one graded
-    CycleRecord per column, or None for a column left to the one-column
-    path (see ``classify_many``).
+    j of every column's closure orbit and carries each column's identity
+    along it, so the base images of the ``period`` passes are the closure
+    orbit and their tangents the dense Jacobians around it, which
+    ``_perron_root`` grades as ``cycle_spectral_radius`` does. Returns one
+    graded CycleRecord per column, or None for a column whose closure gap
+    exceeds newton_tol or that fails in a pass; ``classify_many`` grades
+    those alone.
     """
     n, count = firsts.shape
-    dense = count * n <= BLOCK_WIDTH
-    seed = np.repeat(np.eye(n)[:, None, :], count, axis=1) if dense else None
-    w = np.ones((n, count))
+    seed = np.repeat(np.eye(n)[:, None, :], count, axis=1)
     xs = np.empty((period + 1, n, count))
     xs[0] = firsts
     mats = []
     good = np.ones(count, dtype=bool)
     for j in range(period):
-        xs[j + 1], w, failures = tangent_columns(system, xs[j], seed if dense else w)
+        xs[j + 1], jac, failures = tangent_columns(system, xs[j], seed)
         if failures:
             gone = list(failures)
             good[gone] = False
             # keep the failed columns finite through the remaining passes
             xs[j + 1][:, gone] = xs[j][:, gone]
-            w[:, gone] = 1.0
-        if dense:
-            mats.append(np.ascontiguousarray(w.transpose(1, 0, 2)))
+        mats.append(np.ascontiguousarray(jac.transpose(1, 0, 2)))
     gaps = np.max(np.abs(xs[period] - xs[0]), axis=0)
     good &= gaps <= newton_tol
-    if dense:
-        radii = {
-            k: _perron_root([m[k] for m in mats], tol, max_power_iter)
-            for k in np.flatnonzero(good)
-        }
-    else:
-        radii = _matrix_free_radii(system, xs, w, np.flatnonzero(good), tol)
     records = [None] * count
-    for k, det in radii.items():
+    for k in np.flatnonzero(good):
+        det = _perron_root([m[k] for m in mats], tol, max_power_iter)
         records[k] = CycleRecord(
             system.grid, period, float(gaps[k]), rho=det.rho,
             rho_method=det.method, newton_converged=True,
             points=xs[:period, :, k].copy(),
         )
     return records
-
-
-def _matrix_free_radii(system, xs, w, live, tol):
-    """Power iteration on the columns ``live`` of a closure orbit block.
-
-    ``xs`` (period + 1, n, K) is the closure orbit and ``w`` (n, K) the
-    monodromy applied to the all-ones vector, the first iterate. Returns
-    {column: SpectralRadiusResult} for the columns that settle.
-    """
-    period = xs.shape[0] - 1
-    radii = {}
-    w = w[:, live]
-    lam_prev = np.full(live.size, np.nan)
-    for k in range(1, _MATRIX_FREE_ITERATIONS + 1):
-        for j in range(period if k > 1 else 0):
-            _, w, failures = tangent_columns(system, xs[j][:, live], w)
-            if failures:
-                keep = np.ones(live.size, dtype=bool)
-                keep[list(failures)] = False
-                live, w, lam_prev = live[keep], w[:, keep], lam_prev[keep]
-        lam = np.max(np.abs(w), axis=0)
-        zero = lam == 0.0
-        # lam_prev is nan at the first iterate, which never settles
-        settled = zero | (np.abs(lam - lam_prev) <= tol * np.maximum(1.0, lam))
-        for col, val in zip(live[settled], lam[settled]):
-            radii[int(col)] = SpectralRadiusResult(float(val), "power", k)
-        keep = ~settled
-        live, w, lam_prev = live[keep], w[:, keep] / lam[keep], lam[keep]
-        if not live.size:
-            break
-    return radii
 
 
 # ---------------------------------------------------------------------------
@@ -531,17 +484,15 @@ def classify_many(system, starts, budget=None):
     cycle is detected and graded, and the rest run on. Returns one
     Classification per column, in column order.
 
-    The cycles detected at one checkpoint are graded per period p as one
-    block: p tangent passes from the candidates' first points close the
-    cycles and start a power iteration from the all-ones vector. While the
-    block has at most ``BLOCK_WIDTH`` tangent columns (K * n) each column
-    carries its identity, which assembles its dense Jacobians; wider blocks
-    carry one power vector per column. A column whose closure gap exceeds
-    newton_tol, that fails in a pass, or whose matrix-free iteration does
-    not settle within a few steps is graded alone by ``refine_cycle`` and
-    ``cycle_spectral_radius``, so Newton polish and the dense fallback keep
-    their behaviour. A single start on a grid of at most ``BLOCK_WIDTH``
-    nodes is graded bit for bit as those two functions grade it.
+    The cycles detected at one checkpoint are graded per period p in
+    blocks of BLOCK_WIDTH // n columns (at least one): p tangent passes
+    from the candidates' first points, each column carrying its identity,
+    give the closure orbit and the dense Jacobians around it, graded by
+    power iteration from the all-ones vector with the dense eigvals
+    fallback. A column whose closure gap exceeds newton_tol or that fails
+    in a pass is graded alone by ``refine_cycle`` and
+    ``cycle_spectral_radius``, so Newton polish keeps its behaviour. A
+    single start is graded bit for bit as those two functions grade it.
 
     A column's states may differ in the last bits from those of its start
     classified alone, because a block product rounds differently from a
@@ -562,6 +513,8 @@ def classify_many(system, starts, budget=None):
     live = np.arange(block.shape[1])
     results = [None] * block.shape[1]
     iters = 0
+    # cycles are graded with at most BLOCK_WIDTH tangent columns at a time
+    grade_width = max(1, BLOCK_WIDTH // system.n)
 
     def retire(done):
         return np.delete(live, done), np.delete(block, done, 1), np.delete(window, done, 2)
@@ -590,10 +543,12 @@ def classify_many(system, starts, budget=None):
             resolved = np.flatnonzero(periods)
             graded = {}
             for p in sorted(set(periods[resolved].tolist())):
-                cols = resolved[periods[resolved] == p]
-                firsts = tails[window_len - p][:, cols]
-                records = _grade_cycles(system, firsts, p, budget.newton_tol)
-                graded.update(zip(cols, records))
+                group = resolved[periods[resolved] == p]
+                for lo in range(0, group.size, grade_width):
+                    cols = group[lo:lo + grade_width]
+                    firsts = tails[window_len - p][:, cols]
+                    records = _grade_cycles(system, firsts, p, budget.newton_tol)
+                    graded.update(zip(cols, records))
             for j in resolved:
                 rec = graded[j]
                 if rec is None:

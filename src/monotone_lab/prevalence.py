@@ -153,24 +153,6 @@ def _smooth_mode(grid, k, x):
     raise GridError("smooth_field sampling needs a spatial grid")
 
 
-def _line_s(sampler, index):
-    """``sampler.s_values()[index]`` without building the sweep.
-
-    The arithmetic of ``np.linspace`` for one index, so the value is the
-    same to the bit: index * step + s_min, with s_max itself at the end.
-    """
-    lo, hi, num = float(sampler.s_min), float(sampler.s_max), sampler.resolution
-    if num > 1 and index == num - 1:
-        return hi
-    delta = hi - lo
-    if num == 1:
-        return index * delta + lo
-    step = delta / (num - 1)
-    if step == 0.0:
-        return index / (num - 1) * delta + lo
-    return index * step + lo
-
-
 def sample_initial(sampler, index, grid):
     """Draw sample number `index` on `grid`. Deterministic in (seed, index)."""
     if index < 0:
@@ -182,7 +164,8 @@ def sample_initial(sampler, index, grid):
             )
         if sampler.base.shape != (grid.n,):
             raise ValueError("line_scan base does not fit the grid")
-        return StateVector(sampler.base + _line_s(sampler, index) * sampler.direction, grid)
+        s = sampler.s_values()[index]
+        return StateVector(sampler.base + s * sampler.direction, grid)
     rng = np.random.default_rng([sampler.seed, index])
     if sampler.strategy == "box_uniform":
         values = rng.uniform(-sampler.amplitude, sampler.amplitude, grid.n)
@@ -218,12 +201,19 @@ def _check_sampler_box(system, sampler):
 
 def _classify_many(system, sampler, indices, budget):
     """(verdict, period, rho) per index, classified BLOCK_WIDTH at a time."""
+    # a line_scan block is cut from one sweep; its columns are the
+    # sample_initial points to the bit
+    sweep = sampler.s_values() if sampler.strategy == "line_scan" else None
     results = []
     for lo in range(0, len(indices), BLOCK_WIDTH):
         chunk = indices[lo:lo + BLOCK_WIDTH]
-        starts = np.stack(
-            [sample_initial(sampler, i, system.grid).values for i in chunk], axis=1
-        )
+        if sweep is None:
+            starts = np.stack(
+                [sample_initial(sampler, i, system.grid).values for i in chunk], axis=1
+            )
+        else:
+            s = sweep[np.asarray(chunk)]
+            starts = sampler.base[:, None] + s * sampler.direction[:, None]
         for cls in classify_many(system, starts, budget):
             if cls.cycle is None:
                 results.append((cls.verdict, None, None))

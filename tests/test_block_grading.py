@@ -147,15 +147,17 @@ def test_catalog_blocks_match_reference(name, cat):
     assert any(cls.cycle is not None for cls in got)
 
 
-def test_logistic_two_cycles_matrix_free(logistic, graded_groups, graded_alone):
-    # more than BLOCK_WIDTH period-2 columns at one checkpoint: matrix-free.
-    # Starts near the low point of the 2-cycle resolve together.
+def test_logistic_two_cycles_graded_in_chunks(logistic, graded_groups, graded_alone):
+    # more than BLOCK_WIDTH period-2 columns resolve at the first
+    # checkpoint and are graded BLOCK_WIDTH // n at a time. Starts near the
+    # low point of the 2-cycle resolve together.
     r = logistic.kind.param
     low = (r + 1.0 - np.sqrt((r - 3.0) * (r + 1.0))) / (2.0 * r)
     starts = low + np.linspace(-0.02, 0.02, BLOCK_WIDTH + 40)[None, :]
     got = classify_many(logistic, starts, BUDGET)
     assert {cls.cycle.period for cls in got} == {2}
-    assert max(k for k, _ in graded_groups) > BLOCK_WIDTH
+    assert graded_groups[0] == (BLOCK_WIDTH, 2)
+    assert sum(k for k, _ in graded_groups) == starts.shape[1]
     assert graded_alone == []
     # the reference per column is slow in Python; every fifth column
     for j in range(0, starts.shape[1], 5):
@@ -172,7 +174,7 @@ def test_mixed_periods_in_one_block(graded_groups, graded_alone):
     neg = negation_map()
     starts = np.r_[0.0, np.linspace(0.1, 0.9, BLOCK_WIDTH + 3)][None, :]
     got = assert_matches_reference(neg, starts)
-    assert sorted(graded_groups) == [(1, 1), (BLOCK_WIDTH + 3, 2)]
+    assert graded_groups == [(1, 1), (BLOCK_WIDTH, 2), (3, 2)]
     assert graded_alone == []
     assert got[0].cycle.period == 1 and got[1].cycle.period == 2
 
@@ -188,7 +190,7 @@ def test_columns_forced_through_newton(cubic, graded_alone):
     assert 0 < len(graded_alone) < len(got)
 
 
-def test_dense_eigvals_fallback_in_both_modes(graded_groups, graded_alone):
+def test_dense_eigvals_fallback_in_blocks(graded_groups, graded_alone):
     # x -> M x with M = [[0, a J], [b J, 0]]: eigenvalues +-sqrt(2) lead, so
     # power iteration from the ones vector alternates and never settles
     half = 16
@@ -196,33 +198,32 @@ def test_dense_eigvals_fallback_in_both_modes(graded_groups, graded_alone):
     zero = np.zeros((half, half))
     mat = np.block([[zero, ones * (2.0 / half)], [ones / half, zero]])
     system = linear_cooperative(matrix=mat, kappa=5.0)
-    for count in (1, 5):
+    width = BLOCK_WIDTH // system.n
+    for count in (1, width + 1):
         graded_groups.clear()
-        graded_alone.clear()
         got = assert_matches_reference(system, np.zeros((2 * half, count)))
-        assert graded_groups == [(count, 1)]
-        # the dense mode runs the eigvals fallback itself, the matrix-free
-        # mode hands the unsettled columns to the one-column path
-        assert len(graded_alone) == (0 if count == 1 else count)
+        assert graded_groups == ([(1, 1)] if count == 1 else [(width, 1), (1, 1)])
+        # the block runs the eigvals fallback itself
+        assert graded_alone == []
         for cls in got:
             assert cls.cycle.rho_method == "dense"
             assert cls.cycle.rho == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ["dirichlet_cubic_15", "ring_cubic_5"])
-def test_widths_straddling_the_dense_switch(name, cat, graded_groups, graded_alone):
+def test_widths_straddling_the_chunk_width(name, cat, graded_groups, graded_alone):
+    # K * n = BLOCK_WIDTH is one block, BLOCK_WIDTH + n is two
     system = cat[name]
-    widest_dense = BLOCK_WIDTH // system.n
-    for count in (widest_dense, widest_dense + 1):
+    width = BLOCK_WIDTH // system.n
+    for count, groups in ((width, [(width, 1)]), (width + 1, [(width, 1), (1, 1)])):
         graded_groups.clear()
         assert_matches_reference(system, smooth_starts(system, count, seed=8))
-        assert graded_groups == [(count, 1)]
+        assert graded_groups == groups
     assert graded_alone == []
 
 
 def test_single_start_equals_the_one_column_path(dirichlet15):
-    # a start alone takes the dense mode and reproduces the one-column
-    # functions bit for bit
+    # a start alone reproduces the one-column functions bit for bit
     start = smooth_starts(dirichlet15, 1)
     cls = classify_many(dirichlet15, start, BUDGET)[0]
     rec = refine_cycle(dirichlet15, cls.cycle.points, newton_tol=1e-10)
@@ -258,8 +259,7 @@ def test_tangent_pass_reports_each_failing_column():
 
 @pytest.mark.parametrize("count", [2, 9])
 def test_a_column_failing_in_a_pass_is_left_to_the_one_column_path(count):
-    # 0 is a fixed point of the expanding linear system and ones escape;
-    # with 16 nodes, 2 columns grade densely and 9 matrix-free
+    # 0 is a fixed point of the expanding linear system and ones escape
     wild = parabolic_system("dirichlet", 16, strength=25.0, form="linear")
     firsts = np.zeros((16, count))
     firsts[:, -1] = 1.0

@@ -1,6 +1,7 @@
 """Samplers, prevalence reports, line probes, and the determinism contract."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from monotone_lab import (
     smooth_field,
     wilson_interval,
 )
+from monotone_lab import prevalence
 
 FAST = ClassifyBudget(max_iterations=200, p_max=8)
 
@@ -108,15 +110,25 @@ def test_line_scan_addressing():
     [(0.0, 1.01), (-0.6, 0.6), (0.3, 0.3), (-1.0, -1e-3), (1e-17, 0.1), (0, 1)],
 )
 @pytest.mark.parametrize("resolution", [1, 2, 3, 7, 101, 1000])
-def test_line_scan_point_is_the_linspace_point(s_min, s_max, resolution):
-    # each index is addressed without building the sweep, to the bit
+def test_line_scan_blocks_hold_the_sampled_points(monkeypatch, s_min, s_max, resolution):
+    # the blocks cut from one sweep hold sample_initial's points to the bit
     base = np.array([-0.2, 0.1, 0.4])
     direction = np.array([1.0, 0.3, 2.5])
     spec = line_scan(base, direction, s_min=s_min, s_max=s_max, resolution=resolution)
     grid = Grid("flat", 3)
-    for index, s in enumerate(spec.s_values()):
+    blocks = []
+
+    def capture(system, starts, budget):
+        blocks.append(starts)
+        return [SimpleNamespace(verdict="unresolved", cycle=None)] * starts.shape[1]
+
+    monkeypatch.setattr(prevalence, "classify_many", capture)
+    prevalence._classify_many(SimpleNamespace(grid=grid), spec, range(resolution), FAST)
+    columns = np.concatenate(blocks, axis=1)
+    assert columns.shape == (3, resolution)
+    for index in range(resolution):
         np.testing.assert_array_equal(
-            sample_initial(spec, index, grid).values, base + s * direction
+            columns[:, index], sample_initial(spec, index, grid).values
         )
 
 
