@@ -301,8 +301,9 @@ def parabolic_catalog():
 # evaluation
 
 # Columns advanced together as one block by the ensemble engines and the
-# sampled checks. Constant, since a column's bits depend on the width of the
-# block it runs in.
+# sampled checks, and the tangent columns of one block of graded cycles.
+# Constant, since a column's bits depend on the width of the block it runs
+# in.
 BLOCK_WIDTH = 128
 
 
