@@ -373,7 +373,7 @@ def _perron_root(mats, tol, max_power_iter):
     """Power iteration on the product of ``mats``, dense eigvals fallback."""
     dim = mats[0].shape[0]
     w = np.ones(dim)
-    lam_prev = None
+    w_back = lam_prev = lam_back = None
     for k in range(1, max_power_iter + 1):
         w_next = w
         for mat in mats:
@@ -381,10 +381,16 @@ def _perron_root(mats, tol, max_power_iter):
         lam = float(np.max(np.abs(w_next)))
         if lam == 0.0:
             return SpectralRadiusResult(0.0, "power", k)
-        w = w_next / lam
+        w_next = w_next / lam
         if lam_prev is not None and abs(lam - lam_prev) <= tol * max(1.0, lam):
             return SpectralRadiusResult(lam, "power", k)
-        lam_prev = lam
+        # (w, lam) repeating bit for bit from two steps back (a +- leading
+        # pair) makes the iteration periodic: the test above has seen every
+        # pair of ratios it will see and never fires
+        if lam == lam_back and np.array_equal(w_next, w_back):
+            break
+        w_back, w = w, w_next
+        lam_back, lam_prev = lam_prev, lam
     mono = np.eye(dim)
     for mat in mats:
         mono = mat @ mono
@@ -780,35 +786,40 @@ def separation_probe(system, x, scales=(1e-2, 1e-4), direction=None, budget=None
     admissible pushes. Values near or above the attractor gap indicate the
     base point sits on a repelling structure; values collapsing with s
     indicate stability. A pushed orbit that escapes counts as separated at
-    the trapping amplitude, since the base orbit is assumed trapped.
+    the trapping amplitude, since the base orbit is assumed trapped; an
+    escape of the base orbit raises its error. The base orbit and every
+    admissible push advance as the columns of one block.
     """
     budget = (budget if budget is not None else ClassifyBudget()).resolve(system)
     steps = budget.max_iterations
     tail_start = max(1, steps // 2)
     base0 = _initial_values(system, x)
     v = _probe_direction(system, direction)
-    base_traj = np.empty((steps + 1, base0.shape[0]))
-    base_traj[0] = base0
-    for k in range(1, steps + 1):
-        base_traj[k] = apply_map(system, base_traj[k - 1], iteration=k)
-    gaps = []
+    pushes = []
     for scale in scales:
         if scale <= 0.0:
             raise ValueError("scales must be positive")
         for sign in (1.0, -1.0):
             y = base0 + sign * scale * v
-            if float(np.max(np.abs(y))) >= system.kappa:
-                continue
-            gap = 0.0
-            for k in range(1, steps + 1):
-                try:
-                    y = apply_map(system, y, iteration=k)
-                except (EscapeError, NumericalError):
-                    gap = max(gap, float(system.kappa))
-                    break
-                if k >= tail_start:
-                    gap = max(gap, float(np.max(np.abs(y - base_traj[k]))))
-            gaps.append(gap)
-    if not gaps:
+            if float(np.max(np.abs(y))) < system.kappa:
+                pushes.append(y)
+    # the base orbit is column 0 of the block, live pushes the others
+    block = np.stack([base0, *pushes], axis=1)
+    live = np.arange(len(pushes))
+    gaps = np.zeros(len(pushes))
+    for k in range(1, steps + 1):
+        block, failures = apply_map_columns(system, block, iteration=k)
+        if 0 in failures:
+            raise failures[0]
+        if failures:
+            gone = np.array(sorted(failures)) - 1
+            gaps[live[gone]] = np.maximum(gaps[live[gone]], float(system.kappa))
+            keep = np.delete(np.arange(len(live)), gone)
+            block = block[:, np.concatenate(([0], keep + 1))]
+            live = live[keep]
+        if k >= tail_start:
+            dist = np.max(np.abs(block[:, 1:] - block[:, :1]), axis=0)
+            gaps[live] = np.maximum(gaps[live], dist)
+    if not pushes:
         raise ValueError("no admissible probe stayed inside the trapping box")
     return float(min(gaps))

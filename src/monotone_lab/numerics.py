@@ -20,15 +20,19 @@ verify. One step of width dt = tau/M reads
     (I - theta dt A) u_{k+1} = (I + (1-theta) dt A) u_k
                                + dt (3/2 f_k - 1/2 f_{k-1}).
 
-The implicit matrix is factored once per system (the grids here are small,
-at most a few hundred nodes) and reused for every step, every trajectory.
+The implicit matrix is inverted once per system (the grids here are small,
+at most a few hundred nodes), so that with S = (I - theta dt A)^{-1}
+(I + (1-theta) dt A) and Src = dt (I - theta dt A)^{-1} a step is one
+product for a whole block of states,
+
+    u_{k+1} = [S | Src | -Src] @ [u_k; 3/2 f_k; 1/2 f_{k-1}].
 
 Tangent propagation advances the exact derivative of the discrete step:
 the same recursion with f replaced by its u-linearization frozen along the
 base trajectory, including the Adams-Bashforth history of the linearized
-reaction. Base and tangent advance in lockstep, so the result matches
-divided differences of the fully discrete period map to roundoff plus the
-differencing error.
+reaction, as [S | Src] @ [v_k; 3/2 J_k v_k - 1/2 J_{k-1} v_{k-1}]. Base and
+tangent advance in lockstep, so the result matches divided differences of
+the fully discrete period map to roundoff plus the differencing error.
 """
 
 from dataclasses import dataclass
@@ -132,16 +136,17 @@ def build_diffusion(grid):
 class _Propagator:
     """Precomputed one-period integrator for a single parabolic system.
 
-    Holds the dense step matrices and the reaction amplitudes at the step
-    times, so that repeated propagation is a short numpy loop. Built once per
-    system by ``Parabolic.propagator``.
+    Holds the stacked step matrix and the reaction factors (now, then) of
+    every step; built once per system by ``Parabolic.propagator``. States
+    are column blocks (n, K), and a vector runs as an (n, 1) block, so the
+    two agree bit for bit. Two preallocated buffers [u_k; now_k; then_k]
+    trade places every step: the product writes u_{k+1} into the other,
+    whose then block the reaction filled in place in the same step.
 
-    States are vectors (n,) or blocks (n, K) of K states as columns; a block
-    costs the interpreter what one vector does. Escape is checked once per
-    period from the running peak of |u|. A column whose peak is not inside
-    the inflated box, or whose tangent turned non-finite, is replayed alone
-    through the per-step guarded loop, which raises the error of the first
-    offending step.
+    Escape is checked once per period from the running peak of u * u. A
+    column whose peak is not inside the inflated box, or whose tangent
+    turned non-finite, is replayed alone through the same loop guarded at
+    every step, which raises the error of the first offending step.
     """
 
     def __init__(self, par):
@@ -162,11 +167,23 @@ class _Propagator:
             raise NumericalError(f"implicit diffusion matrix is singular: {exc}") from None
         self.tau = par.tau
         self.nl = par.nonlinearity
-        self.step_mat = s_inv @ (eye + (1.0 - scheme.theta) * dt * lap)
-        self.source_mat = s_inv * dt
+        source_mat = s_inv * dt
+        self.stacked = np.hstack(
+            [s_inv @ (eye + (1.0 - scheme.theta) * dt * lap), source_mat, -source_mat]
+        )
+        self.step_mat, self.source_mat = self.stacked[:, :n], self.stacked[:, n:2 * n]
         # amplitudes over the whole step grid at once: one array evaluation
         # instead of a scalar forcing call per step
         self.amps = self.nl.amplitude(dt * np.arange(m_steps), par.tau)
+        # step k weighs its reaction 3/2 now (the startup step 1) and hands
+        # 1/2 of it to step k + 1 as history
+        self.factors = [
+            self._step_factors(amp, 1.5 if k else 1.0) for k, amp in enumerate(self.amps)
+        ]
+
+    def _step_factors(self, amp, weight):
+        """The reaction factors (now, then) of one step."""
+        return self.nl.factor(weight * amp), self.nl.factor(0.5 * amp)
 
     def _guard(self, u, k, escape_sup, iteration=0):
         sup = float(np.max(np.abs(u)))
@@ -180,82 +197,107 @@ class _Propagator:
                 step=k,
                 sup=sup,
             )
-        return sup
 
-    def _run(self, u, v, escape_sup, iteration, guarded):
-        """The step loop over one period, for a vector or a column block.
+    def _run(self, u, v, escape_sup, iteration, guarded, factors=None):
+        """The step loop over one period (or over ``factors``), on a block.
 
-        ``v`` (or None) is the tangent, advanced in lockstep: one tangent
-        per base column (the shape of ``u``), or m tangents along each base
-        column ((n, m) for a vector, (n, K, m) for a block). Guarded runs
-        check every step and raise at the first offending one; unguarded
-        runs return the entrywise peak of |u| for the caller to test once.
+        ``u`` is a column block (n, K); ``v`` (or None) holds m tangents
+        along each column, (n, K, m), stepped in lockstep as K * m flat
+        columns. Guarded runs check every step and raise at the first
+        offending one; unguarded runs return each column's peak of |u| over
+        steps 1..M for the caller to test once.
         """
-        rate, rate_du = self.nl.rate, self.nl.rate_du
-        along = v is not None and v.ndim > u.ndim
-        # the products take m tangents along each of K columns as K * m
-        # plain columns
-        flat = (len(v), -1) if v is not None and v.ndim == 3 else None
-        peak = None if guarded else np.zeros_like(u)
-        f_prev = None
-        g_prev = None
-        for k, amp in enumerate(self.amps):
-            f_k = rate(amp, u)
-            expl = f_k if f_prev is None else 1.5 * f_k - 0.5 * f_prev
+        n, count = u.shape
+        g_into = self.nl.g_into
+        stacked = self.stacked
+        a, b = np.empty((3 * n, count)), np.empty((3 * n, count))
+        a[:n] = u
+        a[2 * n:] = 0.0  # no history before the startup step
+        # per buffer: itself, its state block, and where the reaction of
+        # that state goes: its own now block and the other's then block
+        cur, nxt = [(z, z[:n], z[n:2 * n], other[2 * n:]) for z, other in ((a, b), (b, a))]
+        sq = np.empty((n, count))
+        peak = np.zeros((n, count))
+        dg = None
+        if v is not None:
+            # buffers [v_k; e_k] for [S | Src], with views as (n, K, m)
+            m = v.shape[2]
+            tan, tan_nxt = [(t, t[:n], t[:n].reshape(n, count, m), t[n:].reshape(n, count, m))
+                            for t in (np.empty((2 * n, count * m)) for _ in range(2))]
+            tan[2][...] = v
+            hist = np.zeros((n, count, m))  # 1/2 J_{k-1} v_{k-1}
+            dg, dg_then = np.empty((n, count)), np.empty((n, count))
+            d_now, d_then = dg[:, :, None], dg_then[:, :, None]
+            stacked_v = stacked[:, :2 * n]
+        for k, (now, then) in enumerate(self.factors if factors is None else factors):
+            g = cur[2]
+            g_into(cur[1], g, sq, dg)
+            np.multiply(g, then, out=cur[3])
+            np.multiply(g, now, out=g)
+            if k and not guarded:
+                np.maximum(peak, sq, out=peak)
+            np.matmul(stacked, cur[0], out=nxt[1])
+            cur, nxt = nxt, cur
             if v is not None:
-                du = rate_du(amp, u)
-                jv = du[..., None] * v if along else du * v
-                expl_v = jv if g_prev is None else 1.5 * jv - 0.5 * g_prev
-                if flat is None:
-                    v = self.step_mat @ v + self.source_mat @ expl_v
-                else:
-                    v = (
-                        self.step_mat @ v.reshape(flat)
-                        + self.source_mat @ expl_v.reshape(flat)
-                    ).reshape(jv.shape)
-                g_prev = jv
-            u = self.step_mat @ u + self.source_mat @ expl
-            f_prev = f_k
+                np.multiply(dg, then, out=dg_then)
+                np.multiply(dg, now, out=dg)
+                np.multiply(d_now, tan[2], out=tan[3])
+                np.subtract(tan[3], hist, out=tan[3])
+                np.multiply(d_then, tan[2], out=hist)
+                np.matmul(stacked_v, tan[0], out=tan_nxt[1])
+                tan, tan_nxt = tan_nxt, tan
             if guarded:
-                self._guard(u, k, escape_sup, iteration)
-                if v is not None and not np.all(np.isfinite(v)):
+                self._guard(cur[1], k, escape_sup, iteration)
+                if v is not None and not np.all(np.isfinite(tan[1])):
                     raise NumericalError(f"non-finite tangent at step {k}")
-            else:
-                np.maximum(peak, np.abs(u), out=peak)
-        return u, v, peak
+        u = cur[1].copy()
+        v = None if v is None else tan[2].copy()
+        if guarded:
+            return u, v, None
+        # sqrt(u * u) is |u| exactly, barring under- and overflow
+        np.maximum(peak, np.multiply(u, u, out=sq), out=peak)
+        return u, v, np.sqrt(np.max(peak, axis=0))
 
     def tangent_columns(self, u0, v0, escape_sup, iteration=0):
         """Advance a vector or column block and its tangent one period.
 
-        ``v0`` is None (no tangent) or a tangent as ``_run`` takes it; the
-        identity as m tangents along a column assembles that column's
-        Jacobian. Returns ``(u, v, failures)``: ``failures`` maps the index
-        of every column (0 for a vector) that left the box or whose tangent
-        turned non-finite to the EscapeError or NumericalError the guarded
-        loop raised when that column was replayed alone. Those columns of
-        ``u`` and ``v`` hold no meaningful values.
+        ``v0`` is None (no tangent), one tangent per base column (the
+        shape of ``u0``), or m tangents along each base column ((n, m) for
+        a vector, (n, K, m) for a block); the identity as m tangents along
+        a column assembles that column's Jacobian. Returns
+        ``(u, v, failures)`` in the shapes given: ``failures`` maps the
+        index of every column (0 for a vector) that left the box or whose
+        tangent turned non-finite to the EscapeError or NumericalError the
+        guarded loop raised when that column was replayed alone. Those
+        columns of ``u`` and ``v`` hold no meaningful values.
         """
         u0 = np.asarray(u0, dtype=float)
-        v0 = None if v0 is None else np.asarray(v0, dtype=float)
+        n = len(u0)
+        block = u0.reshape(n, -1)
+        count = block.shape[1]
+        tangents = None
+        if v0 is not None:
+            v0 = np.asarray(v0, dtype=float)
+            m = v0.shape[-1] if v0.ndim > u0.ndim else 1
+            tangents = v0.reshape(n, count, m)
         # a column that leaves the box keeps stepping to the end of the
         # period, the replay below reports it; a non-finite tangent entry
         # stays non-finite, so one test at the end finds it
         with np.errstate(over="ignore", invalid="ignore"):
-            u, v, peak = self._run(u0, v0, escape_sup, iteration, guarded=False)
-        ok = np.max(peak, axis=0) <= escape_sup
+            u, v, sups = self._run(block, tangents, escape_sup, iteration, guarded=False)
+        ok = sups <= escape_sup
         if v is not None:
-            ok &= np.isfinite(v).all(axis=(0, *range(u.ndim, v.ndim)))
+            ok &= np.isfinite(v).all(axis=(0, 2))
         failures = {}
         # the replay of a column is the authority: a block product may round
         # a column's peak across the threshold that the vector product keeps
         for j in np.flatnonzero(~ok):
-            col = u0 if u0.ndim == 1 else u0[:, j]
-            tan = v0 if v0 is None or u0.ndim == 1 else v0[:, j]
+            tan = None if tangents is None else tangents[:, j:j + 1]
             try:
-                self._run(col, tan, escape_sup, iteration, guarded=True)
+                self._run(block[:, j:j + 1], tan, escape_sup, iteration, guarded=True)
             except (EscapeError, NumericalError) as exc:
                 failures[int(j)] = exc
-        return u, v, failures
+        return u.reshape(u0.shape), None if v is None else v.reshape(v0.shape), failures
 
     def period_columns(self, u0, escape_sup, iteration=0):
         """Advance a vector or column block one period; failures as values.
@@ -290,11 +332,10 @@ class _Propagator:
 
     def step_once(self, u0, t, escape_sup):
         """A single startup-weighted step from an arbitrary phase t."""
-        u = np.asarray(u0, dtype=float)
-        f_k = self.nl.rate(self.nl.amplitude(t, self.tau), u)
-        u = self.step_mat @ u + self.source_mat @ f_k
-        self._guard(u, 0, escape_sup)
-        return u
+        u0 = np.asarray(u0, dtype=float)
+        pair = self._step_factors(self.nl.amplitude(t, self.tau), 1.0)
+        u, _, _ = self._run(u0.reshape(len(u0), -1), None, escape_sup, 0, True, [pair])
+        return u.reshape(u0.shape)
 
 
 def _require_parabolic(system):

@@ -33,12 +33,17 @@ from .numerics import SteppingScheme, _Propagator
 from .order import PropertyReport, StateVector, draw_box_state
 
 
+# the cubic's constants as 0-d arrays, for the in-place loop (see factor)
+_ONE, _THREE = np.array(1.0), np.array(3.0)
+
+
 @dataclass(frozen=True, eq=False)
 class Nonlinearity:
     """Reaction specification for parabolic systems.
 
     The reaction at amplitude amp = ``amplitude(t, tau)`` is
-    amp * profile * g(u); ``rate`` and ``rate_du`` are its only definition.
+    ``factor(amp)`` * g(u), amp * profile * g(u). ``factor`` and ``g_into``
+    are its only definition; ``rate`` and ``rate_du`` are their product.
     """
 
     form: str = "cubic"
@@ -62,23 +67,49 @@ class Nonlinearity:
         """Reaction amplitude a(t) * strength at phase (or phases) t."""
         return self.forcing(t, tau) * self.strength
 
-    def _scale(self, amp, u):
+    def factor(self, amp):
+        """The factor amp * profile of g(u) on a column block: a column
+        (n, 1), since a block holds one state per column, or amp itself
+        without a profile, as a 0-d array (numpy multiplies by one faster
+        than by a scalar)."""
         if self.profile is None:
-            return amp
-        # a block of states holds one state per column
-        return amp * (self.profile if u.ndim == 1 else self.profile[:, None])
+            return np.asarray(amp, dtype=float)
+        return amp * self.profile[:, None]
+
+    def g_into(self, u, out, sq, du=None):
+        """Write g(u) into ``out`` and, if given, g'(u) into ``du``.
+
+        The in-place form for the step loop: every array has the shape of
+        ``u``, and ``sq`` is scratch that ends holding u * u. The reaction
+        is ``factor(amp)`` times these.
+        """
+        np.multiply(u, u, out=sq)
+        if self.form == "cubic":
+            np.multiply(sq, u, out=out)
+            np.subtract(u, out, out=out)
+            if du is not None:
+                np.multiply(sq, _THREE, out=du)
+                np.subtract(_ONE, du, out=du)
+        else:
+            np.copyto(out, u)
+            if du is not None:
+                du.fill(1.0)
+
+    def _rates(self, amp, u):
+        u = np.asarray(u, dtype=float)
+        block = u.reshape(len(u), -1)
+        g, dg, sq = (np.empty_like(block) for _ in range(3))
+        self.g_into(block, g, sq, dg)
+        factor = self.factor(amp)
+        return (g * factor).reshape(u.shape), (dg * factor).reshape(u.shape)
 
     def rate(self, amp, u):
         """Reaction amp * profile * g(u) on a state (n,) or column block (n, K)."""
-        if self.form == "cubic":
-            return self._scale(amp, u) * (u - u * u * u)
-        return self._scale(amp, u) * u
+        return self._rates(amp, u)[0]
 
     def rate_du(self, amp, u):
         """Derivative of ``rate`` in u, entrywise (the reaction is local)."""
-        if self.form == "cubic":
-            return self._scale(amp, u) * (1.0 - 3.0 * u * u)
-        return self._scale(amp, u) * np.ones_like(u)
+        return self._rates(amp, u)[1]
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from monotone_lab import (
     ClassifyBudget,
     CycleCandidate,
     DimensionMismatchError,
+    EscapeError,
     OrderError,
     Parabolic,
     VERDICTS,
@@ -35,6 +36,8 @@ from monotone_lab import (
     set_distance,
     smooth_field,
 )
+from monotone_lab.asymptotics import _perron_root
+from monotone_lab.systems import apply_map_columns
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -189,6 +192,25 @@ def test_spectral_radius_dense_fallback():
     )
     assert det.method == "dense"
     assert det.rho == pytest.approx(np.sqrt(2.0), abs=1e-12)
+
+
+def test_periodic_power_iteration_goes_dense_at_once():
+    # from the ones vector the normalised iterate of [[0, 2], [1, 0]]
+    # repeats every two steps, so the power ratio never settles: the dense
+    # solve follows the first repeat, reported as after the whole budget
+    products = []
+
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            products.append(other.shape)
+            return np.asarray(self) @ other
+
+    mat = np.array([[0.0, 2.0], [1.0, 0.0]]).view(Counted)
+    det = _perron_root([mat], 1e-8, 10_000)
+    assert (det.method, det.iterations) == ("dense", 10_000)
+    assert det.rho == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    # three power steps (w_3 repeats w_1) and the monodromy product
+    assert products == [(2,), (2,), (2,), (2, 2)]
 
 
 def test_power_and_dense_radii_agree_on_catalog(cat):
@@ -520,3 +542,63 @@ def test_stable_parabolic_cycle_separation(dirichlet15):
         dirichlet15, cls.cycle.points[0], budget=ClassifyBudget(max_iterations=60)
     )
     assert gap < 10.0 * default_tol_cyc(dirichlet15)
+
+
+def separation_one_push_at_a_time(system, x, scales, budget):
+    """separation_probe as a loop over pushes, each run alone beside its own
+    copy of the base orbit, the two as one two-column block (a linear map
+    rounds a block product apart from a vector product)."""
+    steps = budget.resolve(system).max_iterations
+    tail_start = max(1, steps // 2)
+    base0 = np.atleast_1d(np.asarray(x, dtype=float))
+    gaps = []
+    for scale in scales:
+        for sign in (1.0, -1.0):
+            pair = np.stack([base0, base0 + sign * scale * np.ones(system.n)], axis=1)
+            if np.max(np.abs(pair[:, 1])) >= system.kappa:
+                continue
+            gap = 0.0
+            for k in range(1, steps + 1):
+                pair, failures = apply_map_columns(system, pair, iteration=k)
+                if failures:
+                    assert list(failures) == [1]
+                    gap = max(gap, system.kappa)
+                    break
+                if k >= tail_start:
+                    gap = max(gap, float(np.max(np.abs(pair[:, 1] - pair[:, 0]))))
+            gaps.append(gap)
+    return min(gaps)
+
+
+@pytest.mark.parametrize("name, x, scales, iterations", [
+    ("cubic_map", 0.0, (1e-2, 1e-4), 400),
+    ("cubic_map", 0.5, (1e-2, 1e-4, 0.6), 80),
+    ("linear_cooperative", [0.4, 0.2], (1e-2, 1e-4), 80),
+    ("linear_cooperative", [0.0, 0.0], (0.5, 1e-3), 120),
+    ("escaping", 0.0, (1e-2, 1e-4, 0.5), 60),
+    ("dirichlet_cubic_15", "zero", (1e-2, 1e-4), 24),
+])
+def test_separation_probe_block_matches_one_push_at_a_time(cat, name, x, scales, iterations):
+    # the pushes run as the columns of one block with the base orbit, and
+    # pushes that escape (at different iterations) retire from it
+    system = (linear_cooperative(matrix=[[1.5]], kappa=1.0) if name == "escaping"
+              else cat[name])
+    if x == "zero":
+        x = np.zeros(system.n)
+    budget = ClassifyBudget(max_iterations=iterations)
+    got = separation_probe(system, x, scales=scales, budget=budget)
+    want = separation_one_push_at_a_time(system, x, scales, budget)
+    if isinstance(system.kind, Parabolic):
+        assert want > 0.1
+        assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+    else:
+        assert got == want
+
+
+def test_separation_probe_raises_the_base_orbit_error():
+    # the base 0.5 * 1.5^k leaves the inflated box (sup > 2) at k = 4
+    system = linear_cooperative(matrix=[[1.5]], kappa=1.0)
+    with pytest.raises(EscapeError) as info:
+        separation_probe(system, 0.5, scales=(1e-3,),
+                         budget=ClassifyBudget(max_iterations=20))
+    assert (info.value.iteration, info.value.sup) == (4, 2.53125)

@@ -220,15 +220,18 @@ def test_profile_shape_must_match_grid():
 
 
 def first_escape_per_step(system, u0):
-    """(step, sup) where a plain step-by-step period loop first leaves the box."""
+    """(step, sup) where a plain step-by-step period loop first leaves the box.
+
+    Each step is the period map's one product of the stacked matrix
+    [S | Src | -Src] with [u_k; 3/2 f_k; 1/2 f_{k-1}] (the startup step
+    f_0 and no history), so the loop rounds as the map does.
+    """
     prop = system.kind.propagator
-    u = u0
-    f_prev = None
+    u = u0[:, None]
+    then = np.zeros_like(u)
     for k, amp in enumerate(prop.amps):
-        f_k = prop.nl.rate(amp, u)
-        expl = f_k if f_prev is None else 1.5 * f_k - 0.5 * f_prev
-        u = prop.step_mat @ u + prop.source_mat @ expl
-        f_prev = f_k
+        now = prop.nl.rate((1.5 if k else 1.0) * amp, u)
+        u, then = prop.stacked @ np.vstack([u, now, then]), prop.nl.rate(0.5 * amp, u)
         sup = float(np.max(np.abs(u)))
         if sup > 2.0 * system.kappa:
             return k, sup
