@@ -171,7 +171,6 @@ class _Propagator:
         self.stacked = np.hstack(
             [s_inv @ (eye + (1.0 - scheme.theta) * dt * lap), source_mat, -source_mat]
         )
-        self.step_mat, self.source_mat = self.stacked[:, :n], self.stacked[:, n:2 * n]
         # amplitudes over the whole step grid at once: one array evaluation
         # instead of a scalar forcing call per step
         self.amps = self.nl.amplitude(dt * np.arange(m_steps), par.tau)
@@ -299,22 +298,13 @@ class _Propagator:
                 failures[int(j)] = exc
         return u.reshape(u0.shape), None if v is None else v.reshape(v0.shape), failures
 
-    def period_columns(self, u0, escape_sup, iteration=0):
-        """Advance a vector or column block one period; failures as values.
-
-        Returns ``(u, failures)`` as ``tangent_columns`` does without a
-        tangent.
-        """
-        u, _, failures = self.tangent_columns(u0, None, escape_sup, iteration)
-        return u, failures
-
     def period(self, u0, escape_sup, iteration=0):
         """Advance one full period from phase t = 0. Returns the raw state.
 
         ``u0`` is a vector (n,) or a column block (n, K); the first column
         that leaves the box raises its EscapeError or NumericalError.
         """
-        u, failures = self.period_columns(u0, escape_sup, iteration)
+        u, _, failures = self.tangent_columns(u0, None, escape_sup, iteration)
         if failures:
             raise failures[min(failures)]
         return u

@@ -348,7 +348,8 @@ def apply_map_columns(system, u, iteration=0):
     """
     kind = system.kind
     if isinstance(kind, Parabolic):
-        return kind.propagator.period_columns(u, 2.0 * system.kappa, iteration)
+        y, _, failures = kind.propagator.tangent_columns(u, None, 2.0 * system.kappa, iteration)
+        return y, failures
     u = np.asarray(u, dtype=float)
     y = kind.value(u) if isinstance(kind, AnalyticScalar) else kind.matrix @ u
     sups = np.max(np.abs(y), axis=0)

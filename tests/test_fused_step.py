@@ -25,6 +25,7 @@ def reference_period(system, u, v=None):
     prop = kind.propagator
     nl = kind.nonlinearity
     n, count = u.shape
+    step_mat, source_mat = prop.stacked[:, :n], prop.stacked[:, n:2 * n]
     profile = np.ones((n, 1)) if nl.profile is None else nl.profile[:, None]
     f_prev = jv_prev = None
     for amp in prop.amps:
@@ -37,10 +38,10 @@ def reference_period(system, u, v=None):
         if v is not None:
             jv = df[:, :, None] * v
             expl_v = jv if jv_prev is None else 1.5 * jv - 0.5 * jv_prev
-            v = (prop.step_mat @ v.reshape(n, -1)
-                 + prop.source_mat @ expl_v.reshape(n, -1)).reshape(v.shape)
+            v = (step_mat @ v.reshape(n, -1)
+                 + source_mat @ expl_v.reshape(n, -1)).reshape(v.shape)
             jv_prev = jv
-        u = prop.step_mat @ u + prop.source_mat @ expl
+        u = step_mat @ u + source_mat @ expl
         f_prev = f
     return u, v
 
@@ -145,6 +146,6 @@ def test_escaping_columns_fail_alone_and_the_rest_match():
     assert_close(v[:, ok], want_v[:, ok])
     # a non-finite start fails at the first step
     block[3, 2] = np.nan
-    _, failures = prop.period_columns(block, sup)
+    _, _, failures = prop.tangent_columns(block, None, sup)
     assert sorted(failures) == [1, 2, 3]
     assert isinstance(failures[2], NumericalError)
