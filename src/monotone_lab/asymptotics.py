@@ -5,10 +5,10 @@ recurrence, close the candidate cycle by iterating its first point (with a
 damped Newton step on the period-p displacement when it does not close),
 and grade stability by the spectral radius of the monodromy product of
 Jacobians around the cycle. ``classify_many`` runs it on a block of starts:
-the cycles that resolve together are closed and graded in block tangent
-passes, whose base images are the closure orbit, and ``refine_cycle`` /
-``cycle_spectral_radius`` grade a column alone when the block cannot. On
-top of that sit two probe experiments:
+the cycles that resolve together are closed, polished where needed and
+graded in block tangent passes, whose base images are the closure orbit;
+``refine_cycle`` is that closure on one column. On top of that sit two
+probe experiments:
 
 * ``omega_plus_probe`` estimates the one-sided limit of omega sets under
   perturbations eps * v with v strongly positive and eps shrinking through
@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EscapeError, NumericalError, OrderError
+from .errors import DimensionMismatchError, EscapeError, OrderError
 from .grids import Grid
 from .order import StateVector
 from .reports import JsonReport
@@ -258,14 +258,6 @@ class CycleRecord(JsonReport):
         return StateVector(self.points[i], self.grid)
 
 
-def _orbit_of(system, z, period):
-    xs = np.empty((period + 1, z.shape[0]))
-    xs[0] = z
-    for j in range(period):
-        xs[j + 1] = apply_map(system, xs[j])
-    return xs
-
-
 def refine_cycle(system, candidate, newton_tol=1e-12, max_newton=12):
     """Polish a cycle candidate by damped Newton on G(z) = F^p(z) - z.
 
@@ -274,66 +266,93 @@ def refine_cycle(system, candidate, newton_tol=1e-12, max_newton=12):
     converged flag down. The returned points are regenerated by iterating
     the refined base point, so they are consecutive iterates by
     construction and the residual is the closure defect sup|F(last)-first|.
+    A candidate whose orbit fails on the way round raises its EscapeError
+    or NumericalError.
 
-    This is the one-column path of ``classify_many``'s block grading: a
-    candidate whose closure gap exceeds newton_tol is polished here, and a
-    candidate that closes gets from the block the points, residual and
-    flags this function returns for it.
+    This is the one-column case of the block closure ``classify_many``
+    runs on the cycles that resolve together.
     """
     pts = _as_state_array(candidate)
-    period = pts.shape[0]
-    z = pts[0].astype(float).copy()
-    eye = np.eye(z.shape[0])
-    converged = False
-    iters_used = 0
-    try:
-        xs = _orbit_of(system, z, period)
-        gap = float(np.max(np.abs(xs[period] - z)))
-        for it in range(1, max_newton + 1):
-            if gap <= newton_tol:
-                converged = True
-                break
+    return _close_cycles(system, pts[:1].T, pts.shape[0], newton_tol, max_newton)[0][0]
+
+
+def _closure_passes(system, firsts, period):
+    """``period`` tangent passes from the columns of ``firsts`` (n, K).
+
+    Pass j maps point j of every column's closure orbit and carries each
+    column's identity along it. Returns the orbits (period + 1, n, K), the
+    dense Jacobians around them (period, K, n, n) and the first error of
+    every column that fails in a pass; a failed column is kept finite
+    through the remaining passes.
+    """
+    n, count = firsts.shape
+    seed = np.repeat(np.eye(n)[:, None, :], count, axis=1)
+    xs = np.empty((period + 1, n, count))
+    mats = np.empty((period, count, n, n))
+    xs[0] = firsts
+    failed = {}
+    for j in range(period):
+        xs[j + 1], jac, failures = tangent_columns(system, xs[j], seed)
+        failed = {**failures, **failed}  # each column keeps its first error
+        xs[j + 1][:, list(failures)] = xs[j][:, list(failures)]
+        mats[j] = jac.transpose(1, 0, 2)
+    return xs, mats, failed
+
+
+def _close_cycles(system, firsts, period, newton_tol, max_newton):
+    """Close K candidate cycles of one period as a block.
+
+    ``firsts`` (n, K) holds each candidate's first point; a column that
+    fails in the first closure passes raises its error. A column whose
+    closure gap exceeds newton_tol takes damped Newton steps on
+    F^p(z) - z, solved column by column against its monodromy minus the
+    identity: a singular solve stops that column, and the trial points of
+    all pending columns are mapped as one block of closure passes, the
+    step halved up to four times until the gap falls (a column that fails
+    in a trial has gap inf). The accepted trial's passes carry the
+    Jacobians at its points. Returns one CycleRecord per column, rho not
+    yet graded, and the Jacobians (period, K, n, n) around its points.
+    """
+    xs, mats, failed = _closure_passes(system, firsts, period)
+    if failed:
+        raise failed[min(failed)]
+    gaps = np.max(np.abs(xs[period] - xs[0]), axis=0)
+    iters = np.zeros(gaps.size, dtype=int)
+    pending = np.flatnonzero(gaps > newton_tol)
+    it = 0
+    while pending.size and it < max_newton:
+        it += 1
+        eye = np.eye(firsts.shape[0])
+        cols, steps = [], []
+        for k in pending:
             mono = eye
             for j in range(period):
-                mono = jacobian(system, system.state(xs[j])) @ mono
+                mono = mats[j, k] @ mono
             try:
-                delta = np.linalg.solve(mono - eye, z - xs[period])
+                steps.append(np.linalg.solve(mono - eye, xs[0, :, k] - xs[period, :, k]))
+                cols.append(k)
             except np.linalg.LinAlgError:
-                # neutral multiplier, nothing to polish against
+                pass  # neutral multiplier, nothing to polish against
+        cols, step = np.array(cols, dtype=int), np.array(steps).T
+        for _ in range(4):
+            if not cols.size:
                 break
-            accepted = False
-            step = delta
-            for _ in range(4):
-                z_try = z + step
-                try:
-                    xs_try = _orbit_of(system, z_try, period)
-                    gap_try = float(np.max(np.abs(xs_try[period] - z_try)))
-                except (EscapeError, NumericalError):
-                    gap_try = np.inf
-                if gap_try < gap:
-                    z, xs, gap = z_try, xs_try, gap_try
-                    accepted = True
-                    iters_used = it
-                    break
-                step = 0.5 * step
-            if not accepted:
-                break
-        if gap <= newton_tol:
-            converged = True
-    except (EscapeError, NumericalError):
-        # refinement wandered out of the admissible box, fall back
-        z = pts[0].astype(float).copy()
-        xs = _orbit_of(system, z, period)
-    points = xs[:period].copy()
-    residual = float(np.max(np.abs(xs[period] - points[0])))
-    return CycleRecord(
-        system.grid,
-        period,
-        residual,
-        newton_converged=converged,
-        newton_iterations=iters_used,
-        points=points,
-    )
+            z_try = xs[0][:, cols] + step
+            xs_try, mats_try, failed = _closure_passes(system, z_try, period)
+            gap_try = np.max(np.abs(xs_try[period] - xs_try[0]), axis=0)
+            gap_try[list(failed)] = np.inf
+            won = gap_try < gaps[cols]
+            took = cols[won]
+            xs[:, :, took], mats[:, took] = xs_try[:, :, won], mats_try[:, won]
+            gaps[took], iters[took] = gap_try[won], it
+            cols, step = cols[~won], 0.5 * step[:, ~won]
+        # a column goes on only after an accepted step that left it open
+        pending = np.flatnonzero((iters == it) & (gaps > newton_tol))
+    return [
+        CycleRecord(system.grid, period, gap, newton_converged=gap <= newton_tol,
+                    newton_iterations=used, points=xs[:period, :, k].copy())
+        for k, (gap, used) in enumerate(zip(gaps.tolist(), iters.tolist()))
+    ], mats
 
 
 # ---------------------------------------------------------------------------
@@ -346,21 +365,28 @@ class SpectralRadiusResult:
     iterations: int
 
 
-def cycle_spectral_radius(system, cycle, tol=1e-8, max_power_iter=10_000,
+# power iteration defaults of every spectral radius
+_POWER_TOL = 1e-8
+_POWER_MAX_ITER = 10_000
+
+
+def cycle_spectral_radius(system, cycle, tol=_POWER_TOL, max_power_iter=_POWER_MAX_ITER,
                           detail=False):
     """Spectral radius of the product of Jacobians around a cycle.
 
-    Power iteration from the all-ones vector, normalized in sup norm; the
-    monodromy of a monotone map has nonnegative entries so the Perron value
-    dominates and the ratio settles. If the ratio has not stabilized to tol
-    within the budget (rotating complex pair, near-degenerate leading pair)
-    the dense eigenvalue solve of the assembled product is used instead and
-    reported as such.
+    Power iteration from the all-ones vector, normalized in sup norm, stops
+    at the first two successive ratios that agree to tol. For a primitive
+    nonnegative monodromy the Perron value dominates and that ratio is the
+    radius, but an imprimitive one can stop early: on
+    linear_cooperative([[0, 0, 2], [1, 0, 0], [0, 1, 0]]) at the origin the
+    ratios run 2, 1, 1 and rho is 1.0 by power, where the radius is
+    2 ** (1 / 3). When the ratio has not stabilized within the budget
+    (rotating complex pair, near-degenerate leading pair) or the iterate
+    repeats from two steps back, the dense eigenvalue solve of the
+    assembled product is used instead and reported as such.
 
-    This is the one-column case of ``classify_many``'s block grading: the
-    block grader assembles the same dense Jacobians in its tangent passes
-    and grades them the same way. A start classified alone gets this rho
-    bit for bit, and a column that the block cannot grade falls back to it.
+    ``classify_many`` grades the Jacobians of its block closure passes the
+    same way; a start classified alone gets this rho bit for bit.
     """
     pts = _as_state_array(cycle)
     det = _perron_root(
@@ -369,7 +395,7 @@ def cycle_spectral_radius(system, cycle, tol=1e-8, max_power_iter=10_000,
     return det if detail else det.rho
 
 
-def _perron_root(mats, tol, max_power_iter):
+def _perron_root(mats, tol=_POWER_TOL, max_power_iter=_POWER_MAX_ITER):
     """Power iteration on the product of ``mats``, dense eigvals fallback."""
     dim = mats[0].shape[0]
     w = np.ones(dim)
@@ -396,46 +422,6 @@ def _perron_root(mats, tol, max_power_iter):
         mono = mat @ mono
     rho = float(np.max(np.abs(np.linalg.eigvals(mono))))
     return SpectralRadiusResult(rho, "dense", max_power_iter)
-
-
-def _grade_cycles(system, firsts, period, newton_tol, tol=1e-8,
-                  max_power_iter=10_000):
-    """Close and grade K candidate cycles of one period as a block.
-
-    ``firsts`` (n, K) holds each candidate's first point. Pass j maps point
-    j of every column's closure orbit and carries each column's identity
-    along it, so the base images of the ``period`` passes are the closure
-    orbit and their tangents the dense Jacobians around it, which
-    ``_perron_root`` grades as ``cycle_spectral_radius`` does. Returns one
-    graded CycleRecord per column, or None for a column whose closure gap
-    exceeds newton_tol or that fails in a pass; ``classify_many`` grades
-    those alone.
-    """
-    n, count = firsts.shape
-    seed = np.repeat(np.eye(n)[:, None, :], count, axis=1)
-    xs = np.empty((period + 1, n, count))
-    xs[0] = firsts
-    mats = []
-    good = np.ones(count, dtype=bool)
-    for j in range(period):
-        xs[j + 1], jac, failures = tangent_columns(system, xs[j], seed)
-        if failures:
-            gone = list(failures)
-            good[gone] = False
-            # keep the failed columns finite through the remaining passes
-            xs[j + 1][:, gone] = xs[j][:, gone]
-        mats.append(np.ascontiguousarray(jac.transpose(1, 0, 2)))
-    gaps = np.max(np.abs(xs[period] - xs[0]), axis=0)
-    good &= gaps <= newton_tol
-    records = [None] * count
-    for k in np.flatnonzero(good):
-        det = _perron_root([m[k] for m in mats], tol, max_power_iter)
-        records[k] = CycleRecord(
-            system.grid, period, float(gaps[k]), rho=det.rho,
-            rho_method=det.method, newton_converged=True,
-            points=xs[:period, :, k].copy(),
-        )
-    return records
 
 
 # ---------------------------------------------------------------------------
@@ -485,20 +471,21 @@ def classify_orbit(system, x0, budget=None):
 def classify_many(system, starts, budget=None):
     """Classify the orbits of the columns of ``starts`` (n, K) in lockstep.
 
-    All live orbits advance as one block through the map, each column with
-    its own sliding window; a column retires when it escapes or when its
-    cycle is detected and graded, and the rest run on. Returns one
-    Classification per column, in column order.
+    The columns run BLOCK_WIDTH at a time. All live orbits of a block
+    advance together through the map, each column with its own sliding
+    window; a column retires when it escapes or when its cycle is detected
+    and graded, and the rest run on. Returns one Classification per
+    column, in column order.
 
-    The cycles detected at one checkpoint are graded per period p in
+    The cycles detected at one checkpoint are closed per period p in
     blocks of BLOCK_WIDTH // n columns (at least one): p tangent passes
     from the candidates' first points, each column carrying its identity,
-    give the closure orbit and the dense Jacobians around it, graded by
-    power iteration from the all-ones vector with the dense eigvals
-    fallback. A column whose closure gap exceeds newton_tol or that fails
-    in a pass is graded alone by ``refine_cycle`` and
-    ``cycle_spectral_radius``, so Newton polish keeps its behaviour. A
-    single start is graded bit for bit as those two functions grade it.
+    give the closure orbit and the dense Jacobians around it, and the
+    columns whose gap exceeds newton_tol take their Newton steps together
+    (``refine_cycle`` is the one-column case). The Jacobians at the final
+    points are graded by power iteration from the all-ones vector with the
+    dense eigvals fallback, as ``cycle_spectral_radius`` grades them; a
+    column that fails in its first closure passes raises its error.
 
     A column's states may differ in the last bits from those of its start
     classified alone, because a block product rounds differently from a
@@ -513,13 +500,16 @@ def classify_many(system, starts, budget=None):
         raise DimensionMismatchError(
             f"starts have shape {block.shape}, system expects ({system.n}, K)"
         )
+    if block.shape[1] > BLOCK_WIDTH:
+        return [cls for lo in range(0, block.shape[1], BLOCK_WIDTH)
+                for cls in classify_many(system, block[:, lo:lo + BLOCK_WIDTH], budget)]
     window_len = 3 * budget.p_max
     window = np.empty((window_len,) + block.shape)
     window[0] = block
     live = np.arange(block.shape[1])
     results = [None] * block.shape[1]
     iters = 0
-    # cycles are graded with at most BLOCK_WIDTH tangent columns at a time
+    # cycles are closed with at most BLOCK_WIDTH tangent columns at a time
     grade_width = max(1, BLOCK_WIDTH // system.n)
 
     def retire(done):
@@ -547,21 +537,14 @@ def classify_many(system, starts, budget=None):
             tails = window[(iters + 1 + np.arange(window_len)) % window_len]
             periods = _scan_periods(tails, budget.p_max, budget.tol_cyc)
             resolved = np.flatnonzero(periods)
-            graded = {}
             for p in sorted(set(periods[resolved].tolist())):
                 group = resolved[periods[resolved] == p]
                 for lo in range(0, group.size, grade_width):
                     cols = group[lo:lo + grade_width]
-                    firsts = tails[window_len - p][:, cols]
-                    records = _grade_cycles(system, firsts, p, budget.newton_tol)
-                    graded.update(zip(cols, records))
-            for j in resolved:
-                rec = graded[j]
-                if rec is None:
-                    p = int(periods[j])
-                    cand = CycleCandidate(p, tails[window_len - p:, :, j].copy())
-                    rec = _refine_and_grade(system, cand, budget)
-                results[live[j]] = _graded_classification(rec, budget, iters)
+                    records, mats = _close_cycles(system, tails[window_len - p][:, cols], p,
+                                                  budget.newton_tol, budget.newton_max_iter)
+                    for j, rec, jacs in zip(cols, records, zip(*mats)):
+                        results[live[j]] = _graded_classification(rec, jacs, budget, iters)
             if resolved.size:
                 live, block, window = retire(resolved)
     for i in live:
@@ -574,18 +557,9 @@ def classify_many(system, starts, budget=None):
     return results
 
 
-def _refine_and_grade(system, cand, budget):
-    """The one-column path: Newton polish, then the dense spectral radius."""
-    rec = refine_cycle(
-        system, cand, newton_tol=budget.newton_tol, max_newton=budget.newton_max_iter
-    )
-    det = cycle_spectral_radius(system, rec, detail=True)
-    rec.rho = det.rho
-    rec.rho_method = det.method
-    return rec
-
-
-def _graded_classification(rec, budget, iters):
+def _graded_classification(rec, jacs, budget, iters):
+    det = _perron_root(jacs)
+    rec.rho, rec.rho_method = det.rho, det.method
     stable = rec.rho <= 1.0 + budget.tol_stab
     rec.stability = "stable" if stable else "unstable"
     verdict = "stable_cycle" if stable else "unstable_cycle"

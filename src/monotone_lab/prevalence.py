@@ -12,8 +12,9 @@ verdicts are confined to isolated parameter values, so refining the
 resolution should never grow the exceptional set beyond shrinking
 neighborhoods of the points already found.
 
-Samples are classified in lockstep, ``systems.BLOCK_WIDTH`` consecutive
-indices at a time, as the columns of one block (``asymptotics.classify_many``).
+Samples are classified in lockstep as the columns of one block of starts
+(``asymptotics.classify_many``, which runs ``systems.BLOCK_WIDTH``
+consecutive columns at a time).
 
 Determinism contract: the random stream of sample i is seeded by the pair
 (sampler seed, i), and aggregation runs in index order. A sample's bits may
@@ -34,7 +35,6 @@ from .errors import GridError, OrderError
 from .order import StateVector
 from .asymptotics import VERDICTS, ClassifyBudget, classify_many
 from .reports import JsonReport
-from .systems import BLOCK_WIDTH
 
 STRATEGIES = ("box_uniform", "smooth_field", "line_scan")
 
@@ -200,26 +200,20 @@ def _check_sampler_box(system, sampler):
 
 
 def _classify_many(system, sampler, indices, budget):
-    """(verdict, period, rho) per index, classified BLOCK_WIDTH at a time."""
-    # a line_scan block is cut from one sweep; its columns are the
-    # sample_initial points to the bit
-    sweep = sampler.s_values() if sampler.strategy == "line_scan" else None
-    results = []
-    for lo in range(0, len(indices), BLOCK_WIDTH):
-        chunk = indices[lo:lo + BLOCK_WIDTH]
-        if sweep is None:
-            starts = np.stack(
-                [sample_initial(sampler, i, system.grid).values for i in chunk], axis=1
-            )
-        else:
-            s = sweep[np.asarray(chunk)]
-            starts = sampler.base[:, None] + s * sampler.direction[:, None]
-        for cls in classify_many(system, starts, budget):
-            if cls.cycle is None:
-                results.append((cls.verdict, None, None))
-            else:
-                results.append((cls.verdict, cls.cycle.period, cls.cycle.rho))
-    return results
+    """(verdict, period, rho) per index, all indices as one block of starts."""
+    if sampler.strategy == "line_scan":
+        # the columns, cut from one sweep, are the sample_initial points to the bit
+        s = sampler.s_values()[np.asarray(indices, dtype=int)]
+        starts = sampler.base[:, None] + s * sampler.direction[:, None]
+    else:
+        starts = np.empty((system.grid.n, len(indices)))
+        for j, i in enumerate(indices):
+            starts[:, j] = sample_initial(sampler, i, system.grid).values
+    return [
+        (cls.verdict, None, None) if cls.cycle is None
+        else (cls.verdict, cls.cycle.period, cls.cycle.rho)
+        for cls in classify_many(system, starts, budget)
+    ]
 
 
 @dataclass(eq=False)

@@ -21,7 +21,7 @@ from .grids import Grid
 from .order import PropertyReport, StateVector, draw_box_state
 from .reports import JsonReport
 from .asymptotics import _initial_values, classify_many, classify_orbit
-from .systems import BLOCK_WIDTH, apply_map_blocks
+from .systems import apply_map_blocks
 
 ACTION_KINDS = ("ring_rotation", "interval_reflection", "trivial")
 
@@ -210,18 +210,16 @@ class SymmetrySurvey(JsonReport):
 def symmetric_limit_survey(system, action, states, budget=None, tol_sym=1e-5):
     """Classify given starts, grade their cycle points and aggregate.
 
-    The starts advance through ``classify_many`` as the columns of blocks
-    of BLOCK_WIDTH; each sample's verdicts are those of
+    The starts advance through ``classify_many`` as the columns of one
+    block; each sample's verdicts are those of
     ``classify_symmetric_limit`` on it, up to block roundoff.
     symmetric_fraction counts samples whose every detected cycle point is
     invariant at tol_sym, over all samples; unresolved and escaped samples
     therefore lower the fraction rather than dropping out.
     """
     starts = [_initial_values(system, x0) for x0 in states]
-    results = []
-    for lo in range(0, len(starts), BLOCK_WIDTH):
-        block = np.stack(starts[lo:lo + BLOCK_WIDTH], axis=1)
-        results += classify_many(system, block, budget)
+    block = np.stack(starts, axis=1) if starts else np.empty((system.n, 0))
+    results = classify_many(system, block, budget)
     verdicts = []
     deviations = []
     stable = 0

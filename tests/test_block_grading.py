@@ -1,13 +1,15 @@
-"""Block grading of resolved cycles against a per-column reference.
+"""Block closure and grading of resolved cycles against a per-column reference.
 
-``classify_many`` closes and grades the cycles that resolve at a checkpoint
-as blocks of tangent passes. The reference here is the per-column path: the
-start's orbit alone, scanned at the same checkpoints, polished by
-``refine_cycle`` and graded by power iteration on dense Jacobians with the
+``classify_many`` closes (with Newton polish where a gap stays open) and
+grades the cycles that resolve at a checkpoint as blocks of tangent passes.
+The reference here is the per-column path: the start's orbit alone, scanned
+at the same checkpoints, polished by ``refine_cycle`` (the block closure on
+one column) and graded by power iteration on ``jacobian`` matrices with the
 eigvals fallback. Verdicts, iterations, periods and ``rho_method`` must be
 equal, and rho must agree to 1e-12 relative.
 """
 
+import sys
 from collections import deque
 
 import numpy as np
@@ -15,12 +17,14 @@ import pytest
 
 from monotone_lab import (
     ClassifyBudget,
+    CycleCandidate,
     EscapeError,
     apply_map,
     classify_many,
     detect_cycle,
     jacobian,
     linear_cooperative,
+    logistic_map,
     negation_map,
     parabolic_system,
     refine_cycle,
@@ -28,7 +32,7 @@ from monotone_lab import (
     smooth_field,
 )
 from monotone_lab import asymptotics
-from monotone_lab.systems import BLOCK_WIDTH, tangent_columns
+from monotone_lab.systems import BLOCK_WIDTH, apply_map_columns, tangent_columns
 
 BUDGET = ClassifyBudget(max_iterations=400, p_max=8)
 
@@ -95,31 +99,28 @@ def assert_matches_reference(system, starts, budget=BUDGET):
 
 
 @pytest.fixture
-def graded_groups(monkeypatch):
-    """(columns, period) of every block the grader receives."""
-    groups = []
-    grade = asymptotics._grade_cycles
+def closed_blocks(monkeypatch):
+    """The records of every block ``classify_many`` closes, one list per block.
 
-    def spy(system, firsts, period, *args, **kwargs):
-        groups.append((firsts.shape[1], period))
-        return grade(system, firsts, period, *args, **kwargs)
+    ``refine_cycle`` (the reference's polish) closes its one column through
+    the same function; only the calls made by ``classify_many`` are kept.
+    """
+    blocks = []
+    close = asymptotics._close_cycles
 
-    monkeypatch.setattr(asymptotics, "_grade_cycles", spy)
-    return groups
+    def spy(system, firsts, period, *args):
+        records, mats = close(system, firsts, period, *args)
+        if sys._getframe(1).f_code is classify_many.__code__:
+            blocks.append(records)
+        return records, mats
+
+    monkeypatch.setattr(asymptotics, "_close_cycles", spy)
+    return blocks
 
 
-@pytest.fixture
-def graded_alone(monkeypatch):
-    """Periods of the columns graded alone, by the one-column path."""
-    periods = []
-    grade = asymptotics._refine_and_grade
-
-    def spy(system, cand, budget):
-        periods.append(cand.period)
-        return grade(system, cand, budget)
-
-    monkeypatch.setattr(asymptotics, "_refine_and_grade", spy)
-    return periods
+def shapes(blocks):
+    """(columns, period) of each closed block."""
+    return [(len(records), records[0].period) for records in blocks]
 
 
 def smooth_starts(system, count, seed=3):
@@ -147,18 +148,17 @@ def test_catalog_blocks_match_reference(name, cat):
     assert any(cls.cycle is not None for cls in got)
 
 
-def test_logistic_two_cycles_graded_in_chunks(logistic, graded_groups, graded_alone):
+def test_logistic_two_cycles_graded_in_chunks(logistic, closed_blocks):
     # more than BLOCK_WIDTH period-2 columns resolve at the first
-    # checkpoint and are graded BLOCK_WIDTH // n at a time. Starts near the
-    # low point of the 2-cycle resolve together.
+    # checkpoint; classify_many runs its starts BLOCK_WIDTH columns at a
+    # time. Starts near the low point of the 2-cycle resolve together.
     r = logistic.kind.param
     low = (r + 1.0 - np.sqrt((r - 3.0) * (r + 1.0))) / (2.0 * r)
     starts = low + np.linspace(-0.02, 0.02, BLOCK_WIDTH + 40)[None, :]
     got = classify_many(logistic, starts, BUDGET)
     assert {cls.cycle.period for cls in got} == {2}
-    assert graded_groups[0] == (BLOCK_WIDTH, 2)
-    assert sum(k for k, _ in graded_groups) == starts.shape[1]
-    assert graded_alone == []
+    assert shapes(closed_blocks)[0] == (BLOCK_WIDTH, 2)
+    assert sum(k for k, _ in shapes(closed_blocks)) == starts.shape[1]
     # the reference per column is slow in Python; every fifth column
     for j in range(0, starts.shape[1], 5):
         verdict, iters, period, rho, method = reference(logistic, starts[:, j], BUDGET)
@@ -169,28 +169,36 @@ def test_logistic_two_cycles_graded_in_chunks(logistic, graded_groups, graded_al
         assert cls.cycle.rho == pytest.approx(rho, rel=1e-12, abs=0.0)
 
 
-def test_mixed_periods_in_one_block(graded_groups, graded_alone):
-    # the negation map: 0 is fixed and every other point has period 2
+def test_mixed_periods_in_one_block(closed_blocks):
+    # the negation map: 0 is fixed and every other point has period 2. The
+    # first BLOCK_WIDTH starts run as one block, the last four as another.
     neg = negation_map()
     starts = np.r_[0.0, np.linspace(0.1, 0.9, BLOCK_WIDTH + 3)][None, :]
     got = assert_matches_reference(neg, starts)
-    assert graded_groups == [(1, 1), (BLOCK_WIDTH, 2), (3, 2)]
-    assert graded_alone == []
+    assert shapes(closed_blocks) == [(1, 1), (BLOCK_WIDTH - 1, 2), (4, 2)]
     assert got[0].cycle.period == 1 and got[1].cycle.period == 2
 
 
-def test_columns_forced_through_newton(cubic, graded_alone):
+def test_columns_forced_through_newton(cubic, closed_blocks):
     # the cubic map contracts by 0.8 only, so most detected candidates close
-    # to tol_cyc but not to newton_tol and take the Newton path alone
-    budget = ClassifyBudget(max_iterations=400, p_max=8, newton_tol=1e-14)
+    # to tol_cyc but not to newton_tol and take Newton steps. The first
+    # checkpoint comes late, so the exact fixed points 0 and +-1 resolve
+    # there beside columns that need polish.
+    budget = ClassifyBudget(max_iterations=400, p_max=8, check_every=96,
+                            newton_tol=1e-14)
     starts = np.linspace(-1.2, 1.2, 25)[None, :]
     got = assert_matches_reference(cubic, starts, budget)
     polished = [cls.cycle.newton_iterations for cls in got]
     assert max(polished) > 0 and min(polished) == 0
-    assert 0 < len(graded_alone) < len(got)
+    # polished and unpolished columns share one block
+    assert any(
+        min(rec.newton_iterations for rec in records) == 0
+        < max(rec.newton_iterations for rec in records)
+        for records in closed_blocks
+    )
 
 
-def test_dense_eigvals_fallback_in_blocks(graded_groups, graded_alone):
+def test_dense_eigvals_fallback_in_blocks(closed_blocks):
     # x -> M x with M = [[0, a J], [b J, 0]]: eigenvalues +-sqrt(2) lead, so
     # power iteration from the ones vector alternates and never settles
     half = 16
@@ -200,26 +208,23 @@ def test_dense_eigvals_fallback_in_blocks(graded_groups, graded_alone):
     system = linear_cooperative(matrix=mat, kappa=5.0)
     width = BLOCK_WIDTH // system.n
     for count in (1, width + 1):
-        graded_groups.clear()
+        closed_blocks.clear()
         got = assert_matches_reference(system, np.zeros((2 * half, count)))
-        assert graded_groups == ([(1, 1)] if count == 1 else [(width, 1), (1, 1)])
-        # the block runs the eigvals fallback itself
-        assert graded_alone == []
+        assert shapes(closed_blocks) == ([(1, 1)] if count == 1 else [(width, 1), (1, 1)])
         for cls in got:
             assert cls.cycle.rho_method == "dense"
             assert cls.cycle.rho == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ["dirichlet_cubic_15", "ring_cubic_5"])
-def test_widths_straddling_the_chunk_width(name, cat, graded_groups, graded_alone):
+def test_widths_straddling_the_chunk_width(name, cat, closed_blocks):
     # K * n = BLOCK_WIDTH is one block, BLOCK_WIDTH + n is two
     system = cat[name]
     width = BLOCK_WIDTH // system.n
     for count, groups in ((width, [(width, 1)]), (width + 1, [(width, 1), (1, 1)])):
-        graded_groups.clear()
+        closed_blocks.clear()
         assert_matches_reference(system, smooth_starts(system, count, seed=8))
-        assert graded_groups == groups
-    assert graded_alone == []
+        assert shapes(closed_blocks) == groups
 
 
 def test_single_start_equals_the_one_column_path(dirichlet15):
@@ -258,17 +263,73 @@ def test_tangent_pass_reports_each_failing_column():
 
 
 @pytest.mark.parametrize("count", [2, 9])
-def test_a_column_failing_in_a_pass_is_left_to_the_one_column_path(count):
+def test_a_column_failing_in_a_first_pass_raises_its_error(count):
     # 0 is a fixed point of the expanding linear system and ones escape
     wild = parabolic_system("dirichlet", 16, strength=25.0, form="linear")
     firsts = np.zeros((16, count))
     firsts[:, -1] = 1.0
-    records = asymptotics._grade_cycles(wild, firsts, 1, newton_tol=1e-10)
-    assert records[-1] is None
-    rho = asymptotics.cycle_spectral_radius(wild, np.zeros((1, 16)))
-    for rec in records[:-1]:
-        assert rec.residual == 0.0 and rec.rho_method == "power"
-        assert rec.rho == pytest.approx(rho, rel=1e-12)
+    with pytest.raises(EscapeError) as block:
+        asymptotics._close_cycles(wild, firsts, 1, 1e-10, 12)
+    with pytest.raises(EscapeError) as alone:
+        refine_cycle(wild, firsts[:, -1:].T, newton_tol=1e-10)
+    assert str(block.value) == str(alone.value)
+    assert (block.value.step, block.value.sup) == (alone.value.step, alone.value.sup)
+    # without the escaping column the block closes and grades the rest
+    records, mats = asymptotics._close_cycles(wild, firsts[:, :-1], 1, 1e-10, 12)
+    rho = asymptotics.cycle_spectral_radius(wild, np.zeros((1, 16)), detail=True)
+    for k, rec in enumerate(records):
+        assert rec.residual == 0.0 and rec.newton_converged
+        det = asymptotics._perron_root(mats[:, k])
+        assert det.method == rho.method == "power"
+        assert det.rho == pytest.approx(rho.rho, rel=1e-12)
+
+
+def assert_block_newton_matches_alone(system, cands, newton_tol=1e-12):
+    """Close candidates of one period as a block and one at a time."""
+    period = len(cands[0])
+    firsts = np.array([c[0] for c in cands]).T
+    records, mats = asymptotics._close_cycles(system, firsts, period, newton_tol, 12)
+    for k, (cand, rec) in enumerate(zip(cands, records)):
+        alone = refine_cycle(system, CycleCandidate(period, np.array(cand)),
+                             newton_tol=newton_tol)
+        assert (rec.newton_converged, rec.newton_iterations) == (
+            alone.newton_converged, alone.newton_iterations), k
+        np.testing.assert_allclose(rec.points, alone.points, rtol=0.0, atol=1e-12)
+        assert rec.residual == pytest.approx(alone.residual, rel=0.0, abs=1e-12)
+        # the Jacobians returned are those at the final points
+        for j, point in enumerate(rec.points):
+            np.testing.assert_allclose(mats[j, k], jacobian(system, system.state(point)),
+                                       rtol=1e-13, atol=1e-15)
+    return records
+
+
+def test_block_newton_on_mixed_logistic_columns():
+    logistic = logistic_map()
+    r = logistic.kind.param
+    fixed = 1.0 - 1.0 / r
+    # f'(neutral) = 1: the Newton matrix is singular. Near it the Newton
+    # step is huge, so every halved trial leaves the box (gap inf).
+    neutral = (1.0 - 1.0 / r) / 2.0
+    near = neutral + 1e-6
+    values = [neutral, fixed + 1e-2, near, fixed - 3e-2, fixed, 0.3, 0.9]
+    records = assert_block_newton_matches_alone(logistic, [[[v]] for v in values])
+    iters = [rec.newton_iterations for rec in records]
+    assert iters == [0, 3, 0, 4, 0, 5, 5]
+    assert [rec.newton_converged for rec in records] == [
+        False, True, False, True, True, True, True]
+    f = lambda u: r * u * (1.0 - u)  # noqa: E731
+    step = (near - f(near)) / (r * (1.0 - 2.0 * near) - 1.0)
+    _, failures = apply_map_columns(logistic, near + step / 8.0 * np.ones((1, 1)))
+    assert isinstance(failures[0], EscapeError)
+    # the period-2 block: off the 2-cycle by different amounts, and on it
+    low = (r + 1.0 - np.sqrt((r - 3.0) * (r + 1.0))) / (2.0 * r)
+    high = f(low)
+    pairs = [(low + 1e-3, high - 1e-3), (low - 2e-2, high + 1e-2),
+             (high + 5e-3, low), (low, high)]
+    records = assert_block_newton_matches_alone(
+        logistic, [[[a], [b]] for a, b in pairs])
+    assert all(rec.newton_converged for rec in records)
+    assert min(rec.newton_iterations for rec in records[:3]) > 1
 
 
 @pytest.mark.parametrize("name", ["cubic_map", "linear_cooperative", "ring_cubic_5"])
