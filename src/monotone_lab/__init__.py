@@ -39,7 +39,6 @@ from .numerics import (
     build_diffusion,
     propagate_period,
     propagate_tangent,
-    step,
 )
 from .systems import (
     AnalyticScalar,

@@ -152,10 +152,7 @@ def iterate_orbit(system, x0, n_iter, thinning=1):
 
 def _initial_values(system, x0):
     if isinstance(x0, StateVector):
-        if x0.grid != system.grid:
-            raise DimensionMismatchError(
-                f"state grid {x0.grid} does not match system grid {system.grid}"
-            )
+        system.check_grid(x0)
         return x0.values.copy()
     u = np.atleast_1d(np.asarray(x0, dtype=float))
     if u.shape != (system.n,):
@@ -777,6 +774,8 @@ def separation_probe(system, x, scales=(1e-2, 1e-4), direction=None, budget=None
             y = base0 + sign * scale * v
             if float(np.max(np.abs(y))) < system.kappa:
                 pushes.append(y)
+    if not pushes:
+        raise ValueError("no admissible probe stayed inside the trapping box")
     # the base orbit is column 0 of the block, live pushes the others
     block = np.stack([base0, *pushes], axis=1)
     live = np.arange(len(pushes))
@@ -794,6 +793,4 @@ def separation_probe(system, x, scales=(1e-2, 1e-4), direction=None, budget=None
         if k >= tail_start:
             dist = np.max(np.abs(block[:, 1:] - block[:, :1]), axis=0)
             gaps[live] = np.maximum(gaps[live], dist)
-    if not pushes:
-        raise ValueError("no admissible probe stayed inside the trapping box")
     return float(min(gaps))

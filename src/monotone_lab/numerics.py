@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EscapeError, GridError, NumericalError
+from .errors import EscapeError, GridError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -137,9 +137,11 @@ class _Propagator:
     """Precomputed one-period integrator for a single parabolic system.
 
     Holds the stacked step matrix and the reaction factors (now, then) of
-    every step; built once per system by ``Parabolic.propagator``. States
-    are column blocks (n, K), and a vector runs as an (n, 1) block, so the
-    two agree bit for bit. Two preallocated buffers [u_k; now_k; then_k]
+    every step; built once per system by ``Parabolic.propagator``. Its one
+    entry point is ``tangent_columns``, which ``systems.tangent_columns``
+    calls in blocks of at most ``BLOCK_WIDTH`` flat columns. States are
+    column blocks (n, K), and a vector runs as an (n, 1) block, so the two
+    agree bit for bit. Two preallocated buffers [u_k; now_k; then_k]
     trade places every step: the product writes u_{k+1} into the other,
     whose then block the reaction filled in place in the same step.
 
@@ -165,7 +167,6 @@ class _Propagator:
             s_inv = np.linalg.inv(a_imp)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"implicit diffusion matrix is singular: {exc}") from None
-        self.tau = par.tau
         self.nl = par.nonlinearity
         source_mat = s_inv * dt
         self.stacked = np.hstack(
@@ -174,15 +175,13 @@ class _Propagator:
         # amplitudes over the whole step grid at once: one array evaluation
         # instead of a scalar forcing call per step
         self.amps = self.nl.amplitude(dt * np.arange(m_steps), par.tau)
-        # step k weighs its reaction 3/2 now (the startup step 1) and hands
-        # 1/2 of it to step k + 1 as history
+        # the reaction factors (now, then) of every step: step k weighs its
+        # reaction 3/2 now (the startup step 1) and hands 1/2 of it to step
+        # k + 1 as history
         self.factors = [
-            self._step_factors(amp, 1.5 if k else 1.0) for k, amp in enumerate(self.amps)
+            (self.nl.factor((1.5 if k else 1.0) * amp), self.nl.factor(0.5 * amp))
+            for k, amp in enumerate(self.amps)
         ]
-
-    def _step_factors(self, amp, weight):
-        """The reaction factors (now, then) of one step."""
-        return self.nl.factor(weight * amp), self.nl.factor(0.5 * amp)
 
     def _guard(self, u, k, escape_sup, iteration=0):
         sup = float(np.max(np.abs(u)))
@@ -197,8 +196,8 @@ class _Propagator:
                 sup=sup,
             )
 
-    def _run(self, u, v, escape_sup, iteration, guarded, factors=None):
-        """The step loop over one period (or over ``factors``), on a block.
+    def _run(self, u, v, escape_sup, iteration, guarded):
+        """The step loop over one period, on a block.
 
         ``u`` is a column block (n, K); ``v`` (or None) holds m tangents
         along each column, (n, K, m), stepped in lockstep as K * m flat
@@ -228,7 +227,7 @@ class _Propagator:
             dg, dg_then = np.empty((n, count)), np.empty((n, count))
             d_now, d_then = dg[:, :, None], dg_then[:, :, None]
             stacked_v = stacked[:, :2 * n]
-        for k, (now, then) in enumerate(self.factors if factors is None else factors):
+        for k, (now, then) in enumerate(self.factors):
             g = cur[2]
             g_into(cur[1], g, sq, dg)
             np.multiply(g, then, out=cur[3])
@@ -271,14 +270,12 @@ class _Propagator:
         columns of ``u`` and ``v`` hold no meaningful values.
         """
         u0 = np.asarray(u0, dtype=float)
-        n = len(u0)
-        block = u0.reshape(n, -1)
-        count = block.shape[1]
+        block = u0.reshape(len(u0), -1)
+        n, count = block.shape
         tangents = None
         if v0 is not None:
             v0 = np.asarray(v0, dtype=float)
-            m = v0.shape[-1] if v0.ndim > u0.ndim else 1
-            tangents = v0.reshape(n, count, m)
+            tangents = v0.reshape(n, count, v0.shape[-1] if v0.ndim > u0.ndim else 1)
         # a column that leaves the box keeps stepping to the end of the
         # period, the replay below reports it; a non-finite tangent entry
         # stays non-finite, so one test at the end finds it
@@ -298,69 +295,24 @@ class _Propagator:
                 failures[int(j)] = exc
         return u.reshape(u0.shape), None if v is None else v.reshape(v0.shape), failures
 
-    def period(self, u0, escape_sup, iteration=0):
-        """Advance one full period from phase t = 0. Returns the raw state.
 
-        ``u0`` is a vector (n,) or a column block (n, K); the first column
-        that leaves the box raises its EscapeError or NumericalError.
-        """
-        u, _, failures = self.tangent_columns(u0, None, escape_sup, iteration)
-        if failures:
-            raise failures[min(failures)]
-        return u
-
-    def period_with_tangent(self, u0, v0, escape_sup):
-        """Advance base and tangent in lockstep for one period.
-
-        Shapes as in ``tangent_columns``; the first failing column raises
-        its error.
-        """
-        u, v, failures = self.tangent_columns(u0, v0, escape_sup)
-        if failures:
-            raise failures[min(failures)]
-        return u, v
-
-    def step_once(self, u0, t, escape_sup):
-        """A single startup-weighted step from an arbitrary phase t."""
-        u0 = np.asarray(u0, dtype=float)
-        pair = self._step_factors(self.nl.amplitude(t, self.tau), 1.0)
-        u, _, _ = self._run(u0.reshape(len(u0), -1), None, escape_sup, 0, True, [pair])
-        return u.reshape(u0.shape)
-
-
-def _require_parabolic(system):
-    from .systems import Parabolic
+def _period_columns(system, *states):
+    """``systems.tangent_columns`` on a parabolic system's state (and its
+    tangent); a failing image raises its EscapeError or NumericalError."""
+    from .systems import Parabolic, tangent_columns
 
     if not isinstance(system.kind, Parabolic):
         raise ValueError("stepping operations apply to parabolic systems only")
-
-
-def _check_state(system, state):
-    if state.grid != system.grid:
-        raise DimensionMismatchError(
-            f"state grid {state.grid} does not match system grid {system.grid}"
-        )
-
-
-def step(state, t, system):
-    """One implicit-explicit step of width tau/M from phase t.
-
-    A lone step has no reaction history, so it uses the startup weighting
-    (plain explicit reaction); within ``propagate_period`` all subsequent
-    steps use the two-step weights.
-    """
-    _require_parabolic(system)
-    _check_state(system, state)
-    u = system.kind.propagator.step_once(state.values, t, 2.0 * system.kappa)
-    return state.with_values(u)
+    system.check_grid(*states)
+    u, v, failures = tangent_columns(system, *(x.values for x in states))
+    if failures:
+        raise failures[0]
+    return u, v
 
 
 def propagate_period(state, system):
     """The period map: integrate one full forcing period from phase t = 0."""
-    _require_parabolic(system)
-    _check_state(system, state)
-    u = system.kind.propagator.period(state.values, 2.0 * system.kappa)
-    return state.with_values(u)
+    return state.with_values(_period_columns(system, state)[0])
 
 
 def propagate_tangent(state, tangent, system):
@@ -369,10 +321,4 @@ def propagate_tangent(state, tangent, system):
     Integrates the variational recursion of the discrete scheme along the
     base trajectory, in lockstep, and returns the propagated tangent.
     """
-    _require_parabolic(system)
-    _check_state(system, state)
-    _check_state(system, tangent)
-    _, v = system.kind.propagator.period_with_tangent(
-        state.values, tangent.values, 2.0 * system.kappa
-    )
-    return tangent.with_values(v)
+    return tangent.with_values(_period_columns(system, state, tangent)[1])

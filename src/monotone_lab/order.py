@@ -174,17 +174,19 @@ def draw_ordered_pair(system, rng):
 
 
 def _pair_images(system, pairs):
-    """Images of both ends of every pair, mapped as the columns of blocks.
+    """Images of both ends of every pair, mapped as the columns of one block.
 
     Returns ``(fx, fy, escaped)``: images of shape (n, P) and a mask of the
     pairs whose map escapes, whose image columns are zero. Any other
     failure raises, the first in pair order (x before y) first, as mapping
     the pairs one at a time would.
     """
-    from .systems import apply_map_blocks
+    from .systems import apply_map_columns
 
-    ends = [s.values for pair in pairs for s in pair]
-    images, failures = apply_map_blocks(system, ends)
+    ends = np.empty((system.n, 2 * len(pairs)))
+    for col, end in enumerate(end for pair in pairs for end in pair):
+        ends[:, col] = end.values
+    images, failures = apply_map_columns(system, ends)
     escaped = np.zeros(len(pairs), dtype=bool)
     for col, exc in sorted(failures.items()):
         if escaped[col // 2]:

@@ -21,7 +21,7 @@ from .grids import Grid
 from .order import PropertyReport, StateVector, draw_box_state
 from .reports import JsonReport
 from .asymptotics import _initial_values, classify_many, classify_orbit
-from .systems import apply_map_blocks
+from .systems import apply_map_columns
 
 ACTION_KINDS = ("ring_rotation", "interval_reflection", "trivial")
 
@@ -137,7 +137,7 @@ def check_equivariance(system, action, sample_count=30, seed=7086, tol=1e-10):
     """Check sup|F(g.u) - g.F(u)| < tol for random box states and all generators.
 
     The states are drawn first; each then contributes the columns
-    [u | g1.u | g2.u ...], all advancing as the columns of blocks, and
+    [u | g1.u | g2.u ...], all advancing as the columns of one block, and
     g.F(u) is the permuted image of u. A sample with a column whose map
     fails has gap inf.
     """
@@ -149,8 +149,10 @@ def check_equivariance(system, action, sample_count=30, seed=7086, tol=1e-10):
     perms = [np.arange(system.n)] + list(action.generators)
     states = [draw_box_state(system, rng).values for _ in range(sample_count)]
     # column k of sample s is perms[k] acting on its state
-    moved = [x[perm] for x in states for perm in perms]
-    images, failures = apply_map_blocks(system, moved)
+    moved = np.empty((system.n, sample_count * len(perms)))
+    for col, (x, perm) in enumerate((x, perm) for x in states for perm in perms):
+        moved[:, col] = x[perm]
+    images, failures = apply_map_columns(system, moved)
     images = images.reshape(system.n, sample_count, len(perms))
     failed = np.zeros(sample_count, dtype=bool)
     failed[[col // len(perms) for col in failures]] = True

@@ -216,6 +216,14 @@ class SystemSpec:
     def n(self):
         return self.grid.n
 
+    def check_grid(self, *states):
+        """Raise DimensionMismatchError unless every state is on this grid."""
+        for x in states:
+            if x.grid != self.grid:
+                raise DimensionMismatchError(
+                    f"state grid {x.grid} does not match system grid {self.grid}"
+                )
+
     def state(self, values):
         """Convenience constructor for a state on this system's grid."""
         arr = np.atleast_1d(np.asarray(values, dtype=float))
@@ -331,10 +339,11 @@ def parabolic_catalog():
 # ---------------------------------------------------------------------------
 # evaluation
 
-# Columns advanced together as one block by the ensemble engines and the
-# sampled checks, and the tangent columns of one block of graded cycles.
-# Constant, since a column's bits depend on the width of the block it runs
-# in.
+# The most flat columns (base columns times tangents per column) one map
+# call advances as a block: ``tangent_columns`` maps wider blocks in chunks
+# of this many, and ``classify_many`` runs its starts and closes its cycles
+# in blocks within it. Constant, since a column's bits depend on the width
+# of the block it runs in.
 BLOCK_WIDTH = 128
 
 
@@ -344,14 +353,54 @@ def apply_map_columns(system, u, iteration=0):
     Returns ``(y, failures)``: ``failures`` maps the index of every column
     (0 for a vector) whose image is non-finite or leaves the inflated box
     to the NumericalError or EscapeError ``apply_map`` raises for it.
-    Those columns of ``y`` hold no meaningful state.
+    Those columns of ``y`` hold no meaningful state. The no-tangent case
+    of ``tangent_columns``.
+    """
+    y, _, failures = tangent_columns(system, u, None, iteration)
+    return y, failures
+
+
+def tangent_columns(system, u, w=None, iteration=0):
+    """Apply the map to a state or column block and its derivative to tangents.
+
+    ``u`` is a state (n,) or a block (n, K); ``w`` is None, one tangent per
+    state (the shape of ``u``) or m tangents along each state ((n, m) or
+    (n, K, m)). Returns ``(y, dw, failures)``, ``dw`` None without
+    tangents. ``failures`` maps the index of every column (0 for a state)
+    whose image is non-finite or leaves the inflated box, or (parabolic
+    systems) whose tangent turned non-finite, to its NumericalError or
+    EscapeError; those columns of ``y`` and of a parabolic ``dw`` hold no
+    meaningful values. The one map call: it runs ``max(1, BLOCK_WIDTH // m)``
+    columns at a time, parabolic systems in one lockstep pass of base and
+    tangent.
     """
     kind = system.kind
-    if isinstance(kind, Parabolic):
-        y, _, failures = kind.propagator.tangent_columns(u, None, 2.0 * system.kappa, iteration)
-        return y, failures
     u = np.asarray(u, dtype=float)
-    y = kind.value(u) if isinstance(kind, AnalyticScalar) else kind.matrix @ u
+    w = None if w is None else np.asarray(w, dtype=float)
+    along = w is not None and w.ndim > u.ndim  # m tangents along each column
+    width = max(1, BLOCK_WIDTH // w.shape[-1]) if along else BLOCK_WIDTH
+    if u.ndim == 2 and u.shape[1] > width:
+        y, dw, failures = np.empty_like(u), None if w is None else np.empty_like(w), {}
+        for lo in range(0, u.shape[1], width):
+            cols = slice(lo, lo + width)
+            y[:, cols], dw_cols, chunk = tangent_columns(
+                system, u[:, cols], None if w is None else w[:, cols], iteration
+            )
+            if w is not None:
+                dw[:, cols] = dw_cols
+            failures.update((lo + j, exc) for j, exc in chunk.items())
+        return y, dw, failures
+    if isinstance(kind, Parabolic):
+        return kind.propagator.tangent_columns(u, w, 2.0 * system.kappa, iteration)
+    dw = None
+    if isinstance(kind, AnalyticScalar):
+        y = kind.value(u)
+        if w is not None:
+            dw = (kind.deriv(u)[..., None] if along else kind.deriv(u)) * w
+    else:
+        y = kind.matrix @ u
+        if w is not None:
+            dw = (kind.matrix @ w.reshape(len(w), -1)).reshape(w.shape)
     sups = np.max(np.abs(y), axis=0)
     failures = {}
     for j in np.flatnonzero(~(sups <= 2.0 * system.kappa)):
@@ -365,22 +414,7 @@ def apply_map_columns(system, u, iteration=0):
                 iteration=iteration,
                 sup=sup,
             )
-    return y, failures
-
-
-def apply_map_blocks(system, states):
-    """Map a sequence of states (n,) as the columns of blocks of BLOCK_WIDTH.
-
-    Returns ``(y, failures)`` as ``apply_map_columns`` does: column j of
-    ``y`` is the image of ``states[j]``, and failures are keyed by j.
-    """
-    y = np.empty((system.n, len(states)))
-    failures = {}
-    for lo in range(0, len(states), BLOCK_WIDTH):
-        block = np.stack(states[lo:lo + BLOCK_WIDTH], axis=1)
-        y[:, lo:lo + BLOCK_WIDTH], block_failures = apply_map_columns(system, block)
-        failures.update((lo + j, exc) for j, exc in block_failures.items())
-    return y, failures
+    return y, dw, failures
 
 
 def apply_map(system, u, iteration=0):
@@ -397,35 +431,8 @@ def apply_map(system, u, iteration=0):
 
 def evaluate(system, x):
     """Apply the map once. Raises EscapeError outside the inflated box."""
-    if x.grid != system.grid:
-        raise DimensionMismatchError(
-            f"state grid {x.grid} does not match system grid {system.grid}"
-        )
+    system.check_grid(x)
     return x.with_values(apply_map(system, x.values))
-
-
-def tangent_columns(system, u, w):
-    """Apply the map to a state or column block and its derivative to tangents.
-
-    ``u`` is a state (n,) or a block (n, K). ``w`` holds one tangent per
-    state (the shape of ``u``) or m tangents along each state ((n, m) for
-    a state, (n, K, m) for a block). Returns ``(y, dw, failures)``:
-    ``failures`` as ``apply_map_columns`` reports them, and for parabolic
-    systems also a column whose tangent turned non-finite. Parabolic
-    systems advance base and tangent in one lockstep pass.
-    """
-    kind = system.kind
-    if isinstance(kind, Parabolic):
-        return kind.propagator.tangent_columns(u, w, 2.0 * system.kappa)
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    y, failures = apply_map_columns(system, u)
-    if isinstance(kind, AnalyticScalar):
-        deriv = kind.deriv(u)
-        dw = (deriv[..., None] if w.ndim > u.ndim else deriv) * w
-    else:
-        dw = (kind.matrix @ w.reshape(len(w), -1)).reshape(w.shape)
-    return y, dw, failures
 
 
 def jacobian(system, x):
@@ -434,10 +441,7 @@ def jacobian(system, x):
     The identity case of ``tangent_columns``: n tangents along one state.
     Raises the EscapeError or NumericalError of a failing image.
     """
-    if x.grid != system.grid:
-        raise DimensionMismatchError(
-            f"state grid {x.grid} does not match system grid {system.grid}"
-        )
+    system.check_grid(x)
     _, dw, failures = tangent_columns(system, x.values, np.eye(system.n))
     if failures:
         raise failures[0]
@@ -494,11 +498,7 @@ def trapping_check(system, horizon=200, sample_count=20, seed=7084, initial_stat
     rng = np.random.default_rng(seed)
     if initial_states is None:
         initial_states = [draw_box_state(system, rng) for _ in range(sample_count)]
-    for x in initial_states:
-        if x.grid != system.grid:
-            raise DimensionMismatchError(
-                f"state grid {x.grid} does not match system grid {system.grid}"
-            )
+    system.check_grid(*initial_states)
     exited = np.zeros(len(initial_states), dtype=bool)
     worst = -np.inf
     if initial_states:
@@ -527,12 +527,13 @@ def check_strong_positivity(system, probe_count=50, seed=7085, eta=1e-12):
     Probes mix coordinate directions with random nonnegative vectors at
     random box states. worst_margin is the smallest component of DF(x) v
     observed; the check passes when it stays above eta. All probes are
-    drawn first; parabolic ones then advance as one tangent pass per block
-    of BLOCK_WIDTH, one tangent column per base column.
+    drawn first, then map as one ``tangent_columns`` call, one tangent
+    column per base column. The first parabolic probe that fails raises
+    its error; the closed-form derivatives of the other kinds are read
+    whatever the image does.
     """
     rng = np.random.default_rng(seed)
     n = system.n
-    kind = system.kind
     xs = np.empty((n, probe_count))
     vs = np.zeros((n, probe_count))
     for j in range(probe_count):
@@ -543,18 +544,9 @@ def check_strong_positivity(system, probe_count=50, seed=7085, eta=1e-12):
             vs[:, j] = rng.uniform(0.0, 1.0, size=n)
             if np.max(vs[:, j]) <= 0.0:
                 vs[0, j] = 1.0
-    if isinstance(kind, Parabolic):
-        dv = np.empty_like(vs)
-        for lo in range(0, probe_count, BLOCK_WIDTH):
-            cols = slice(lo, lo + BLOCK_WIDTH)
-            # the first failing probe of the block raises its own error
-            _, dv[:, cols] = kind.propagator.period_with_tangent(
-                xs[:, cols], vs[:, cols], 2.0 * system.kappa
-            )
-    elif isinstance(kind, AnalyticScalar):
-        dv = kind.deriv(xs) * vs
-    else:
-        dv = kind.matrix @ vs
+    _, dv, failures = tangent_columns(system, xs, vs)
+    if failures and isinstance(system.kind, Parabolic):
+        raise failures[min(failures)]
     gaps = np.min(dv, axis=0)
     return PropertyReport(
         "strong_positivity", probe_count, int(np.sum(gaps <= eta)),

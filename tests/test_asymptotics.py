@@ -36,6 +36,7 @@ from monotone_lab import (
     set_distance,
     smooth_field,
 )
+from monotone_lab import asymptotics
 from monotone_lab.asymptotics import _perron_root
 from monotone_lab.systems import apply_map_columns
 
@@ -500,6 +501,16 @@ def test_separation_probe_validation(cubic):
         separation_probe(cubic, 0.0, scales=(-1e-2,))
     with pytest.raises(ValueError):
         separation_probe(cubic, 0.0, scales=(2.0,))
+
+
+def test_separation_probe_refuses_before_mapping(dirichlet15, monkeypatch):
+    # every push of scale 2 leaves the box, so no period map may run
+    def no_map(*args, **kwargs):
+        raise AssertionError("the base orbit was mapped")
+
+    monkeypatch.setattr(asymptotics, "apply_map_columns", no_map)
+    with pytest.raises(ValueError, match="no admissible probe"):
+        separation_probe(dirichlet15, np.zeros(dirichlet15.n), scales=(2.0,))
 
 
 def test_separation_probe_counts_escape_as_separated():

@@ -14,6 +14,7 @@ from monotone_lab import (
     DEFAULT_TOL,
     ClassifyBudget,
     EscapeError,
+    NumericalError,
     check_equivariance,
     check_monotone,
     check_strong_monotone,
@@ -31,7 +32,7 @@ from monotone_lab import (
     trivial_action,
 )
 from monotone_lab.order import draw_box_state
-from monotone_lab.systems import BLOCK_WIDTH, Parabolic
+from monotone_lab.systems import BLOCK_WIDTH, Parabolic, tangent_columns
 
 SYSTEMS = (
     "cubic_map",
@@ -96,7 +97,9 @@ def per_probe_positivity(system, probe_count, seed, eta=1e-12):
         else:
             v = rng.uniform(0.0, 1.0, size=n)
         if isinstance(kind, Parabolic):
-            _, dv = kind.propagator.period_with_tangent(x.values, v, 2.0 * system.kappa)
+            _, dv, failures = kind.propagator.tangent_columns(x.values, v, 2.0 * system.kappa)
+            if failures:
+                raise failures[0]
         elif hasattr(kind, "deriv"):
             dv = kind.deriv(x.values) * v
         else:
@@ -244,3 +247,68 @@ def test_survey_matches_single_start_classification(ring5, cubic):
         classify_symmetric_limit(cubic, action, x0, short)[0].verdict for x0 in starts
     ]
     assert survey.verdicts == expected
+
+
+def assert_chunks_match(system, u, w, widths):
+    """One ``tangent_columns`` call on a wide block against its chunks.
+
+    The chunks are the consecutive column ranges of ``widths``; images and
+    tangents must agree bit for bit, and every failure must sit at its
+    global index with the message, step and sup of its column mapped alone.
+    """
+    y, dw, failures = tangent_columns(system, u, w)
+    lo = 0
+    for width in widths:
+        cols = slice(lo, lo + width)
+        y_c, dw_c, failures_c = tangent_columns(
+            system, u[:, cols].copy(), None if w is None else w[:, cols].copy()
+        )
+        np.testing.assert_array_equal(y[:, cols], y_c)
+        if w is not None:
+            np.testing.assert_array_equal(dw[:, cols], dw_c)
+        assert sorted(failures_c) == [j - lo for j in sorted(failures) if lo <= j < lo + width]
+        lo += width
+    assert lo == u.shape[1]
+    for j, exc in failures.items():
+        _, _, alone = tangent_columns(system, u[:, j], None if w is None else w[:, j])
+        assert list(alone) == [0]
+        assert type(exc) is type(alone[0])
+        assert str(exc) == str(alone[0])
+        if isinstance(exc, EscapeError):
+            assert (exc.step, exc.sup) == (alone[0].step, alone[0].sup)
+    return failures
+
+
+def test_identity_seeds_run_in_chunks_of_the_flat_width(ring5, monkeypatch):
+    n, count = ring5.n, 9
+    assert BLOCK_WIDTH // n == 8
+    rng = np.random.default_rng(4)
+    u = rng.uniform(-1.0, 1.0, (n, count))
+    u[:, 8] = 10.0  # leaves the box in the second chunk
+    seed = np.repeat(np.eye(n)[:, None, :], count, axis=1)
+    prop = ring5.kind.propagator
+    widths = []
+
+    def recording(u0, v0, escape_sup, iteration=0):
+        widths.append(u0.shape[1])
+        return type(prop).tangent_columns(prop, u0, v0, escape_sup, iteration)
+
+    monkeypatch.setattr(prop, "tangent_columns", recording)
+    tangent_columns(ring5, u, seed)
+    assert widths == [8, 1]
+    monkeypatch.undo()
+    failures = assert_chunks_match(ring5, u, seed, [8, 1])
+    assert sorted(failures) == [8]
+    assert isinstance(failures[8], EscapeError)
+
+
+def test_a_wide_block_without_tangents_maps_in_chunks(coop):
+    rng = np.random.default_rng(5)
+    u = rng.uniform(-1.5, 1.5, (coop.n, 300))
+    u[:, [3, 140, 299]] = 10.0
+    u[0, 200] = np.nan
+    widths = [BLOCK_WIDTH, BLOCK_WIDTH, 300 - 2 * BLOCK_WIDTH]
+    failures = assert_chunks_match(coop, u, None, widths)
+    assert sorted(failures) == [3, 140, 200, 299]
+    assert isinstance(failures[140], EscapeError)
+    assert isinstance(failures[200], NumericalError)

@@ -63,12 +63,16 @@ def check_block(system, count=5, m=3, seed=0, amplitude=1.0):
     one = rng.uniform(-1.0, 1.0, (n, count))
     want_u, want_along = reference_period(system, u, along)
     _, want_one = reference_period(system, u, one[:, :, None])
-    assert_close(prop.period(u, sup), want_u, system.name)
-    got_u, got_along = prop.period_with_tangent(u, along, sup)
+    got_u, no_v, failures = prop.tangent_columns(u, None, sup)
+    assert (no_v, failures) == (None, {})
+    assert_close(got_u, want_u, system.name)
+    got_u, got_along, failures = prop.tangent_columns(u, along, sup)
+    assert failures == {}
     assert got_along.shape == (n, count, m)
     assert_close(got_u, want_u, system.name)
     assert_close(got_along, want_along, system.name)
-    _, got_one = prop.period_with_tangent(u, one, sup)
+    _, got_one, failures = prop.tangent_columns(u, one, sup)
+    assert failures == {}
     assert got_one.shape == (n, count)
     assert_close(got_one, want_one[:, :, 0], system.name)
 
@@ -106,19 +110,24 @@ def test_vectors_match_and_equal_their_one_column_blocks(ring5):
     along = rng.uniform(-1.0, 1.0, (ring5.n, 4))
     want_u, want_v = reference_period(ring5, u[:, None], v[:, None, None])
     _, want_along = reference_period(ring5, u[:, None], along[:, None, :])
-    got_u, got_v = prop.period_with_tangent(u, v, sup)
+    got_u, got_v, failures = prop.tangent_columns(u, v, sup)
+    assert failures == {}
     assert got_u.shape == got_v.shape == (ring5.n,)
     assert_close(got_u, want_u[:, 0])
     assert_close(got_v, want_v[:, 0, 0])
-    _, got_along = prop.period_with_tangent(u, along, sup)
+    _, got_along, failures = prop.tangent_columns(u, along, sup)
+    assert failures == {}
     assert got_along.shape == (ring5.n, 4)
     assert_close(got_along, want_along[:, 0])
     # a vector runs as its one-column block, bit for bit
-    np.testing.assert_array_equal(prop.period(u[:, None], sup)[:, 0], prop.period(u, sup))
-    col_u, col_v = prop.period_with_tangent(u[:, None], v[:, None], sup)
+    np.testing.assert_array_equal(prop.tangent_columns(u[:, None], None, sup)[0][:, 0],
+                                  prop.tangent_columns(u, None, sup)[0])
+    col_u, col_v, failures = prop.tangent_columns(u[:, None], v[:, None], sup)
+    assert failures == {}
     np.testing.assert_array_equal(col_u[:, 0], got_u)
     np.testing.assert_array_equal(col_v[:, 0], got_v)
-    _, col_along = prop.period_with_tangent(u[:, None], along[:, None, :], sup)
+    _, col_along, failures = prop.tangent_columns(u[:, None], along[:, None, :], sup)
+    assert failures == {}
     np.testing.assert_array_equal(col_along[:, 0], got_along)
 
 
@@ -137,9 +146,10 @@ def test_escaping_columns_fail_alone_and_the_rest_match():
     assert sorted(failures) == [1, 3]
     assert all(isinstance(exc, EscapeError) for exc in failures.values())
     for j, exc in failures.items():
-        with pytest.raises(EscapeError) as alone:
-            prop.period(block[:, j], sup)
-        assert (alone.value.step, alone.value.sup) == (exc.step, exc.sup)
+        _, _, alone = prop.tangent_columns(block[:, j], None, sup)
+        assert list(alone) == [0]
+        assert isinstance(alone[0], EscapeError)
+        assert (alone[0].step, alone[0].sup) == (exc.step, exc.sup)
     want_u, want_v = reference_period(system, block, tangents)
     ok = [0, 2, 4]
     assert_close(u[:, ok], want_u[:, ok])

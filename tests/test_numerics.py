@@ -26,7 +26,6 @@ from monotone_lab import (
     parabolic_system,
     propagate_period,
     propagate_tangent,
-    step,
 )
 from monotone_lab.systems import apply_map_columns
 
@@ -179,25 +178,17 @@ def test_grid_refinement_is_second_order():
     assert 3.2 < r2 < 4.8, (errs, r2)
 
 
-def test_single_step_uses_phase(dirichlet15):
-    xs = dirichlet15.grid.nodes()
-    x = dirichlet15.state(0.3 * np.sin(np.pi * xs))
-    at_zero = step(x, 0.0, dirichlet15)
-    quarter = step(x, 0.25, dirichlet15)
-    # modulation 0.3 peaks at tau/4, so the reaction pushes harder there
-    assert quarter.sup_norm() > at_zero.sup_norm()
-    assert at_zero.grid == x.grid
-
-
 def test_stepping_requires_parabolic_and_matching_grid(cubic, dirichlet15):
     x = cubic.state([0.2])
     with pytest.raises(ValueError):
         propagate_period(x, cubic)
     with pytest.raises(ValueError):
-        step(x, 0.0, cubic)
+        propagate_tangent(x, x, cubic)
     wrong = StateVector(np.zeros(7), Grid("dirichlet", 7))
     with pytest.raises(DimensionMismatchError):
         propagate_period(wrong, dirichlet15)
+    with pytest.raises(DimensionMismatchError):
+        propagate_tangent(dirichlet15.zero_state(), wrong, dirichlet15)
 
 
 def test_escape_during_period_integration():
@@ -211,6 +202,9 @@ def test_escape_during_period_integration():
         propagate_period(x, system)
     assert info.value.sup > 2.0 * system.kappa
     assert info.value.step is not None
+    with pytest.raises(EscapeError) as tangent:
+        propagate_tangent(x, x, system)
+    assert (tangent.value.step, tangent.value.sup) == (info.value.step, info.value.sup)
 
 
 def test_profile_shape_must_match_grid():
