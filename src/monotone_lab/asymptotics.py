@@ -448,7 +448,7 @@ class ClassificationReport(JsonReport):
     diagnostics: str
     cycle: Optional[CycleRecord]
     symmetry: Optional[list]
-    schema_version: int = 2
+    schema_version: int = field(default=2, init=False)
 
 
 def classify_orbit(system, x0, budget=None):
@@ -634,7 +634,7 @@ class OmegaProbeReport(JsonReport):
     lower: SideEstimate
     direction_disagreement: Optional[float] = None
     notes: str = ""
-    schema_version: int = 1
+    schema_version: int = field(default=1, init=False)
 
 
 def _probe_direction(system, direction):
@@ -700,16 +700,14 @@ def omega_plus_probe(system, x, direction=None, eps_values=(1e-2, 1e-3, 1e-4),
         raise ValueError("need at least one eps value")
     if any(e <= 0.0 for e in eps_values):
         raise ValueError("eps values must be positive")
-    widest = eps_values[0]
-    for sign in (1.0, -1.0):
-        probe0 = base + sign * widest * v
-        if float(np.max(np.abs(probe0))) >= system.kappa:
-            raise ValueError(
-                "largest perturbation leaves the trapping box; shrink eps or v"
-            )
     # (sign, direction) of each side: upper, lower, then the extra uppers
     sides = [(1, v), (-1, v)]
     sides += [(1, _probe_direction(system, other)) for other in extra_directions or ()]
+    for sign, w in sides:
+        if float(np.max(np.abs(base + sign * eps_values[0] * w))) >= system.kappa:
+            raise ValueError(
+                "largest perturbation leaves the trapping box; shrink eps or v"
+            )
     starts = [base] + [base + sign * eps * w for sign, w in sides for eps in eps_values]
     results = classify_many(system, np.stack(starts, axis=1), budget)
     base_cls = results[0]

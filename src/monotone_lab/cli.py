@@ -156,8 +156,7 @@ def _default_smooth(exp):
     sampler = exp.sampler
     if sampler is not None and sampler.strategy == "smooth_field":
         return sampler
-    amplitude = prevalence.default_amplitude(exp.system)
-    return prevalence.smooth_field(amplitude=amplitude, modes=6, seed=0)
+    return prevalence.smooth_field(amplitude=prevalence.default_amplitude(exp.system))
 
 
 def _parse_x0(spec, exp):
@@ -318,7 +317,7 @@ def cmd_probe_line(ns):
     if exp.sampler is not None and exp.sampler.strategy == "line_scan":
         line = {
             key: getattr(exp.sampler, key)
-            for key in ("base", "direction", "s_min", "s_max", "resolution")
+            for key in prevalence.STRATEGIES["line_scan"]
         }
     if ns.base is not None:
         line["base"] = _flag_vector("base", ns.base, system.n)

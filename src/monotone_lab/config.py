@@ -17,8 +17,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .asymptotics import ClassifyBudget
-from .prevalence import SamplerSpec, default_amplitude
+from .prevalence import DEFAULT_COUNT, STRATEGIES, SamplerSpec, default_amplitude
 from .symmetry import (
+    DEFAULT_TOL_SYM,
     GroupAction,
     interval_reflection,
     ring_rotation,
@@ -26,37 +27,47 @@ from .symmetry import (
 )
 from . import systems
 
+# Every config key and the type its value is read as: float, int, bool, or
+# str for a value kept as written. A key left out takes the library default.
 SECTIONS = {
-    "system": (
-        "kind",
-        "kappa",
-        "monotone_expected",
-        "gain",
-        "r",
-        "matrix",
-        "nonlinearity",
-        "strength",
-        "modulation",
-        "diffusivity",
-        "spatial_profile",
-        "name",
-    ),
-    "grid": ("domain", "n", "radial_dimension"),
-    "time": ("tau", "steps_per_period", "theta"),
-    "classify": ("max_iterations", "p_max", "check_every", "tol_cyc", "tol_stab"),
-    "sampling": (
-        "strategy",
-        "seed",
-        "count",
-        "amplitude",
-        "modes",
-        "base",
-        "direction",
-        "s_min",
-        "s_max",
-        "resolution",
-    ),
-    "symmetry": ("action", "tol_sym"),
+    "system": {
+        "kind": str,
+        "kappa": float,
+        "monotone_expected": bool,
+        "gain": float,
+        "r": float,
+        "matrix": str,
+        "nonlinearity": str,
+        "strength": float,
+        "modulation": float,
+        "diffusivity": float,
+        "spatial_profile": str,
+        "name": str,
+    },
+    "grid": {"domain": str, "n": int, "radial_dimension": int},
+    "time": {"tau": float, "steps_per_period": int, "theta": float},
+    "classify": {"max_iterations": int, "p_max": int, "check_every": int,
+                 "tol_cyc": float, "tol_stab": float},
+    "sampling": {
+        "strategy": str,
+        "seed": int,
+        "count": int,
+        "amplitude": float,
+        "modes": int,
+        "base": str,
+        "direction": str,
+        "s_min": float,
+        "s_max": float,
+        "resolution": int,
+    },
+    "symmetry": {"action": str, "tol_sym": float},
+}
+
+# config keys whose library parameter is spelled differently
+_PARAMS = {
+    "nonlinearity": "form",
+    "spatial_profile": "profile",
+    "radial_dimension": "radial_dim",
 }
 
 
@@ -123,24 +134,13 @@ def load_config(path):
 # ---------------------------------------------------------------------------
 # typed extraction
 
-def _convert(section, key, value, kind):
-    try:
-        if kind is float:
-            return float(value)
-        if kind is int:
-            return int(value)
-        if kind is bool:
-            low = value.strip().lower()
-            if low in ("true", "yes", "1", "on"):
-                return True
-            if low in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(value)
-        return value
-    except ValueError as exc:
-        raise ConfigError(
-            f"[{section}] {key}: cannot read {value!r} as {kind.__name__}"
-        ) from exc
+def _bool(value):
+    low = value.strip().lower()
+    if low in ("true", "yes", "1", "on"):
+        return True
+    if low in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(value)
 
 
 class _Table:
@@ -150,10 +150,26 @@ class _Table:
         self.section = section
         self.pending = dict(mapping)
 
-    def take(self, key, kind=str, default=None):
+    def take(self, key):
+        """The key's value read as its SECTIONS type, None when absent."""
         if key not in self.pending:
-            return default
-        return _convert(self.section, key, self.pending.pop(key), kind)
+            return None
+        value = self.pending.pop(key)
+        kind = SECTIONS[self.section][key]
+        try:
+            return (_bool if kind is bool else kind)(value)
+        except ValueError as exc:
+            raise ConfigError(
+                f"[{self.section}] {key}: cannot read {value!r} as {kind.__name__}"
+            ) from exc
+
+    def args(self, *keys):
+        """Library keyword arguments for those of keys the file sets, in order."""
+        return {
+            _PARAMS.get(key, key): value
+            for key in keys
+            if (value := self.take(key)) is not None
+        }
 
     def done(self):
         if self.pending:
@@ -206,7 +222,6 @@ def _build_system(cfg):
         raise ConfigError("config needs [system] with a kind")
     table = _Table("system", cfg["system"])
     kind = table.take("kind")
-    name = table.take("name", default="")
     spatial_sections = [s for s in ("grid", "time") if s in cfg]
     if kind != "parabolic" and spatial_sections:
         raise ConfigError(
@@ -214,20 +229,17 @@ def _build_system(cfg):
         )
 
     if kind == "cubic":
-        system = systems.cubic_map(
-            gain=table.take("gain", float, 0.1),
-            kappa=table.take("kappa", float, 1.5),
-        )
+        system = systems.cubic_map(**table.args("gain", "kappa"))
     elif kind == "logistic":
-        system = systems.logistic_map(r=table.take("r", float, 3.2))
+        system = systems.logistic_map(**table.args("r"))
     elif kind == "negation":
         system = systems.negation_map()
     elif kind == "linear_cooperative":
-        matrix = None
+        matrix = {}
         raw = table.take("matrix")
         if raw is not None:
             try:
-                matrix = np.array(
+                matrix["matrix"] = np.array(
                     [
                         [float(entry) for entry in row.split(",")]
                         for row in raw.split(";")
@@ -238,9 +250,7 @@ def _build_system(cfg):
                     f"[system] matrix: expected rows of comma floats separated "
                     f"by `;`, got {raw!r}"
                 ) from exc
-        system = systems.linear_cooperative(
-            matrix=matrix, kappa=table.take("kappa", float, 1.5)
-        )
+        system = systems.linear_cooperative(**matrix, **table.args("kappa"))
     elif kind == "parabolic":
         if "grid" not in cfg or "domain" not in cfg["grid"]:
             raise ConfigError("parabolic systems need [grid] with a domain")
@@ -248,19 +258,12 @@ def _build_system(cfg):
         time_table = _Table("time", cfg.get("time", {}))
         try:
             system = systems.parabolic_system(
-                domain=grid_table.take("domain"),
-                n=grid_table.take("n", int, 32),
-                radial_dim=grid_table.take("radial_dimension", int, 3),
-                strength=table.take("strength", float, 15.0),
-                modulation=table.take("modulation", float, 0.3),
-                form=table.take("nonlinearity", default="cubic"),
-                diffusivity=table.take("diffusivity", float, 1.0),
-                profile=table.take("spatial_profile", default="none"),
-                kappa=table.take("kappa", float, 1.5),
-                tau=time_table.take("tau", float, 1.0),
-                steps_per_period=time_table.take("steps_per_period", int, 200),
-                theta=time_table.take("theta", float, 0.5),
-                name=name,
+                **grid_table.args(*SECTIONS["grid"]),
+                **table.args(
+                    "strength", "modulation", "nonlinearity", "diffusivity",
+                    "spatial_profile", "kappa",
+                ),
+                **time_table.args(*SECTIONS["time"]),
             )
         except ValueError as exc:
             raise ConfigError(f"invalid parabolic configuration: {exc}") from exc
@@ -269,10 +272,9 @@ def _build_system(cfg):
     else:
         raise ConfigError(f"[system] kind: unknown system kind {kind!r}")
 
-    expected = table.take("monotone_expected", bool)
-    if expected is not None:
-        system = replace(system, monotone_expected=expected)
-    if name and kind != "parabolic":
+    system = replace(system, **table.args("monotone_expected"))
+    name = table.take("name")
+    if name:
         system = replace(system, name=name)
     table.done()
     return system
@@ -283,13 +285,7 @@ def _build_budget(cfg):
         return None
     table = _Table("classify", cfg["classify"])
     try:
-        budget = ClassifyBudget(
-            max_iterations=table.take("max_iterations", int, 500),
-            p_max=table.take("p_max", int, 64),
-            check_every=table.take("check_every", int),
-            tol_cyc=table.take("tol_cyc", float),
-            tol_stab=table.take("tol_stab", float, 1e-6),
-        )
+        budget = ClassifyBudget(**table.args(*SECTIONS["classify"]))
     except ValueError as exc:
         raise ConfigError(f"invalid [classify] budget: {exc}") from exc
     table.done()
@@ -298,57 +294,41 @@ def _build_budget(cfg):
 
 def _build_sampler(cfg, system):
     if "sampling" not in cfg:
-        return None, 200
+        return None, DEFAULT_COUNT
     table = _Table("sampling", cfg["sampling"])
     strategy = table.take("strategy")
     if strategy is None:
         raise ConfigError("[sampling] needs a strategy")
-    seed = table.take("seed", int, 0)
-    count = table.take("count", int, 200)
+    fields = table.args("seed")
+    count = table.take("count")
     try:
-        if strategy in ("box_uniform", "smooth_field"):
-            amplitude = table.take("amplitude", float, default_amplitude(system))
-            if strategy == "box_uniform":
-                sampler = SamplerSpec("box_uniform", seed=seed, amplitude=amplitude)
-            else:
-                sampler = SamplerSpec(
-                    "smooth_field",
-                    seed=seed,
-                    amplitude=amplitude,
-                    modes=table.take("modes", int, 6),
-                )
-        elif strategy == "line_scan":
-            base_raw = table.take("base")
-            direction_raw = table.take("direction")
-            if base_raw is None or direction_raw is None:
-                raise ConfigError("[sampling] line_scan needs base and direction")
-            base = _vector("sampling", "base", base_raw)
-            direction = _vector("sampling", "direction", direction_raw)
-            sampler = SamplerSpec(
-                "line_scan",
-                seed=seed,
-                base=_resolve_vector(base, system.n, "[sampling] base"),
-                direction=_resolve_vector(
-                    direction, system.n, "[sampling] direction"
-                ),
-                s_min=table.take("s_min", float, 0.0),
-                s_max=table.take("s_max", float, 1.0),
-                resolution=table.take("resolution", int, 101),
-            )
-        else:
+        if strategy not in STRATEGIES:
             raise ConfigError(f"[sampling] strategy: unknown strategy {strategy!r}")
+        if strategy == "line_scan":
+            raw = table.args("base", "direction")
+            if len(raw) < 2:
+                raise ConfigError("[sampling] line_scan needs base and direction")
+            # both vectors parse before either is resolved against the grid
+            parsed = {key: _vector("sampling", key, text) for key, text in raw.items()}
+            for key, spec in parsed.items():
+                fields[key] = _resolve_vector(spec, system.n, f"[sampling] {key}")
+        else:
+            fields["amplitude"] = default_amplitude(system)
+        # base and direction are taken already: this reads the other fields
+        fields.update(table.args(*STRATEGIES[strategy]))
+        sampler = SamplerSpec(strategy, **fields)
     except ValueError as exc:
         raise ConfigError(f"invalid [sampling] section: {exc}") from exc
     table.done()
-    return sampler, count
+    return sampler, DEFAULT_COUNT if count is None else count
 
 
 def _build_action(cfg, system):
     if "symmetry" not in cfg:
-        return None, 1e-5
+        return None, DEFAULT_TOL_SYM
     table = _Table("symmetry", cfg["symmetry"])
     name = table.take("action")
-    tol_sym = table.take("tol_sym", float, 1e-5)
+    tol_sym = table.take("tol_sym")
     if name is None:
         raise ConfigError("[symmetry] needs an action")
     builders = {
@@ -363,7 +343,7 @@ def _build_action(cfg, system):
     except ValueError as exc:
         raise ConfigError(f"[symmetry] action {name!r}: {exc}") from exc
     table.done()
-    return action, tol_sym
+    return action, DEFAULT_TOL_SYM if tol_sym is None else tol_sym
 
 
 def build_experiment(cfg):

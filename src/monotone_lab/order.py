@@ -13,7 +13,7 @@ membership, and must dominate ``tol_eq`` so that strongly below implies
 strictly below implies below.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -145,7 +145,7 @@ class ValidationReport(JsonReport):
     system_name: str
     all_pass: bool
     checks: dict
-    schema_version: int = 2
+    schema_version: int = field(default=2, init=False)
 
 
 def draw_box_state(system, rng):

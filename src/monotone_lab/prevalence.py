@@ -26,7 +26,7 @@ any thread count, apart from the wall_time field.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -36,7 +36,14 @@ from .order import StateVector
 from .asymptotics import VERDICTS, ClassifyBudget, classify_many
 from .reports import JsonReport
 
-STRATEGIES = ("box_uniform", "smooth_field", "line_scan")
+# each strategy's fields besides strategy and seed, in the order describe lists them
+STRATEGIES = {
+    "box_uniform": ("amplitude",),
+    "smooth_field": ("amplitude", "modes"),
+    "line_scan": ("base", "direction", "s_min", "s_max", "resolution"),
+}
+
+DEFAULT_COUNT = 200  # samples in an ensemble when none is given
 
 CAVEAT = (
     "Monte Carlo evidence of prevalence on a box, not a certificate of "
@@ -97,16 +104,9 @@ class SamplerSpec:
 
     def describe(self):
         out = {"strategy": self.strategy, "seed": self.seed}
-        if self.strategy in ("box_uniform", "smooth_field"):
-            out["amplitude"] = self.amplitude
-        if self.strategy == "smooth_field":
-            out["modes"] = self.modes
-        if self.strategy == "line_scan":
-            out["base"] = np.asarray(self.base).tolist()
-            out["direction"] = np.asarray(self.direction).tolist()
-            out["s_min"] = self.s_min
-            out["s_max"] = self.s_max
-            out["resolution"] = self.resolution
+        for key in STRATEGIES[self.strategy]:
+            value = getattr(self, key)
+            out[key] = value.tolist() if isinstance(value, np.ndarray) else value
         return out
 
 
@@ -229,9 +229,9 @@ class PrevalenceReport(JsonReport):
     wilson_95: Optional[tuple]
     period_histogram: dict[int, int]
     rho_histogram: dict
-    caveat: str = CAVEAT
+    caveat: str = field(default=CAVEAT, init=False)
     wall_time: float = 0.0
-    schema_version: int = 1
+    schema_version: int = field(default=1, init=False)
 
     def to_csv(self):
         lines = [f"{name},{self.counts[name]}" for name in VERDICTS]
@@ -250,6 +250,8 @@ def wilson_interval(successes, total, z=WILSON_Z):
     """Wilson score interval; always contains the point estimate."""
     if total <= 0:
         raise ValueError("Wilson interval needs a positive total")
+    if not 0 <= successes <= total:
+        raise ValueError(f"successes {successes} outside [0, {total}]")
     p_hat = successes / total
     denom = 1.0 + z * z / total
     center = (p_hat + z * z / (2.0 * total)) / denom
@@ -274,7 +276,8 @@ def _budget_summary(budget):
     }
 
 
-def estimate_prevalence(system, sampler=None, count=200, budget=None, threads=None):
+def estimate_prevalence(system, sampler=None, count=DEFAULT_COUNT, budget=None,
+                        threads=None):
     """Classify `count` sampled initial states and aggregate the verdicts.
 
     The stable fraction is conservative: unresolved and escaped samples stay
@@ -352,7 +355,7 @@ class LineReport(JsonReport):
     bad: list  # entries {index, s, verdict}
     bad_fraction: float
     wall_time: float = 0.0
-    schema_version: int = 1
+    schema_version: int = field(default=1, init=False)
 
     def to_csv(self):
         lines = ["index,s,verdict,rho"]

@@ -11,7 +11,7 @@ Symmetry is judged at cycle points only. Transients of an equivariant
 system are generally asymmetric and say nothing about the limit.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -24,6 +24,8 @@ from .asymptotics import _initial_values, classify_many, classify_orbit
 from .systems import apply_map_columns
 
 ACTION_KINDS = ("ring_rotation", "interval_reflection", "trivial")
+
+DEFAULT_TOL_SYM = 1e-5  # sup deviation below which a state counts as invariant
 
 
 @dataclass(eq=False)
@@ -117,7 +119,7 @@ class SymmetryVerdict(JsonReport):
     tol_sym: float
 
 
-def symmetry_deviation(u, action, tol_sym=1e-5):
+def symmetry_deviation(u, action, tol_sym=DEFAULT_TOL_SYM):
     """Max over generators of sup|g.u - u|, with a verdict at tol_sym."""
     values = u.values if isinstance(u, StateVector) else np.asarray(u, dtype=float)
     per = [
@@ -170,7 +172,8 @@ def check_equivariance(system, action, sample_count=30, seed=7086, tol=1e-10):
     )
 
 
-def classify_symmetric_limit(system, action, x0, budget=None, tol_sym=1e-5):
+def classify_symmetric_limit(system, action, x0, budget=None,
+                             tol_sym=DEFAULT_TOL_SYM):
     """Classify the orbit and grade every cycle point against the action.
 
     Returns the Classification together with one SymmetryVerdict per cycle
@@ -206,10 +209,11 @@ class SymmetrySurvey(JsonReport):
     tol_sym: float
     system_name: str
     sampler: Optional[dict] = None
-    schema_version: int = 1
+    schema_version: int = field(default=1, init=False)
 
 
-def symmetric_limit_survey(system, action, states, budget=None, tol_sym=1e-5):
+def symmetric_limit_survey(system, action, states, budget=None,
+                           tol_sym=DEFAULT_TOL_SYM):
     """Classify given starts, grade their cycle points and aggregate.
 
     The starts advance through ``classify_many`` as the columns of one

@@ -420,8 +420,9 @@ def tangent_columns(system, u, w=None, iteration=0):
 def apply_map(system, u, iteration=0):
     """Apply the map once to a raw value array. Fast path for orbit loops.
 
-    A block (n, K) is mapped column by column in one pass; the first column
-    that fails raises its EscapeError or NumericalError.
+    A block (n, K) goes through ``tangent_columns`` in chunks of at most
+    ``BLOCK_WIDTH`` columns; the first column that fails raises its
+    EscapeError or NumericalError.
     """
     y, failures = apply_map_columns(system, u, iteration)
     if failures:

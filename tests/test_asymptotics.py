@@ -483,6 +483,16 @@ def test_omega_probe_validation(cubic, coop):
         omega_plus_probe(coop, [0.0, 0.0], direction=[1.0])
 
 
+def test_omega_probe_holds_extra_directions_to_the_box(cubic):
+    # the primary push 1.4 + 0.2 * 0.01 stays inside kappa = 1.5; the extra
+    # direction's push 1.4 + 0.2 * 1.0 leaves it
+    with pytest.raises(ValueError, match="trapping box"):
+        omega_plus_probe(
+            cubic, [1.4], direction=[0.01], eps_values=(0.2,),
+            extra_directions=[[1.0]],
+        )
+
+
 def test_omega_probe_serialization(cubic):
     data = omega_plus_probe(cubic, 0.0).to_json()
     assert data["upper"]["membership"] == "member"

@@ -1,5 +1,7 @@
 """Config grammar, experiment building, and the command-line front end."""
 
+import dataclasses
+import inspect
 import json
 import shlex
 from pathlib import Path
@@ -11,6 +13,7 @@ from monotone_lab import (
     ClassificationReport,
     ClassifyBudget,
     ConfigError,
+    SamplerSpec,
     ValidationReport,
     box_uniform,
     build_experiment,
@@ -19,15 +22,22 @@ from monotone_lab import (
     check_strong_positivity,
     classify_orbit,
     classify_symmetric_limit,
+    cubic_map,
     estimate_prevalence,
     line_probe,
+    linear_cooperative,
     load_config,
+    logistic_map,
+    negation_map,
     omega_plus_probe,
+    parabolic_system,
     parse_config,
+    ring_rotation,
     sample_initial,
     serialize_config,
     smooth_field,
     symmetric_limit_survey,
+    symmetry_deviation,
     trapping_check,
     validate_dissipativity,
 )
@@ -196,6 +206,94 @@ def test_build_line_sampler_vectors():
     )
     with pytest.raises(ConfigError, match="entries"):
         build_experiment(bad)
+
+
+def _plain(obj):
+    """A built object as nested plain values, so two builds compare with ==."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if dataclasses.is_dataclass(obj):
+        fields = dataclasses.fields(obj)
+        return type(obj).__name__, [_plain(getattr(obj, f.name)) for f in fields]
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    return obj
+
+
+def _default(func, name):
+    return inspect.signature(func).parameters[name].default
+
+
+CUBIC = "[system]\nkind = cubic\n"
+RING = "[system]\nkind = parabolic\n[grid]\ndomain = ring\nn = 8\n"
+
+# A config that leaves keys out, the Experiment field it builds, and the
+# library call that leaves out the same arguments.
+LEFT_OUT = [
+    (CUBIC, "system", lambda system: cubic_map()),
+    ("[system]\nkind = logistic", "system", lambda system: logistic_map()),
+    ("[system]\nkind = negation", "system", lambda system: negation_map()),
+    (
+        "[system]\nkind = linear_cooperative", "system",
+        lambda system: linear_cooperative(),
+    ),
+    *[
+        (
+            f"[system]\nkind = parabolic\n[grid]\ndomain = {domain}", "system",
+            lambda system, domain=domain: parabolic_system(domain),
+        )
+        for domain in ("dirichlet", "neumann", "ring", "radial")
+    ],
+    (CUBIC + "[classify]", "budget", lambda system: ClassifyBudget()),
+    (
+        CUBIC + "[sampling]\nstrategy = box_uniform", "sampler",
+        lambda system: SamplerSpec("box_uniform", amplitude=default_amplitude(system)),
+    ),
+    (
+        CUBIC + "[sampling]\nstrategy = smooth_field", "sampler",
+        lambda system: SamplerSpec("smooth_field", amplitude=default_amplitude(system)),
+    ),
+    (
+        CUBIC + "[sampling]\nstrategy = line_scan\nbase = 0.1\ndirection = 1",
+        "sampler", lambda system: SamplerSpec("line_scan", base=0.1, direction=1.0),
+    ),
+    (CUBIC, "count", lambda system: _default(estimate_prevalence, "count")),
+    (
+        CUBIC + "[sampling]\nstrategy = box_uniform", "count",
+        lambda system: _default(estimate_prevalence, "count"),
+    ),
+    (
+        RING + "[symmetry]\naction = ring_rotation", "action",
+        lambda system: ring_rotation(system.grid),
+    ),
+    (CUBIC, "tol_sym", lambda system: _default(classify_symmetric_limit, "tol_sym")),
+    (
+        RING + "[symmetry]\naction = ring_rotation", "tol_sym",
+        lambda system: _default(classify_symmetric_limit, "tol_sym"),
+    ),
+]
+
+
+@pytest.mark.parametrize("text, field, call", LEFT_OUT)
+def test_left_out_key_takes_the_library_default(text, field, call):
+    exp = build_experiment(parse_config(text))
+    assert _plain(getattr(exp, field)) == _plain(call(exp.system))
+
+
+def test_library_default_tol_sym_is_one_value():
+    funcs = (symmetry_deviation, classify_symmetric_limit, symmetric_limit_survey)
+    defaults = {_default(func, "tol_sym") for func in funcs}
+    assert defaults == {build_experiment(parse_config(CUBIC)).tol_sym}
+
+
+def test_build_negation():
+    system = build_experiment(parse_config("[system]\nkind = negation")).system
+    assert system.kind == negation_map().kind
+    assert system.monotone_expected is False
+    with pytest.raises(
+        ConfigError, match=r"not used by this configuration in \[system\]: \['kappa'\]"
+    ):
+        build_experiment(parse_config("[system]\nkind = negation\nkappa = 2"))
 
 
 # --------------------------------------------------------------------- CLI

@@ -253,6 +253,12 @@ def test_wilson_width_shrinks():
         wilson_interval(0, 0)
 
 
+def test_wilson_rejects_successes_outside_the_total():
+    for successes in (-1, 4):
+        with pytest.raises(ValueError, match="outside"):
+            wilson_interval(successes, 3)
+
+
 # ------------------------------------------------------------- line probe
 
 def line_sampler(resolution):

@@ -1,11 +1,15 @@
 """Report documents: the key order every report class writes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from monotone_lab import (
+    ClassificationReport,
     ClassifyBudget,
     Grid,
+    ValidationReport,
     check_monotone,
     classify_orbit,
     estimate_prevalence,
@@ -97,3 +101,46 @@ def test_report_json_keys(cubic, name):
     if name == "OmegaProbeReport":
         assert list(doc["upper"]) == SIDE_KEYS
         assert list(doc["lower"]) == SIDE_KEYS
+
+
+def _classification_report(cubic):
+    cls = classify_orbit(cubic, 0.5)
+    return ClassificationReport(
+        cubic.name, cls.verdict, cls.iterations_used, cls.diagnostics, cls.cycle, None
+    )
+
+
+# every report class that opens its document with a schema_version/kind header
+HEADED = {
+    name: build for name, (build, keys) in CASES.items() if keys[0] == "schema_version"
+}
+HEADED["ClassificationReport"] = _classification_report
+HEADED["ValidationReport"] = lambda cubic: ValidationReport(
+    cubic.name, True, {"check_monotone": check_monotone(cubic, pair_count=5, seed=1)}
+)
+
+
+def _init_args(report, *left_out):
+    """The constructor arguments that rebuild report, without left_out."""
+    return {
+        f.name: getattr(report, f.name)
+        for f in dataclasses.fields(report) if f.init and f.name not in left_out
+    }
+
+
+@pytest.mark.parametrize("name", sorted(HEADED))
+def test_report_header_comes_from_the_class(cubic, name):
+    report = HEADED[name](cubic)
+    cls = type(report)
+    assert cls.__name__ == name
+    with pytest.raises(TypeError):
+        cls(**_init_args(report, "schema_version"), schema_version=7)
+    doc = report.to_json()
+    old = dict(doc, schema_version=doc["schema_version"] + 1)
+    assert cls.from_json(old).to_json() == doc
+
+
+def test_prevalence_caveat_is_fixed(cubic):
+    report = CASES["PrevalenceReport"][0](cubic)
+    with pytest.raises(TypeError):
+        type(report)(**_init_args(report, "caveat"), caveat="a certificate")
