@@ -69,7 +69,7 @@ class ClassifyBudget:
             raise ValueError("check_every must be at least 1")
         for name in ("tol_cyc", "tol_stab", "newton_tol"):
             val = getattr(self, name)
-            if val is not None and val <= 0.0:
+            if val is not None and not val > 0.0:
                 raise ValueError(f"{name} must be positive")
         if self.newton_max_iter < 0:
             raise ValueError("newton_max_iter must be nonnegative")
@@ -474,15 +474,16 @@ def classify_many(system, starts, budget=None):
     and graded, and the rest run on. Returns one Classification per
     column, in column order.
 
-    The cycles detected at one checkpoint are closed per period p in
-    blocks of BLOCK_WIDTH // n columns (at least one): p tangent passes
-    from the candidates' first points, each column carrying its identity,
-    give the closure orbit and the dense Jacobians around it, and the
-    columns whose gap exceeds newton_tol take their Newton steps together
-    (``refine_cycle`` is the one-column case). The Jacobians at the final
-    points are graded by power iteration from the all-ones vector with the
-    dense eigvals fallback, as ``cycle_spectral_radius`` grades them; a
-    column that fails in its first closure passes raises its error.
+    The cycles detected at one checkpoint are closed as one block per
+    period p: p tangent passes from the candidates' first points, each
+    column carrying its identity (``tangent_columns`` runs such a pass
+    BLOCK_WIDTH // n columns at a time, at least one), give the closure
+    orbit and the dense Jacobians around it, and the columns whose gap
+    exceeds newton_tol take their Newton steps together (``refine_cycle``
+    is the one-column case). The Jacobians at the final points are graded
+    by power iteration from the all-ones vector with the dense eigvals
+    fallback, as ``cycle_spectral_radius`` grades them; a column that fails
+    in its first closure passes raises its error.
 
     A column's states may differ in the last bits from those of its start
     classified alone, because a block product rounds differently from a
@@ -506,8 +507,6 @@ def classify_many(system, starts, budget=None):
     live = np.arange(block.shape[1])
     results = [None] * block.shape[1]
     iters = 0
-    # cycles are closed with at most BLOCK_WIDTH tangent columns at a time
-    grade_width = max(1, BLOCK_WIDTH // system.n)
 
     def retire(done):
         return np.delete(live, done), np.delete(block, done, 1), np.delete(window, done, 2)
@@ -536,12 +535,10 @@ def classify_many(system, starts, budget=None):
             resolved = np.flatnonzero(periods)
             for p in sorted(set(periods[resolved].tolist())):
                 group = resolved[periods[resolved] == p]
-                for lo in range(0, group.size, grade_width):
-                    cols = group[lo:lo + grade_width]
-                    records, mats = _close_cycles(system, tails[window_len - p][:, cols], p,
-                                                  budget.newton_tol, budget.newton_max_iter)
-                    for j, rec, jacs in zip(cols, records, zip(*mats)):
-                        results[live[j]] = _graded_classification(rec, jacs, budget, iters)
+                records, mats = _close_cycles(system, tails[window_len - p][:, group], p,
+                                              budget.newton_tol, budget.newton_max_iter)
+                for j, rec, jacs in zip(group, records, zip(*mats)):
+                    results[live[j]] = _graded_classification(rec, jacs, budget, iters)
             if resolved.size:
                 live, block, window = retire(resolved)
     for i in live:

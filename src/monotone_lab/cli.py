@@ -283,9 +283,7 @@ def cmd_classify(ns):
 
 def cmd_prevalence(ns):
     exp = _load(ns.config)
-    sampler = exp.sampler
-    if sampler is None:
-        sampler = prevalence.box_uniform(prevalence.default_amplitude(exp.system))
+    sampler = exp.sampler or prevalence.default_sampler(exp.system)
     if ns.seed is not None:
         sampler = replace(sampler, seed=ns.seed)
     count = ns.samples if ns.samples is not None else exp.count
@@ -383,10 +381,12 @@ def cmd_symmetry(ns):
     exp = _load(ns.config)
     if exp.action is None:
         raise ConfigError("symmetry command needs a [symmetry] section")
-    count = ns.samples if ns.samples is not None else exp.count
-    if count < 0:
-        raise ValueError("count must be nonnegative")
     system = exp.system
+    sampler = exp.sampler if exp.sampler is not None else _default_smooth(exp)
+    if ns.seed is not None:
+        sampler = replace(sampler, seed=ns.seed)
+    count = ns.samples if ns.samples is not None else exp.count
+    starts = prevalence.sample_starts(system, sampler, count)
     gate = symmetry.check_equivariance(system, exp.action)
     if not gate.passed:
         print(
@@ -396,14 +396,8 @@ def cmd_symmetry(ns):
             file=sys.stderr,
         )
         return 2
-    sampler = exp.sampler if exp.sampler is not None else _default_smooth(exp)
-    if ns.seed is not None:
-        sampler = replace(sampler, seed=ns.seed)
-    states = [
-        prevalence.sample_initial(sampler, i, system.grid) for i in range(count)
-    ]
     survey = symmetry.symmetric_limit_survey(
-        system, exp.action, states, exp.budget, exp.tol_sym
+        system, exp.action, starts.T, exp.budget, exp.tol_sym
     )
     survey.sampler = sampler.describe()
     print(

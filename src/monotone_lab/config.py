@@ -342,6 +342,8 @@ def _build_action(cfg, system):
         action = builders[name](system.grid)
     except ValueError as exc:
         raise ConfigError(f"[symmetry] action {name!r}: {exc}") from exc
+    if tol_sym is not None and not tol_sym > 0.0:
+        raise ConfigError("[symmetry] tol_sym must be positive")
     table.done()
     return action, DEFAULT_TOL_SYM if tol_sym is None else tol_sym
 

@@ -97,40 +97,28 @@ def build_diffusion(grid):
         raise GridError(f"diffusion operator needs at least 3 nodes, got {n}")
     h = grid.h
     inv = 1.0 / (h * h)
-    if grid.kind == "dirichlet":
-        main = np.full(n, -2.0 * inv)
-        off = np.full(n - 1, inv)
-        return _tridiagonal(main, off, off)
+    a = _tridiagonal(np.full(n, -2.0 * inv), np.full(n - 1, inv), np.full(n - 1, inv))
     if grid.kind == "neumann":
-        main = np.full(n, -2.0 * inv)
-        lower = np.full(n - 1, inv)
-        upper = np.full(n - 1, inv)
-        upper[0] = 2.0 * inv
-        lower[-1] = 2.0 * inv
-        return _tridiagonal(main, lower, upper)
-    if grid.kind == "ring":
-        main = np.full(n, -2.0 * inv)
-        off = np.full(n - 1, inv)
-        a = _tridiagonal(main, off, off)
+        a[0, 1] *= 2.0
+        a[-1, -2] *= 2.0
+    elif grid.kind == "ring":
         a[0, -1] = a[-1, 0] = inv
-        return a
-    # radial
-    dim = grid.dim
-    r = grid.nodes()
-    main = np.empty(n)
-    lower = np.empty(n - 1)
-    upper = np.empty(n - 1)
-    main[0] = -2.0 * dim * inv
-    upper[0] = 2.0 * dim * inv
-    power = dim - 1
-    for i in range(1, n):
-        w_minus = ((r[i] - h / 2.0) ** power) / (r[i] ** power) * inv
-        w_plus = ((r[i] + h / 2.0) ** power) / (r[i] ** power) * inv
-        lower[i - 1] = w_minus
-        main[i] = -(w_minus + w_plus)
-        if i < n - 1:
-            upper[i] = w_plus
-    return _tridiagonal(main, lower, upper)
+    elif grid.kind == "radial":
+        dim = grid.dim
+        r = grid.nodes()
+        a[0, 0] = -2.0 * dim * inv
+        a[0, 1] = 2.0 * dim * inv
+        power = dim - 1
+        # node by node: a vectorised r ** power rounds differently from the
+        # scalar pow() once dim >= 4
+        for i in range(1, n):
+            w_minus = ((r[i] - h / 2.0) ** power) / (r[i] ** power) * inv
+            w_plus = ((r[i] + h / 2.0) ** power) / (r[i] ** power) * inv
+            a[i, i - 1] = w_minus
+            a[i, i] = -(w_minus + w_plus)
+            if i < n - 1:
+                a[i, i + 1] = w_plus
+    return a
 
 
 class _Propagator:

@@ -12,8 +12,9 @@ verdicts are confined to isolated parameter values, so refining the
 resolution should never grow the exceptional set beyond shrinking
 neighborhoods of the points already found.
 
-Samples are classified in lockstep as the columns of one block of starts
-(``asymptotics.classify_many``, which runs ``systems.BLOCK_WIDTH``
+Every ensemble, the symmetry survey's included, draws its starts through
+``sample_starts`` as the columns of one block and classifies them in
+lockstep (``asymptotics.classify_many``, which runs ``systems.BLOCK_WIDTH``
 consecutive columns at a time).
 
 Determinism contract: the random stream of sample i is seeded by the pair
@@ -79,7 +80,7 @@ class SamplerSpec:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown sampler strategy {self.strategy!r}")
         if self.strategy in ("box_uniform", "smooth_field"):
-            if self.amplitude <= 0.0:
+            if not self.amplitude > 0.0:
                 raise ValueError("amplitude must be positive")
         if self.strategy == "smooth_field" and self.modes < 1:
             raise ValueError("smooth_field needs at least one mode")
@@ -90,8 +91,11 @@ class SamplerSpec:
             self.direction = np.atleast_1d(np.asarray(self.direction, dtype=float))
             if self.base.shape != self.direction.shape:
                 raise ValueError("base and direction must have equal length")
-            if float(np.min(self.direction)) <= 0.0:
+            if not float(np.min(self.direction)) > 0.0:
                 raise OrderError("line_scan direction must be strongly positive")
+            line = np.r_[self.base, self.direction, self.s_min, self.s_max]
+            if not np.all(np.isfinite(line)):
+                raise ValueError("line_scan base, direction and range must be finite")
             if self.resolution < 1:
                 raise ValueError("resolution must be at least 1")
             if self.s_max < self.s_min:
@@ -181,39 +185,39 @@ def sample_initial(sampler, index, grid):
     return StateVector(u, grid)
 
 
-def _check_sampler_box(system, sampler):
-    if sampler.strategy in ("box_uniform", "smooth_field"):
+def default_sampler(system):
+    """The sampler of a run given none: box_uniform at default_amplitude."""
+    return box_uniform(amplitude=default_amplitude(system))
+
+
+def sample_starts(system, sampler, count):
+    """Samples 0..count-1 as the columns of one (n, count) block, refusing a
+    sampler that leaves the trapping box."""
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    if sampler.strategy != "line_scan":
         if sampler.amplitude > system.kappa:
             raise ValueError(
                 f"sampler amplitude {sampler.amplitude} exceeds the trapping "
                 f"amplitude {system.kappa}"
             )
-    else:
-        if sampler.base.shape != (system.n,):
-            raise ValueError("line_scan base does not fit the system")
-        for s in (sampler.s_min, sampler.s_max):
-            point = sampler.base + s * sampler.direction
-            if float(np.max(np.abs(point))) >= system.kappa:
-                raise ValueError(
-                    "line_scan endpoints leave the trapping box; shrink the range"
-                )
-
-
-def _classify_many(system, sampler, indices, budget):
-    """(verdict, period, rho) per index, all indices as one block of starts."""
-    if sampler.strategy == "line_scan":
-        # the columns, cut from one sweep, are the sample_initial points to the bit
-        s = sampler.s_values()[np.asarray(indices, dtype=int)]
-        starts = sampler.base[:, None] + s * sampler.direction[:, None]
-    else:
-        starts = np.empty((system.grid.n, len(indices)))
-        for j, i in enumerate(indices):
-            starts[:, j] = sample_initial(sampler, i, system.grid).values
-    return [
-        (cls.verdict, None, None) if cls.cycle is None
-        else (cls.verdict, cls.cycle.period, cls.cycle.rho)
-        for cls in classify_many(system, starts, budget)
-    ]
+        starts = np.empty((system.n, count))
+        for i in range(count):
+            starts[:, i] = sample_initial(sampler, i, system.grid).values
+        return starts
+    if sampler.base.shape != (system.n,):
+        raise ValueError("line_scan base does not fit the system")
+    for s in (sampler.s_min, sampler.s_max):
+        point = sampler.base + s * sampler.direction
+        if float(np.max(np.abs(point))) >= system.kappa:
+            raise ValueError(
+                "line_scan endpoints leave the trapping box; shrink the range"
+            )
+    if count > sampler.resolution:
+        raise ValueError("count exceeds the line_scan resolution")
+    # the columns, cut from one sweep, are the sample_initial points to the bit
+    s = sampler.s_values()[:count]
+    return sampler.base[:, None] + s * sampler.direction[:, None]
 
 
 @dataclass(eq=False)
@@ -292,27 +296,21 @@ def estimate_prevalence(system, sampler=None, count=DEFAULT_COUNT, budget=None,
             "prevalence experiments apply to monotone systems; "
             f"{system.name or system.kind} is declared non-monotone"
         )
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    if sampler is None:
-        sampler = box_uniform(amplitude=default_amplitude(system))
-    _check_sampler_box(system, sampler)
-    if sampler.strategy == "line_scan" and count > sampler.resolution:
-        raise ValueError("count exceeds the line_scan resolution")
+    sampler = sampler or default_sampler(system)
     resolved = (budget if budget is not None else ClassifyBudget()).resolve(system)
     start = time.perf_counter()
-    results = _classify_many(system, sampler, range(count), resolved)
+    starts = sample_starts(system, sampler, count)
+    results = classify_many(system, starts, resolved)
     wall = time.perf_counter() - start
 
     counts = {name: 0 for name in VERDICTS}
     periods = {}
     rhos = []
-    for verdict, period, rho in results:
-        counts[verdict] += 1
-        if period is not None:
-            periods[period] = periods.get(period, 0) + 1
-        if rho is not None:
-            rhos.append(rho)
+    for cls in results:
+        counts[cls.verdict] += 1
+        if cls.cycle is not None:
+            periods[cls.cycle.period] = periods.get(cls.cycle.period, 0) + 1
+            rhos.append(cls.cycle.rho)
     if count > 0:
         fraction = counts["stable_cycle"] / count
         wilson = wilson_interval(counts["stable_cycle"], count)
@@ -379,14 +377,14 @@ def line_probe(system, sampler, budget=None, threads=None):
         raise ValueError("line_probe needs a line_scan sampler")
     if not system.monotone_expected:
         raise ValueError("line probes apply to monotone systems")
-    _check_sampler_box(system, sampler)
     resolved = (budget if budget is not None else ClassifyBudget()).resolve(system)
     start = time.perf_counter()
-    results = _classify_many(system, sampler, range(sampler.resolution), resolved)
+    starts = sample_starts(system, sampler, sampler.resolution)
+    results = classify_many(system, starts, resolved)
     wall = time.perf_counter() - start
     s_values = [float(s) for s in sampler.s_values()]
-    verdicts = [r[0] for r in results]
-    rhos = [r[2] for r in results]
+    verdicts = [cls.verdict for cls in results]
+    rhos = [None if cls.cycle is None else cls.cycle.rho for cls in results]
     bad = [
         {"index": i, "s": s_values[i], "verdict": verdicts[i]}
         for i in range(len(verdicts))

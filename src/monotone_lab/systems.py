@@ -172,9 +172,9 @@ class Parabolic:
     def __post_init__(self):
         if self.grid.kind == "flat":
             raise GridError("parabolic systems need a spatial grid")
-        if self.tau <= 0.0:
+        if not self.tau > 0.0:
             raise ValueError("period tau must be positive")
-        if self.diffusivity < 0.0:
+        if not self.diffusivity >= 0.0:
             raise ValueError("diffusivity must be nonnegative")
         profile = self.nonlinearity.profile
         if profile is not None and profile.shape != (self.grid.n,):
@@ -201,7 +201,7 @@ class SystemSpec:
     name: str = ""
 
     def __post_init__(self):
-        if self.kappa <= 0.0:
+        if not self.kappa > 0.0:
             raise ValueError("kappa must be positive")
 
     @property

@@ -64,6 +64,9 @@ def test_budget_validation():
         ClassifyBudget(tol_stab=-1.0)
     with pytest.raises(ValueError):
         ClassifyBudget(newton_max_iter=-1)
+    for name in ("tol_cyc", "tol_stab", "newton_tol"):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            ClassifyBudget(**{name: float("nan")})
 
 
 def test_budget_resolution(cubic, dirichlet15):

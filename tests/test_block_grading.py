@@ -31,7 +31,7 @@ from monotone_lab import (
     sample_initial,
     smooth_field,
 )
-from monotone_lab import asymptotics
+from monotone_lab import asymptotics, systems
 from monotone_lab.systems import BLOCK_WIDTH, apply_map_columns, tangent_columns
 
 BUDGET = ClassifyBudget(max_iterations=400, p_max=8)
@@ -118,6 +118,31 @@ def closed_blocks(monkeypatch):
     return blocks
 
 
+@pytest.fixture
+def closure_maps(monkeypatch):
+    """The column count of every map call in ``classify_many``'s closure passes.
+
+    ``_closure_passes`` hands its whole block to ``tangent_columns``, which
+    runs a wide block by calling itself on each chunk; both calls are kept.
+    """
+    widths = []
+    inner = systems.tangent_columns
+    scope = {asymptotics._closure_passes.__code__, classify_many.__code__}
+
+    def spy(system, u, w=None, iteration=0):
+        frame, callers = sys._getframe(1), set()
+        while frame is not None:
+            callers.add(frame.f_code)
+            frame = frame.f_back
+        if scope <= callers:
+            widths.append(u.shape[1])
+        return inner(system, u, w, iteration)
+
+    monkeypatch.setattr(systems, "tangent_columns", spy)
+    monkeypatch.setattr(asymptotics, "tangent_columns", spy)
+    return widths
+
+
 def shapes(blocks):
     """(columns, period) of each closed block."""
     return [(len(records), records[0].period) for records in blocks]
@@ -198,7 +223,7 @@ def test_columns_forced_through_newton(cubic, closed_blocks):
     )
 
 
-def test_dense_eigvals_fallback_in_blocks(closed_blocks):
+def test_dense_eigvals_fallback_in_blocks(closed_blocks, closure_maps):
     # x -> M x with M = [[0, a J], [b J, 0]]: eigenvalues +-sqrt(2) lead, so
     # power iteration from the ones vector alternates and never settles
     half = 16
@@ -207,24 +232,29 @@ def test_dense_eigvals_fallback_in_blocks(closed_blocks):
     mat = np.block([[zero, ones * (2.0 / half)], [ones / half, zero]])
     system = linear_cooperative(matrix=mat, kappa=5.0)
     width = BLOCK_WIDTH // system.n
-    for count in (1, width + 1):
+    for count, maps in ((1, [1]), (width + 1, [width + 1, width, 1])):
         closed_blocks.clear()
+        closure_maps.clear()
         got = assert_matches_reference(system, np.zeros((2 * half, count)))
-        assert shapes(closed_blocks) == ([(1, 1)] if count == 1 else [(width, 1), (1, 1)])
+        # one closure per period group; its pass runs in chunks of width
+        assert shapes(closed_blocks) == [(count, 1)]
+        assert closure_maps == maps
         for cls in got:
             assert cls.cycle.rho_method == "dense"
             assert cls.cycle.rho == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ["dirichlet_cubic_15", "ring_cubic_5"])
-def test_widths_straddling_the_chunk_width(name, cat, closed_blocks):
-    # K * n = BLOCK_WIDTH is one block, BLOCK_WIDTH + n is two
+def test_widths_straddling_the_chunk_width(name, cat, closed_blocks, closure_maps):
+    # K * n = BLOCK_WIDTH is one pass, BLOCK_WIDTH + n is two chunks of one pass
     system = cat[name]
     width = BLOCK_WIDTH // system.n
-    for count, groups in ((width, [(width, 1)]), (width + 1, [(width, 1), (1, 1)])):
+    for count, maps in ((width, [width]), (width + 1, [width + 1, width, 1])):
         closed_blocks.clear()
+        closure_maps.clear()
         assert_matches_reference(system, smooth_starts(system, count, seed=8))
-        assert shapes(closed_blocks) == groups
+        assert shapes(closed_blocks) == [(count, 1)]
+        assert closure_maps == maps
 
 
 def test_single_start_equals_the_one_column_path(dirichlet15):

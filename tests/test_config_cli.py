@@ -696,3 +696,51 @@ def test_cli_symmetry_requires_section_and_equivariance(tmp_path, capsys):
     assert main(["symmetry", str(broken), "--samples", "2"]) == 2
     err = capsys.readouterr().err
     assert "refusing" in err
+
+
+def test_cli_symmetry_refuses_a_sampler_outside_the_box(tmp_path, capsys):
+    wide = tmp_path / "wide.cfg"
+    wide.write_text(
+        "[system]\nkind = parabolic\nkappa = 1.5\n[grid]\ndomain = ring\nn = 8\n"
+        "[sampling]\nstrategy = box_uniform\namplitude = 2.9\n"
+        "[symmetry]\naction = ring_rotation\n"
+    )
+    message = "sampler amplitude 2.9 exceeds the trapping amplitude 1.5"
+    for command in ("prevalence", "symmetry"):
+        assert main([command, str(wide), "--samples", "10"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+PARABOLIC = "[system]\nkind = parabolic\n{system}[grid]\ndomain = ring\nn = 8\n"
+LINE = {"base": "0", "direction": "1", "s_min": "0", "s_max": "1"}
+
+# one config per parameter whose positivity or finiteness check NaN once passed
+NAN_CONFIGS = {
+    "kappa": CUBIC + "kappa = nan\n",
+    "tau": PARABOLIC.format(system="") + "[time]\ntau = nan\n",
+    "diffusivity": PARABOLIC.format(system="diffusivity = nan\n"),
+    "amplitude": CUBIC + "[sampling]\nstrategy = box_uniform\namplitude = nan\n",
+    **{
+        key: CUBIC + "[sampling]\nstrategy = line_scan\n" + "".join(
+            f"{field} = {'nan' if field == key else value}\n"
+            for field, value in LINE.items()
+        )
+        for key in LINE
+    },
+    **{
+        key: CUBIC + f"[classify]\n{key} = nan\n"
+        for key in ("tol_cyc", "tol_stab")
+    },
+    "tol_sym": PARABOLIC.format(system="") + "[symmetry]\naction = ring_rotation\n"
+    "tol_sym = nan\n",
+}
+
+
+@pytest.mark.parametrize("key", sorted(NAN_CONFIGS))
+def test_cli_refuses_nan_parameters(key, tmp_path, capsys):
+    path = tmp_path / "nan.cfg"
+    path.write_text(NAN_CONFIGS[key])
+    command = "symmetry" if key == "tol_sym" else "prevalence"
+    assert main([command, str(path), "--samples", "3"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err

@@ -1,7 +1,6 @@
 """Samplers, prevalence reports, line probes, and the determinism contract."""
 
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from monotone_lab import (
     estimate_prevalence,
     line_probe,
     line_scan,
+    linear_cooperative,
     parabolic_system,
     sample_initial,
     smooth_field,
@@ -110,26 +110,49 @@ def test_line_scan_addressing():
     [(0.0, 1.01), (-0.6, 0.6), (0.3, 0.3), (-1.0, -1e-3), (1e-17, 0.1), (0, 1)],
 )
 @pytest.mark.parametrize("resolution", [1, 2, 3, 7, 101, 1000])
-def test_line_scan_blocks_hold_the_sampled_points(monkeypatch, s_min, s_max, resolution):
-    # the blocks cut from one sweep hold sample_initial's points to the bit
+def test_line_scan_blocks_hold_the_sampled_points(s_min, s_max, resolution):
+    # the columns cut from one sweep hold sample_initial's points to the bit
     base = np.array([-0.2, 0.1, 0.4])
     direction = np.array([1.0, 0.3, 2.5])
     spec = line_scan(base, direction, s_min=s_min, s_max=s_max, resolution=resolution)
-    grid = Grid("flat", 3)
-    blocks = []
-
-    def capture(system, starts, budget):
-        blocks.append(starts)
-        return [SimpleNamespace(verdict="unresolved", cycle=None)] * starts.shape[1]
-
-    monkeypatch.setattr(prevalence, "classify_many", capture)
-    prevalence._classify_many(SimpleNamespace(grid=grid), spec, range(resolution), FAST)
-    columns = np.concatenate(blocks, axis=1)
-    assert columns.shape == (3, resolution)
+    # every sweep above stays inside sup norm 2.925
+    system = linear_cooperative(matrix=0.5 * np.eye(3), kappa=3.0)
+    starts = prevalence.sample_starts(system, spec, resolution)
+    assert starts.shape == (3, resolution)
     for index in range(resolution):
         np.testing.assert_array_equal(
-            columns[:, index], sample_initial(spec, index, grid).values
+            starts[:, index], sample_initial(spec, index, system.grid).values
         )
+
+
+@pytest.mark.parametrize(
+    "spec", [box_uniform(amplitude=1.2, seed=5), smooth_field(amplitude=1.2, seed=5)]
+)
+@pytest.mark.parametrize("count", [0, 1, 7])
+def test_sample_starts_stack_sample_initial(spec, count):
+    system = parabolic_system("neumann", 8)
+    starts = prevalence.sample_starts(system, spec, count)
+    expected = [sample_initial(spec, i, system.grid).values for i in range(count)]
+    np.testing.assert_array_equal(starts, np.reshape(expected, (count, 8)).T)
+
+
+def test_sample_starts_refusals(cubic):
+    line = line_scan([-0.5], [1.0], s_max=1.0, resolution=5)
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        prevalence.sample_starts(cubic, box_uniform(amplitude=1.0), -1)
+    with pytest.raises(ValueError, match="exceeds the line_scan resolution"):
+        prevalence.sample_starts(cubic, line, 6)
+    with pytest.raises(ValueError, match="exceeds the trapping amplitude"):
+        prevalence.sample_starts(cubic, smooth_field(amplitude=1.6), 1)
+    with pytest.raises(ValueError, match="leave the trapping box"):
+        prevalence.sample_starts(cubic, line_scan([0.0], [1.0], s_max=2.0), 1)
+    assert prevalence.sample_starts(cubic, line, 5).shape == (1, 5)
+
+
+def test_default_sampler_is_box_uniform_at_default_amplitude(cubic):
+    spec = prevalence.default_sampler(cubic)
+    assert spec.describe() == box_uniform(amplitude=0.9 * cubic.kappa).describe()
+    assert estimate_prevalence(cubic, count=0).sampler == spec.describe()
 
 
 # ------------------------------------------------------------- estimation
