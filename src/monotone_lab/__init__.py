@@ -54,7 +54,6 @@ from .systems import (
     jacobian,
     linear_cooperative,
     logistic_map,
-    monotone_catalog,
     negation_map,
     parabolic_catalog,
     parabolic_system,
@@ -78,7 +77,6 @@ from .asymptotics import (
     detect_cycle,
     iterate_orbit,
     omega_plus_probe,
-    omega_set,
     refine_cycle,
     separation_probe,
     set_distance,
@@ -100,7 +98,6 @@ from .symmetry import (
     GroupAction,
     SymmetrySurvey,
     SymmetryVerdict,
-    apply_action,
     check_equivariance,
     classify_symmetric_limit,
     interval_reflection,
@@ -114,7 +111,6 @@ from .config import (
     build_experiment,
     load_config,
     parse_config,
-    serialize_config,
 )
 
 __version__ = "0.1.0"

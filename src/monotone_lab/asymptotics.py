@@ -163,15 +163,9 @@ def _initial_values(system, x0):
 
 
 def _as_state_array(obj):
-    """Coerce an orbit record, array, or sequence of states to shape (k, n)."""
-    if isinstance(obj, OrbitRecord):
-        return obj.samples
-    if isinstance(obj, CycleRecord) or isinstance(obj, CycleCandidate):
+    """Coerce a cycle or an array of states to shape (k, n)."""
+    if isinstance(obj, (CycleRecord, CycleCandidate)):
         return obj.points
-    if isinstance(obj, StateVector):
-        return obj.values[None, :]
-    if isinstance(obj, (list, tuple)) and obj and isinstance(obj[0], StateVector):
-        return np.stack([s.values for s in obj])
     arr = np.asarray(obj, dtype=float)
     if arr.ndim == 1:
         # sequence of scalar states
@@ -568,26 +562,6 @@ def _graded_classification(rec, jacs, budget, iters):
 
 # ---------------------------------------------------------------------------
 # omega limit sets
-
-def omega_set(orbit, tail_fraction=0.25, tol=1e-8):
-    """Distinct states visited by the trailing fraction of an orbit.
-
-    Greedy dedup in sup norm: a tail state joins the representative list
-    when it is farther than tol from every representative found so far.
-    """
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError("tail_fraction must lie in (0, 1]")
-    arr = _as_state_array(orbit)
-    if arr.shape[0] == 0:
-        raise ValueError("empty orbit")
-    count = max(1, int(np.ceil(tail_fraction * arr.shape[0])))
-    tail = arr[-count:]
-    reps = [tail[0]]
-    for row in tail[1:]:
-        if min(float(np.max(np.abs(row - r))) for r in reps) > tol:
-            reps.append(row)
-    return np.array(reps)
-
 
 def set_distance(first, second):
     """Symmetric Hausdorff distance between two finite state sets, sup norm."""

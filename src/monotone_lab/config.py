@@ -1,9 +1,9 @@
 """Experiment configuration: a small line-based format and its builder.
 
 Grammar: `[section]` headers, `key = value` lines, full-line `#` comments,
-UTF-8. Values keep their literal spelling in the parsed mapping, so
-parse -> serialize -> parse is the identity; typing happens in
-build_experiment, where every failure is a ConfigError naming the key.
+UTF-8. Values keep their literal spelling in the parsed mapping; typing
+happens in build_experiment, where every failure is a ConfigError naming
+the key, and a float key refuses nan and inf there.
 
 Sections and keys are a closed registry: anything unknown is rejected at
 parse time, and keys that a given system kind does not consume are
@@ -101,27 +101,6 @@ def parse_config(text):
     return out
 
 
-def serialize_config(cfg):
-    """Render a parsed mapping back to canonical config text."""
-    lines = []
-    for section in SECTIONS:
-        if section not in cfg:
-            continue
-        table = cfg[section]
-        unknown = set(table) - set(SECTIONS[section])
-        if unknown:
-            raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
-        lines.append(f"[{section}]")
-        for key in SECTIONS[section]:
-            if key in table:
-                lines.append(f"{key} = {table[key]}")
-        lines.append("")
-    unknown_sections = set(cfg) - set(SECTIONS)
-    if unknown_sections:
-        raise ConfigError(f"unknown sections: {sorted(unknown_sections)}")
-    return "\n".join(lines)
-
-
 def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -157,11 +136,14 @@ class _Table:
         value = self.pending.pop(key)
         kind = SECTIONS[self.section][key]
         try:
-            return (_bool if kind is bool else kind)(value)
+            out = (_bool if kind is bool else kind)(value)
         except ValueError as exc:
             raise ConfigError(
                 f"[{self.section}] {key}: cannot read {value!r} as {kind.__name__}"
             ) from exc
+        if kind is float and not np.isfinite(out):
+            raise ConfigError(f"[{self.section}] {key}: {value!r} is not finite")
+        return out
 
     def args(self, *keys):
         """Library keyword arguments for those of keys the file sets, in order."""

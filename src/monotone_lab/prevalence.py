@@ -82,6 +82,8 @@ class SamplerSpec:
         if self.strategy in ("box_uniform", "smooth_field"):
             if not self.amplitude > 0.0:
                 raise ValueError("amplitude must be positive")
+            if self.amplitude == np.inf:
+                raise ValueError("amplitude must be finite")
         if self.strategy == "smooth_field" and self.modes < 1:
             raise ValueError("smooth_field needs at least one mode")
         if self.strategy == "line_scan":

@@ -54,26 +54,6 @@ class GroupAction:
             checked.append(arr)
         self.generators = tuple(checked)
 
-    def elements(self):
-        """All group elements, generated by closure from the generators."""
-        identity = np.arange(self.grid.n)
-        seen = {tuple(identity)}
-        out = [identity]
-        frontier = [identity]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for h in self.generators:
-                    # (g then h) acts by u -> (u[g])[h] = u[g[h]]
-                    comp = g[h]
-                    key = tuple(comp)
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(comp)
-                        nxt.append(comp)
-            frontier = nxt
-        return out
-
 
 def ring_rotation(grid):
     """Full cyclic rotation group of a ring grid, generated by a one-node shift."""
@@ -92,21 +72,6 @@ def interval_reflection(grid):
 
 def trivial_action(grid):
     return GroupAction("trivial", grid, (np.arange(grid.n),))
-
-
-def apply_action(action, g, u):
-    """Act with group element g (an index permutation) on a state."""
-    perm = np.asarray(g, dtype=int)
-    if perm.shape != (action.grid.n,):
-        raise DimensionMismatchError("group element does not fit the action grid")
-    if isinstance(u, StateVector):
-        if u.grid != action.grid:
-            raise DimensionMismatchError("state grid does not match the action grid")
-        return u.with_values(u.values[perm])
-    arr = np.atleast_1d(np.asarray(u, dtype=float))
-    if arr.shape != (action.grid.n,):
-        raise DimensionMismatchError("state does not fit the action grid")
-    return arr[perm]
 
 
 @dataclass(eq=False)

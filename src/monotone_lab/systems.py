@@ -203,6 +203,8 @@ class SystemSpec:
     def __post_init__(self):
         if not self.kappa > 0.0:
             raise ValueError("kappa must be positive")
+        if self.kappa == np.inf:
+            raise ValueError("kappa must be finite")
 
     @property
     def grid(self):
@@ -324,11 +326,6 @@ def catalog():
             ),
         }
     return dict(_CATALOG)
-
-
-def monotone_catalog():
-    """Catalog restricted to systems expected to be (strongly) monotone."""
-    return {k: s for k, s in catalog().items() if s.monotone_expected}
 
 
 def parabolic_catalog():

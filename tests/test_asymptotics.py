@@ -28,7 +28,6 @@ from monotone_lab import (
     linear_cooperative,
     negation_map,
     omega_plus_probe,
-    omega_set,
     refine_cycle,
     separation_probe,
     load_config,
@@ -399,14 +398,6 @@ def test_classification_serialization(cubic):
 
 
 # ------------------------------------------------------------- omega sets
-
-def test_omega_set_dedup():
-    orbit = np.array([[0.0], [0.9], [0.5], [0.8], [0.5], [0.8]])
-    reps = omega_set(orbit, tail_fraction=0.5, tol=1e-3)
-    assert reps.shape == (2, 1)
-    with pytest.raises(ValueError):
-        omega_set(orbit, tail_fraction=0.0)
-
 
 def test_set_distance_hand_values():
     assert set_distance([[0.0]], [[1.0]]) == pytest.approx(1.0)

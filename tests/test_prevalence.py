@@ -36,8 +36,12 @@ FAST = ClassifyBudget(max_iterations=200, p_max=8)
 def test_sampler_validation():
     with pytest.raises(ValueError):
         SamplerSpec("grid_sweep")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="amplitude must be positive"):
         box_uniform(amplitude=0.0)
+    with pytest.raises(ValueError, match="amplitude must be positive"):
+        smooth_field(amplitude=np.nan)
+    with pytest.raises(ValueError, match="amplitude must be finite"):
+        box_uniform(amplitude=np.inf)
     with pytest.raises(ValueError):
         smooth_field(modes=0)
     with pytest.raises(ValueError):

@@ -21,7 +21,6 @@ from monotone_lab import (
     jacobian,
     linear_cooperative,
     logistic_map,
-    monotone_catalog,
     negation_map,
     parabolic_catalog,
     parabolic_system,
@@ -119,8 +118,12 @@ def test_system_spec_helpers(cubic, coop, dirichlet15):
     assert z.sup_norm() == 0.0
     x = cubic.state(0.25)
     assert x.values.shape == (1,)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="kappa must be positive"):
         SystemSpec(AnalyticScalar("cubic", 0.1), kappa=0.0)
+    with pytest.raises(ValueError, match="kappa must be positive"):
+        SystemSpec(AnalyticScalar("cubic", 0.1), kappa=np.nan)
+    with pytest.raises(ValueError, match="kappa must be finite"):
+        SystemSpec(AnalyticScalar("cubic", 0.1), kappa=np.inf)
 
 
 def test_named_profiles():
@@ -145,7 +148,6 @@ def test_catalog_contents(cat):
     assert set(cat) == expected
     for key, system in cat.items():
         assert system.name == key
-    assert set(monotone_catalog()) == expected - {"logistic_map"}
     assert set(parabolic_catalog()) == {
         "dirichlet_cubic_5", "dirichlet_cubic_15", "neumann_cubic_5",
         "ring_cubic_5", "radial_cubic_15",
