@@ -32,9 +32,7 @@ from .errors import DimensionMismatchError, EscapeError, OrderError
 from .grids import Grid
 from .order import StateVector
 from .reports import JsonReport
-from .systems import (
-    BLOCK_WIDTH, Parabolic, apply_map, apply_map_columns, jacobian, tangent_columns,
-)
+from .systems import BLOCK_WIDTH, Parabolic, apply_map, jacobian, tangent_columns
 
 VERDICTS = ("stable_cycle", "unstable_cycle", "unresolved", "escaped")
 
@@ -506,7 +504,7 @@ def classify_many(system, starts, budget=None):
         return np.delete(live, done), np.delete(block, done, 1), np.delete(window, done, 2)
 
     while iters < budget.max_iterations and live.size:
-        block, failures = apply_map_columns(system, block, iteration=iters + 1)
+        block, _, failures = tangent_columns(system, block, iteration=iters + 1)
         iters += 1
         if failures:
             for j, exc in sorted(failures.items()):
@@ -750,7 +748,7 @@ def separation_probe(system, x, scales=(1e-2, 1e-4), direction=None, budget=None
     live = np.arange(len(pushes))
     gaps = np.zeros(len(pushes))
     for k in range(1, steps + 1):
-        block, failures = apply_map_columns(system, block, iteration=k)
+        block, _, failures = tangent_columns(system, block, iteration=k)
         if 0 in failures:
             raise failures[0]
         if failures:

@@ -29,6 +29,9 @@ from .errors import ConfigError, NumericalError
 from .config import _resolve_vector, _vector, build_experiment, load_config
 from . import asymptotics, order, prevalence, symmetry, systems
 
+# the --x0 forms of simulate, classify and probe-omega
+X0_HELP = "zero | smooth:K (spatial grids only) | @file | v1,v2,..."
+
 
 class _UsageError(Exception):
     pass
@@ -59,7 +62,7 @@ def _build_parser():
 
     p = sub.add_parser("simulate", help="iterate an orbit and export CSV")
     p.add_argument("config")
-    p.add_argument("--x0", required=True, help="zero | smooth:K | @file | v1,v2,...")
+    p.add_argument("--x0", required=True, help=X0_HELP)
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--thin", type=int, default=1)
     p.add_argument("--out", metavar="PATH", help="orbit CSV (default stdout)")
@@ -70,7 +73,7 @@ def _build_parser():
 
     p = sub.add_parser("classify", help="classify the orbit of one state")
     p.add_argument("config")
-    p.add_argument("--x0", required=True, help="zero | smooth:K | @file | v1,v2,...")
+    p.add_argument("--x0", required=True, help=X0_HELP)
     p.add_argument("--json", dest="json_out", metavar="PATH")
     p.set_defaults(func=cmd_classify)
 
@@ -97,7 +100,7 @@ def _build_parser():
         "probe-omega", help="one-sided omega limits under small pushes"
     )
     p.add_argument("config")
-    p.add_argument("--x0", required=True, help="zero | smooth:K | @file | v1,v2,...")
+    p.add_argument("--x0", required=True, help=X0_HELP)
     p.add_argument("--eps", default="1e-2,1e-3,1e-4", help="comma list of epsilons")
     p.add_argument("--direction", help="ones | v1,v2,...")
     p.add_argument("--out", metavar="PATH")

@@ -18,13 +18,7 @@ import numpy as np
 from .errors import ConfigError
 from .asymptotics import ClassifyBudget
 from .prevalence import DEFAULT_COUNT, STRATEGIES, SamplerSpec, default_amplitude
-from .symmetry import (
-    DEFAULT_TOL_SYM,
-    GroupAction,
-    interval_reflection,
-    ring_rotation,
-    trivial_action,
-)
+from .symmetry import ACTIONS, DEFAULT_TOL_SYM, GroupAction
 from . import systems
 
 # Every config key and the type its value is read as: float, int, bool, or
@@ -238,15 +232,16 @@ def _build_system(cfg):
             raise ConfigError("parabolic systems need [grid] with a domain")
         grid_table = _Table("grid", cfg["grid"])
         time_table = _Table("time", cfg.get("time", {}))
+        params = {
+            **grid_table.args(*SECTIONS["grid"]),
+            **table.args(
+                "strength", "modulation", "nonlinearity", "diffusivity",
+                "spatial_profile", "kappa",
+            ),
+            **time_table.args(*SECTIONS["time"]),
+        }
         try:
-            system = systems.parabolic_system(
-                **grid_table.args(*SECTIONS["grid"]),
-                **table.args(
-                    "strength", "modulation", "nonlinearity", "diffusivity",
-                    "spatial_profile", "kappa",
-                ),
-                **time_table.args(*SECTIONS["time"]),
-            )
+            system = systems.parabolic_system(**params)
         except ValueError as exc:
             raise ConfigError(f"invalid parabolic configuration: {exc}") from exc
         grid_table.done()
@@ -266,8 +261,9 @@ def _build_budget(cfg):
     if "classify" not in cfg:
         return None
     table = _Table("classify", cfg["classify"])
+    params = table.args(*SECTIONS["classify"])
     try:
-        budget = ClassifyBudget(**table.args(*SECTIONS["classify"]))
+        budget = ClassifyBudget(**params)
     except ValueError as exc:
         raise ConfigError(f"invalid [classify] budget: {exc}") from exc
     table.done()
@@ -283,21 +279,21 @@ def _build_sampler(cfg, system):
         raise ConfigError("[sampling] needs a strategy")
     fields = table.args("seed")
     count = table.take("count")
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"[sampling] strategy: unknown strategy {strategy!r}")
+    if strategy == "line_scan":
+        raw = table.args("base", "direction")
+        if len(raw) < 2:
+            raise ConfigError("[sampling] line_scan needs base and direction")
+        # both vectors parse before either is resolved against the grid
+        parsed = {key: _vector("sampling", key, text) for key, text in raw.items()}
+        for key, spec in parsed.items():
+            fields[key] = _resolve_vector(spec, system.n, f"[sampling] {key}")
+    else:
+        fields["amplitude"] = default_amplitude(system)
+    # base and direction are taken already: this reads the other fields
+    fields.update(table.args(*STRATEGIES[strategy]))
     try:
-        if strategy not in STRATEGIES:
-            raise ConfigError(f"[sampling] strategy: unknown strategy {strategy!r}")
-        if strategy == "line_scan":
-            raw = table.args("base", "direction")
-            if len(raw) < 2:
-                raise ConfigError("[sampling] line_scan needs base and direction")
-            # both vectors parse before either is resolved against the grid
-            parsed = {key: _vector("sampling", key, text) for key, text in raw.items()}
-            for key, spec in parsed.items():
-                fields[key] = _resolve_vector(spec, system.n, f"[sampling] {key}")
-        else:
-            fields["amplitude"] = default_amplitude(system)
-        # base and direction are taken already: this reads the other fields
-        fields.update(table.args(*STRATEGIES[strategy]))
         sampler = SamplerSpec(strategy, **fields)
     except ValueError as exc:
         raise ConfigError(f"invalid [sampling] section: {exc}") from exc
@@ -313,15 +309,10 @@ def _build_action(cfg, system):
     tol_sym = table.take("tol_sym")
     if name is None:
         raise ConfigError("[symmetry] needs an action")
-    builders = {
-        "ring_rotation": ring_rotation,
-        "interval_reflection": interval_reflection,
-        "trivial": trivial_action,
-    }
-    if name not in builders:
+    if name not in ACTIONS:
         raise ConfigError(f"[symmetry] action: unknown action {name!r}")
     try:
-        action = builders[name](system.grid)
+        action = ACTIONS[name](system.grid)
     except ValueError as exc:
         raise ConfigError(f"[symmetry] action {name!r}: {exc}") from exc
     if tol_sym is not None and not tol_sym > 0.0:

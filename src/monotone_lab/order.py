@@ -181,12 +181,12 @@ def _pair_images(system, pairs):
     failure raises, the first in pair order (x before y) first, as mapping
     the pairs one at a time would.
     """
-    from .systems import apply_map_columns
+    from .systems import tangent_columns
 
     ends = np.empty((system.n, 2 * len(pairs)))
     for col, end in enumerate(end for pair in pairs for end in pair):
         ends[:, col] = end.values
-    images, failures = apply_map_columns(system, ends)
+    images, _, failures = tangent_columns(system, ends)
     escaped = np.zeros(len(pairs), dtype=bool)
     for col, exc in sorted(failures.items()):
         if escaped[col // 2]:

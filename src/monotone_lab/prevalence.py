@@ -153,10 +153,8 @@ def _smooth_mode(grid, k, x):
         if k % 2 == 1:
             return np.sin(2.0 * np.pi * freq * x)
         return np.cos(2.0 * np.pi * freq * x)
-    if grid.kind == "radial":
-        # zero slope at the axis, zero value at the rim
-        return np.cos((k + 0.5) * np.pi * x)
-    raise GridError("smooth_field sampling needs a spatial grid")
+    # radial: zero slope at the axis, zero value at the rim
+    return np.cos((k + 0.5) * np.pi * x)
 
 
 def sample_initial(sampler, index, grid):
@@ -176,6 +174,8 @@ def sample_initial(sampler, index, grid):
     if sampler.strategy == "box_uniform":
         values = rng.uniform(-sampler.amplitude, sampler.amplitude, grid.n)
         return StateVector(values, grid)
+    if grid.kind == "flat":
+        raise GridError("smooth_field sampling needs a spatial grid")
     x = grid.nodes()
     coeff = rng.uniform(-1.0, 1.0, sampler.modes)
     total = float(np.sum(np.abs(coeff)))

@@ -21,9 +21,7 @@ from .grids import Grid
 from .order import PropertyReport, StateVector, draw_box_state
 from .reports import JsonReport
 from .asymptotics import _initial_values, classify_many, classify_orbit
-from .systems import apply_map_columns
-
-ACTION_KINDS = ("ring_rotation", "interval_reflection", "trivial")
+from .systems import tangent_columns
 
 DEFAULT_TOL_SYM = 1e-5  # sup deviation below which a state counts as invariant
 
@@ -42,7 +40,7 @@ class GroupAction:
     generators: tuple
 
     def __post_init__(self):
-        if self.kind not in ACTION_KINDS:
+        if self.kind not in ACTIONS:
             raise ValueError(f"unknown action kind {self.kind!r}")
         checked = []
         for perm in self.generators:
@@ -72,6 +70,14 @@ def interval_reflection(grid):
 
 def trivial_action(grid):
     return GroupAction("trivial", grid, (np.arange(grid.n),))
+
+
+# every action kind and the builder of its group on a grid
+ACTIONS = {
+    "ring_rotation": ring_rotation,
+    "interval_reflection": interval_reflection,
+    "trivial": trivial_action,
+}
 
 
 @dataclass(eq=False)
@@ -119,7 +125,7 @@ def check_equivariance(system, action, sample_count=30, seed=7086, tol=1e-10):
     moved = np.empty((system.n, sample_count * len(perms)))
     for col, (x, perm) in enumerate((x, perm) for x in states for perm in perms):
         moved[:, col] = x[perm]
-    images, failures = apply_map_columns(system, moved)
+    images, _, failures = tangent_columns(system, moved)
     images = images.reshape(system.n, sample_count, len(perms))
     failed = np.zeros(sample_count, dtype=bool)
     failed[[col // len(perms) for col in failures]] = True

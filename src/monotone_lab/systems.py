@@ -344,19 +344,6 @@ def parabolic_catalog():
 BLOCK_WIDTH = 128
 
 
-def apply_map_columns(system, u, iteration=0):
-    """Apply the map to a state (n,) or to each column of a block (n, K).
-
-    Returns ``(y, failures)``: ``failures`` maps the index of every column
-    (0 for a vector) whose image is non-finite or leaves the inflated box
-    to the NumericalError or EscapeError ``apply_map`` raises for it.
-    Those columns of ``y`` hold no meaningful state. The no-tangent case
-    of ``tangent_columns``.
-    """
-    y, _, failures = tangent_columns(system, u, None, iteration)
-    return y, failures
-
-
 def tangent_columns(system, u, w=None, iteration=0):
     """Apply the map to a state or column block and its derivative to tangents.
 
@@ -369,7 +356,8 @@ def tangent_columns(system, u, w=None, iteration=0):
     EscapeError; those columns of ``y`` and of a parabolic ``dw`` hold no
     meaningful values. The one map call: it runs ``max(1, BLOCK_WIDTH // m)``
     columns at a time, parabolic systems in one lockstep pass of base and
-    tangent.
+    tangent. Loops that map blocks without tangents and retire the failing
+    columns call it with ``w`` None and read ``failures``.
     """
     kind = system.kind
     u = np.asarray(u, dtype=float)
@@ -417,11 +405,12 @@ def tangent_columns(system, u, w=None, iteration=0):
 def apply_map(system, u, iteration=0):
     """Apply the map once to a raw value array. Fast path for orbit loops.
 
-    A block (n, K) goes through ``tangent_columns`` in chunks of at most
-    ``BLOCK_WIDTH`` columns; the first column that fails raises its
-    EscapeError or NumericalError.
+    ``tangent_columns`` without tangents, for a caller that stops at the
+    first failure: a block (n, K) maps in chunks of at most ``BLOCK_WIDTH``
+    columns, and the first column that fails raises its EscapeError or
+    NumericalError.
     """
-    y, failures = apply_map_columns(system, u, iteration)
+    y, _, failures = tangent_columns(system, u, iteration=iteration)
     if failures:
         raise failures[min(failures)]
     return y
@@ -503,7 +492,7 @@ def trapping_check(system, horizon=200, sample_count=20, seed=7084, initial_stat
         live = np.arange(len(initial_states))
         block = np.stack([x.values for x in initial_states], axis=1)
         for k in range(1, horizon + 1):
-            block, failures = apply_map_columns(system, block, iteration=k)
+            block, _, failures = tangent_columns(system, block, iteration=k)
             if failures:
                 gone = list(failures)
                 exited[live[gone]] = True

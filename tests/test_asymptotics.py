@@ -37,7 +37,7 @@ from monotone_lab import (
 )
 from monotone_lab import asymptotics
 from monotone_lab.asymptotics import _perron_root
-from monotone_lab.systems import apply_map_columns
+from monotone_lab.systems import tangent_columns
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -512,7 +512,7 @@ def test_separation_probe_refuses_before_mapping(dirichlet15, monkeypatch):
     def no_map(*args, **kwargs):
         raise AssertionError("the base orbit was mapped")
 
-    monkeypatch.setattr(asymptotics, "apply_map_columns", no_map)
+    monkeypatch.setattr(asymptotics, "tangent_columns", no_map)
     with pytest.raises(ValueError, match="no admissible probe"):
         separation_probe(dirichlet15, np.zeros(dirichlet15.n), scales=(2.0,))
 
@@ -574,7 +574,7 @@ def separation_one_push_at_a_time(system, x, scales, budget):
                 continue
             gap = 0.0
             for k in range(1, steps + 1):
-                pair, failures = apply_map_columns(system, pair, iteration=k)
+                pair, _, failures = tangent_columns(system, pair, iteration=k)
                 if failures:
                     assert list(failures) == [1]
                     gap = max(gap, system.kappa)

@@ -32,7 +32,7 @@ from monotone_lab import (
     smooth_field,
 )
 from monotone_lab import asymptotics, systems
-from monotone_lab.systems import BLOCK_WIDTH, apply_map_columns, tangent_columns
+from monotone_lab.systems import BLOCK_WIDTH, tangent_columns
 
 BUDGET = ClassifyBudget(max_iterations=400, p_max=8)
 
@@ -349,7 +349,7 @@ def test_block_newton_on_mixed_logistic_columns():
         False, True, False, True, True, True, True]
     f = lambda u: r * u * (1.0 - u)  # noqa: E731
     step = (near - f(near)) / (r * (1.0 - 2.0 * near) - 1.0)
-    _, failures = apply_map_columns(logistic, near + step / 8.0 * np.ones((1, 1)))
+    _, _, failures = tangent_columns(logistic, near + step / 8.0 * np.ones((1, 1)))
     assert isinstance(failures[0], EscapeError)
     # the period-2 block: off the 2-cycle by different amounts, and on it
     low = (r + 1.0 - np.sqrt((r - 3.0) * (r + 1.0))) / (2.0 * r)

@@ -518,6 +518,14 @@ def test_cli_x0_forms(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "name", ["cubic", "cubic_line", "linear_cooperative", "logistic"]
+)
+def test_cli_smooth_x0_refused_on_flat_grids(name, capsys):
+    assert main(["classify", cfg(f"{name}.cfg"), "--x0", "smooth:3"]) == 1
+    assert capsys.readouterr().err == "error: smooth_field sampling needs a spatial grid\n"
+
+
 def test_cli_smooth_x0_is_deterministic(tmp_path, capsys):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
@@ -725,6 +733,8 @@ NONFINITE_CONFIGS = {
     },
     "tol_sym": PARABOLIC.format(system="") + "[symmetry]\naction = ring_rotation\n"
     "tol_sym = {value}\n",
+    "p_max": CUBIC + "[classify]\np_max = {value}\n",
+    "strategy": CUBIC + "[sampling]\nstrategy = {value}\n",
 }
 # the command that reaches each key; prevalence refuses the logistic map
 NONFINITE_COMMANDS = {
@@ -735,18 +745,34 @@ FLOAT_SECTIONS = {
     key: section for section, table in SECTIONS.items()
     for key, kind in table.items() if kind is float
 }
+# values a key cannot read or does not accept, with the message of each:
+# the key's own refusal, without a second prefix from its section's builder
+MISREAD = {
+    ("strength", "abc"): "[system] strength: cannot read 'abc' as float",
+    ("p_max", "2.5"): "[classify] p_max: cannot read '2.5' as int",
+    ("strategy", "mystery"): "[sampling] strategy: unknown strategy 'mystery'",
+    ("base", "0,0"): "[sampling] base has 2 entries, the system has 1 nodes",
+}
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("key", sorted([*FLOAT_SECTIONS, "base", "direction"]))
+@pytest.mark.parametrize("key, value", [
+    *((key, value) for key in sorted([*FLOAT_SECTIONS, "base", "direction"])
+      for value in ("nan", "inf")),
+    *MISREAD,
+])
 def test_cli_refuses_nonfinite_parameters(key, value, tmp_path, capsys):
     path = tmp_path / "nonfinite.cfg"
     path.write_text(NONFINITE_CONFIGS[key].format(value=value))
     command, *flags = NONFINITE_COMMANDS.get(key, ["prevalence", "--samples", "3"])
     assert main([command, str(path), *flags]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: "), err
-    if key in FLOAT_SECTIONS:
-        # base and direction are vectors, which SamplerSpec refuses
+    if (key, value) in MISREAD:
+        message = MISREAD[key, value]
+    elif key in FLOAT_SECTIONS:
         message = f"[{FLOAT_SECTIONS[key]}] {key}: {value!r} is not finite"
-        assert err[0].endswith(message), err
+    elif (key, value) == ("direction", "nan"):
+        # base and direction are vectors, which SamplerSpec refuses; a nan
+        # direction fails its positivity check before the finiteness one
+        message = "invalid [sampling] section: line_scan direction must be strongly positive"
+    else:
+        message = "invalid [sampling] section: line_scan base, direction and range must be finite"
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -27,7 +27,7 @@ from monotone_lab import (
     propagate_period,
     propagate_tangent,
 )
-from monotone_lab.systems import apply_map_columns
+from monotone_lab.systems import tangent_columns
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -251,7 +251,7 @@ def test_escape_is_reported_at_its_step():
     xs = system.grid.nodes()
     good = 0.1 * np.sin(np.pi * xs)
     block = np.stack([good, nan_start, start], axis=1)
-    out, failures = apply_map_columns(system, block, iteration=3)
+    out, _, failures = tangent_columns(system, block, iteration=3)
     assert sorted(failures) == [1, 2]
     assert isinstance(failures[1], NumericalError)
     esc = failures[2]

@@ -2,7 +2,7 @@
 
     python3 tools/cli_outputs.py CHECKOUT OUTDIR
 
-Runs 44 ``monotone-lab`` commands against the package in ``CHECKOUT/src``
+Runs 52 ``monotone-lab`` commands against the package in ``CHECKOUT/src``
 and the configs in ``CHECKOUT/configs``, one process each and one after
 another, with ``CHECKOUT`` as the working directory:
 
@@ -12,7 +12,11 @@ another, with ``CHECKOUT`` as the working directory:
 - ``probe-line`` on ``cubic_line.cfg`` at the default resolution and at
   ``--resolution 301``;
 - ``symmetry`` on ``ring_cubic_5.cfg`` with 60 samples and seed 9;
-- ``simulate`` on ``cubic.cfg`` from 0.3 for 50 iterations.
+- ``simulate`` on ``cubic.cfg`` from 0.3 for 50 iterations;
+- ``--help`` of the entry point and of each of its seven subcommands.
+
+Every command runs with ``COLUMNS=80``, so argparse wraps help text the
+same way on every terminal.
 
 For a command ``NAME``, ``OUTDIR/NAME.log`` holds its exit code, stdout and
 stderr, and ``OUTDIR/NAME.*`` the files it wrote. The checkout and output
@@ -32,6 +36,10 @@ import sys
 from pathlib import Path
 
 _WALL_TIME = re.compile(r'("wall_time":\s*)[^,\n}]+')
+SUBCOMMANDS = (
+    "validate", "simulate", "classify", "prevalence", "probe-line",
+    "probe-omega", "symmetry",
+)
 
 
 def commands(checkout):
@@ -61,7 +69,9 @@ def commands(checkout):
         ("simulate-cubic",
          ["simulate", "configs/cubic.cfg", "--x0", "0.3", "--iters", "50"],
          {"--norm-out": "norm"}),
+        ("help", ["--help"], {}),
     ]
+    out += [(f"help-{cmd}", [cmd, "--help"], {}) for cmd in SUBCOMMANDS]
     return out
 
 
@@ -75,7 +85,7 @@ def run(checkout, outdir):
     if not (checkout / "src" / "monotone_lab").is_dir():
         raise SystemExit(f"{checkout} has no src/monotone_lab")
     outdir.mkdir(parents=True, exist_ok=True)
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), COLUMNS="80")
     env.pop("MONOTONE_LAB_THREADS", None)
     todo = commands(checkout)
     for name, argv, files in todo:
