@@ -32,7 +32,9 @@ from .errors import DimensionMismatchError, EscapeError, OrderError
 from .grids import Grid
 from .order import StateVector
 from .reports import JsonReport
-from .systems import BLOCK_WIDTH, Parabolic, apply_map, jacobian, tangent_columns
+from .systems import (
+    BLOCK_WIDTH, Parabolic, _maps_to_itself, apply_map, jacobian, tangent_columns,
+)
 
 VERDICTS = ("stable_cycle", "unstable_cycle", "unresolved", "escaped")
 
@@ -450,8 +452,10 @@ def classify_orbit(system, x0, budget=None):
     p_max is detected and graded, escaped when the orbit leaves the inflated
     trapping box, unresolved when the budget runs out first. Detection runs
     on a sliding window of the last 3 * p_max iterates, every check_every
-    steps once the window fills, and once more at the final iterate. This
-    is ``classify_many`` on a single start.
+    steps once the window fills, and once more at the final iterate. An
+    orbit that maps to itself bit for bit is not mapped again up to its next
+    checkpoint, whose window and iteration count are those the maps would
+    give. This is ``classify_many`` on a single start.
     """
     u = _initial_values(system, x0)
     return classify_many(system, u[:, None], budget)[0]
@@ -463,8 +467,10 @@ def classify_many(system, starts, budget=None):
     The columns run BLOCK_WIDTH at a time. All live orbits of a block
     advance together through the map, each column with its own sliding
     window; a column retires when it escapes or when its cycle is detected
-    and graded, and the rest run on. Returns one Classification per
-    column, in column order.
+    and graded, and the rest run on. A block that maps to itself bit for
+    bit is not mapped again up to its next checkpoint: its rows fill the
+    window and the iteration count moves there, as the maps would have
+    left them. Returns one Classification per column, in column order.
 
     The cycles detected at one checkpoint are closed as one block per
     period p: p tangent passes from the candidates' first points, each
@@ -503,7 +509,13 @@ def classify_many(system, starts, budget=None):
     def retire(done):
         return np.delete(live, done), np.delete(block, done, 1), np.delete(window, done, 2)
 
+    def is_checkpoint(k):
+        return k >= window_len - 1 and (
+            k % budget.check_every == 0 or k == budget.max_iterations
+        )
+
     while iters < budget.max_iterations and live.size:
+        before = block
         block, _, failures = tangent_columns(system, block, iteration=iters + 1)
         iters += 1
         if failures:
@@ -518,9 +530,12 @@ def classify_many(system, starts, budget=None):
             if not live.size:
                 break
         window[iters % window_len] = block
-        if iters >= window_len - 1 and (
-            iters % budget.check_every == 0 or iters == budget.max_iterations
-        ):
+        if _maps_to_itself(before, block):
+            # every map up to the next checkpoint would return this block
+            while not is_checkpoint(iters) and iters < budget.max_iterations:
+                iters += 1
+                window[iters % window_len] = block
+        if is_checkpoint(iters):
             # the window rows in iterate order, oldest first
             tails = window[(iters + 1 + np.arange(window_len)) % window_len]
             periods = _scan_periods(tails, budget.p_max, budget.tol_cyc)

@@ -208,6 +208,8 @@ def check_monotone(system, pair_count=200, seed=7081, tol=None):
     escapes is a violation with margin inf. The pairs are drawn first, then
     both ends of all of them advance as the columns of blocks.
     """
+    if pair_count < 0:
+        raise ValueError("pair_count must be nonnegative")
     tol = tol or DEFAULT_TOL
     rng = np.random.default_rng(seed)
     pairs = [draw_ordered_pair(system, rng) for _ in range(pair_count)]
@@ -229,6 +231,8 @@ def check_strong_monotone(system, pair_count=200, seed=7082, tol=None):
     first, then both ends of the tested ones advance as the columns of
     blocks.
     """
+    if pair_count < 0:
+        raise ValueError("pair_count must be nonnegative")
     tol = tol or CHECK_TOL
     rng = np.random.default_rng(seed)
     pairs = [draw_ordered_pair(system, rng) for _ in range(pair_count)]

@@ -118,6 +118,8 @@ def check_equivariance(system, action, sample_count=30, seed=7086, tol=1e-10):
         raise DimensionMismatchError(
             f"action grid {action.grid} does not match system grid {system.grid}"
         )
+    if sample_count < 0:
+        raise ValueError("sample_count must be nonnegative")
     rng = np.random.default_rng(seed)
     perms = [np.arange(system.n)] + list(action.generators)
     states = [draw_box_state(system, rng).values for _ in range(sample_count)]

@@ -402,6 +402,18 @@ def tangent_columns(system, u, w=None, iteration=0):
     return y, dw, failures
 
 
+def _maps_to_itself(before, after):
+    """True when the block ``after`` = F(``before``) is ``before`` bit for bit.
+
+    ``tangent_columns`` without tangents is a deterministic function of the
+    block's bits and shape (``iteration`` only labels an error), so such a
+    block maps to itself, without failures, on every later call: an orbit
+    loop may stop mapping it. The test is on the bytes, not
+    ``np.array_equal``, which takes -0.0 for 0.0 (and is slower).
+    """
+    return before.shape == after.shape and before.tobytes() == after.tobytes()
+
+
 def apply_map(system, u, iteration=0):
     """Apply the map once to a raw value array. Fast path for orbit loops.
 
@@ -457,6 +469,8 @@ def validate_dissipativity(system, sample_count=200, seed=7083):
     kind = system.kind
     if not isinstance(kind, (AnalyticScalar, Parabolic)):
         raise ValueError("dissipativity check applies to scalar reactions only")
+    if sample_count < 0:
+        raise ValueError("sample_count must be nonnegative")
     rng = np.random.default_rng(seed)
     kappa = system.kappa
     tau = kind.tau if isinstance(kind, Parabolic) else 1.0
@@ -480,8 +494,14 @@ def trapping_check(system, horizon=200, sample_count=20, seed=7084, initial_stat
     worst_margin is the largest excess max_sup - kappa over all recorded
     iterates (negative values mean the box was never left); a start whose
     orbit escapes or turns non-finite counts as exited with margin inf.
-    The starts advance together as the columns of one block.
+    The starts advance together as the columns of one block. A block that
+    maps to itself bit for bit is not mapped again: every later iterate
+    would record the same sups, so the report is that of the full horizon.
     """
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    if sample_count < 0:
+        raise ValueError("sample_count must be nonnegative")
     rng = np.random.default_rng(seed)
     if initial_states is None:
         initial_states = [draw_box_state(system, rng) for _ in range(sample_count)]
@@ -492,6 +512,7 @@ def trapping_check(system, horizon=200, sample_count=20, seed=7084, initial_stat
         live = np.arange(len(initial_states))
         block = np.stack([x.values for x in initial_states], axis=1)
         for k in range(1, horizon + 1):
+            before = block
             block, _, failures = tangent_columns(system, block, iteration=k)
             if failures:
                 gone = list(failures)
@@ -503,6 +524,8 @@ def trapping_check(system, horizon=200, sample_count=20, seed=7084, initial_stat
             sups = np.max(np.abs(block), axis=0)
             worst = max(worst, float(np.max(sups - system.kappa)))
             exited[live[sups > system.kappa]] = True
+            if _maps_to_itself(before, block):
+                break
     return PropertyReport(
         "trapping", len(initial_states), int(np.sum(exited)), worst, seed
     )
@@ -519,6 +542,8 @@ def check_strong_positivity(system, probe_count=50, seed=7085, eta=1e-12):
     its error; the closed-form derivatives of the other kinds are read
     whatever the image does.
     """
+    if probe_count < 0:
+        raise ValueError("probe_count must be nonnegative")
     rng = np.random.default_rng(seed)
     n = system.n
     xs = np.empty((n, probe_count))
