@@ -29,6 +29,7 @@ from .order import (
     check_monotone,
     check_strong_monotone,
     draw_ordered_pair,
+    draw_ordered_pairs,
     leq,
     order_interval_sample,
     strictly_less,

@@ -148,32 +148,46 @@ class ValidationReport(JsonReport):
     schema_version: int = field(default=2, init=False)
 
 
+def draw_box_states(system, rng, count, units=0):
+    """``count`` states uniform in the open trapping box, as the columns of
+    an (n, count) block, each with ``units`` more rows uniform in [0, 1].
+    One generator call, bit for bit as one column at a time: the array form
+    of ``uniform`` reads doubles in row order, each low + (high - low) U."""
+    kappa, n = system.kappa, system.n
+    low = np.concatenate([np.full(n, -kappa), np.zeros(units)])
+    high = np.concatenate([np.full(n, kappa), np.ones(units)])
+    return rng.uniform(low, high, size=(count, n + units)).T.copy()
+
+
 def draw_box_state(system, rng):
     """One state drawn uniformly from the open trapping box of the system."""
-    kappa = system.kappa
-    values = rng.uniform(-kappa, kappa, size=system.grid.n)
-    return StateVector(values, system.grid)
+    return StateVector(draw_box_states(system, rng, 1)[:, 0], system.grid)
 
 
-def draw_ordered_pair(system, rng):
-    """An ordered pair x <= y inside the trapping box.
+def draw_ordered_pairs(system, rng, count):
+    """``count`` ordered pairs x <= y in the trapping box, as (n, count) blocks.
 
     x is uniform in the box; y = x + r w with w componentwise uniform in
     [0, 1] and r a uniform fraction of the largest step keeping y inside.
+    One generator call draws every pair's x, w and r, with the bits of
+    drawing the pairs one at a time.
     """
-    kappa = system.kappa
-    n = system.grid.n
-    x = rng.uniform(-kappa, kappa, size=n)
-    w = rng.uniform(0.0, 1.0, size=n)
+    kappa, n = system.kappa, system.n
+    draws = draw_box_states(system, rng, count, n + 1)
+    x, w = draws[:n], draws[n:2 * n]
     with np.errstate(divide="ignore"):
         headroom = np.where(w > 0.0, (kappa - x) / np.where(w > 0.0, w, 1.0), np.inf)
-    r = rng.uniform(0.0, 1.0) * float(np.min(headroom))
-    y = x + r * w
-    grid = system.grid
-    return StateVector(x, grid), StateVector(y, grid)
+    r = draws[2 * n] * np.min(headroom, axis=0)
+    return x, x + r * w
 
 
-def _pair_images(system, pairs):
+def draw_ordered_pair(system, rng):
+    """One ordered pair of states: ``draw_ordered_pairs`` with count 1."""
+    xs, ys = draw_ordered_pairs(system, rng, 1)
+    return StateVector(xs[:, 0], system.grid), StateVector(ys[:, 0], system.grid)
+
+
+def _pair_images(system, xs, ys):
     """Images of both ends of every pair, mapped as the columns of one block.
 
     Returns ``(fx, fy, escaped)``: images of shape (n, P) and a mask of the
@@ -183,11 +197,10 @@ def _pair_images(system, pairs):
     """
     from .systems import tangent_columns
 
-    ends = np.empty((system.n, 2 * len(pairs)))
-    for col, end in enumerate(end for pair in pairs for end in pair):
-        ends[:, col] = end.values
+    ends = np.empty((system.n, 2 * xs.shape[1]))
+    ends[:, 0::2], ends[:, 1::2] = xs, ys
     images, _, failures = tangent_columns(system, ends)
-    escaped = np.zeros(len(pairs), dtype=bool)
+    escaped = np.zeros(xs.shape[1], dtype=bool)
     for col, exc in sorted(failures.items()):
         if escaped[col // 2]:
             continue  # y of a pair whose x escaped is never looked at
@@ -205,15 +218,15 @@ def check_monotone(system, pair_count=200, seed=7081, tol=None):
     images violate the order beyond the equality slack. worst_margin is the
     largest componentwise excess of F(x) over F(y) seen across pairs,
     so any value at or below tol_eq means a clean pass; a pair whose map
-    escapes is a violation with margin inf. The pairs are drawn first, then
-    both ends of all of them advance as the columns of blocks.
+    escapes is a violation with margin inf. The pairs are drawn first, in
+    one generator call with the bits of one-at-a-time draws, then both ends
+    of all of them advance as the columns of blocks.
     """
     if pair_count < 0:
         raise ValueError("pair_count must be nonnegative")
     tol = tol or DEFAULT_TOL
-    rng = np.random.default_rng(seed)
-    pairs = [draw_ordered_pair(system, rng) for _ in range(pair_count)]
-    fx, fy, escaped = _pair_images(system, pairs)
+    xs, ys = draw_ordered_pairs(system, np.random.default_rng(seed), pair_count)
+    fx, fy, escaped = _pair_images(system, xs, ys)
     margins = np.where(escaped, np.inf, np.max(fx - fy, axis=0))
     return PropertyReport(
         "monotone", pair_count, int(np.sum(margins > tol.tol_eq)),
@@ -228,18 +241,17 @@ def check_strong_monotone(system, pair_count=200, seed=7082, tol=None):
     worst_margin is the minimum interior gap min(F(y) - F(x)) observed, so the
     check passes exactly when that gap stays above eta_interior; a pair
     whose map escapes is a violation with gap -inf. The pairs are drawn
-    first, then both ends of the tested ones advance as the columns of
-    blocks.
+    first, in one generator call with the bits of one-at-a-time draws, then
+    both ends of the tested ones advance as the columns of blocks.
     """
     if pair_count < 0:
         raise ValueError("pair_count must be nonnegative")
     tol = tol or CHECK_TOL
-    rng = np.random.default_rng(seed)
-    pairs = [draw_ordered_pair(system, rng) for _ in range(pair_count)]
-    pairs = [(x, y) for x, y in pairs if np.max(y.values - x.values) > tol.tol_eq]
-    fx, fy, escaped = _pair_images(system, pairs)
+    xs, ys = draw_ordered_pairs(system, np.random.default_rng(seed), pair_count)
+    tested = np.max(ys - xs, axis=0) > tol.tol_eq
+    fx, fy, escaped = _pair_images(system, xs[:, tested], ys[:, tested])
     gaps = np.where(escaped, -np.inf, np.min(fy - fx, axis=0))
     return PropertyReport(
-        "strong_monotone", len(pairs), int(np.sum(gaps <= tol.eta_interior)),
+        "strong_monotone", int(np.sum(tested)), int(np.sum(gaps <= tol.eta_interior)),
         float(np.min(gaps, initial=np.inf)), seed,
     )

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, GridError
 from .grids import Grid
-from .order import PropertyReport, StateVector, draw_box_state
+from .order import PropertyReport, StateVector, draw_box_states
 from .reports import JsonReport
 from .asymptotics import _initial_values, classify_many, classify_orbit
 from .systems import tangent_columns
@@ -109,7 +109,8 @@ def spatial_variance(u):
 def check_equivariance(system, action, sample_count=30, seed=7086, tol=1e-10):
     """Check sup|F(g.u) - g.F(u)| < tol for random box states and all generators.
 
-    The states are drawn first; each then contributes the columns
+    The states are drawn first, in one generator call with the bits of
+    one-at-a-time draws; each then contributes the columns
     [u | g1.u | g2.u ...], all advancing as the columns of one block, and
     g.F(u) is the permuted image of u. A sample with a column whose map
     fails has gap inf.
@@ -120,13 +121,10 @@ def check_equivariance(system, action, sample_count=30, seed=7086, tol=1e-10):
         )
     if sample_count < 0:
         raise ValueError("sample_count must be nonnegative")
-    rng = np.random.default_rng(seed)
     perms = [np.arange(system.n)] + list(action.generators)
-    states = [draw_box_state(system, rng).values for _ in range(sample_count)]
+    states = draw_box_states(system, np.random.default_rng(seed), sample_count)
     # column k of sample s is perms[k] acting on its state
-    moved = np.empty((system.n, sample_count * len(perms)))
-    for col, (x, perm) in enumerate((x, perm) for x in states for perm in perms):
-        moved[:, col] = x[perm]
+    moved = np.stack([states[perm] for perm in perms], axis=2).reshape(system.n, -1)
     images, _, failures = tangent_columns(system, moved)
     images = images.reshape(system.n, sample_count, len(perms))
     failed = np.zeros(sample_count, dtype=bool)

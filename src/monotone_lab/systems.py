@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DimensionMismatchError, EscapeError, GridError, NumericalError
 from .grids import Grid
 from .numerics import SteppingScheme, _Propagator
-from .order import PropertyReport, StateVector, draw_box_state
+from .order import PropertyReport, StateVector, draw_box_states
 
 
 # the cubic's constants as 0-d arrays, for the in-place loop (see factor)
@@ -450,42 +450,37 @@ def jacobian(system, x):
 # ---------------------------------------------------------------------------
 # standing-assumption validators
 
-def _reaction_sample(system, t, node, u):
-    """Reaction value at one probe point, profile factor included."""
-    kind = system.kind
-    if isinstance(kind, AnalyticScalar):
-        return kind.value(u) - u
-    nl = kind.nonlinearity
-    return float(nl.rate(nl.amplitude(t, kind.tau), np.full(system.n, u))[node])
-
-
 def validate_dissipativity(system, sample_count=200, seed=7083):
     """Sign condition pulling large states inward: u * f < 0 for kappa <= |u| <= 2 kappa.
 
     For explicit scalar maps the reaction is read as F(u) - u. worst_margin
     is the largest product u * f observed; any nonnegative value is a
-    violation.
+    violation. Each sample (t, node, u) makes its own generator calls, then
+    all margins are evaluated as one array, bit for bit as one at a time.
     """
     kind = system.kind
     if not isinstance(kind, (AnalyticScalar, Parabolic)):
         raise ValueError("dissipativity check applies to scalar reactions only")
     if sample_count < 0:
         raise ValueError("sample_count must be nonnegative")
-    rng = np.random.default_rng(seed)
-    kappa = system.kappa
+    rng, kappa = np.random.default_rng(seed), system.kappa
     tau = kind.tau if isinstance(kind, Parabolic) else 1.0
-    n = system.n
-    violations = 0
-    worst = -np.inf
-    for _ in range(sample_count):
-        t = rng.uniform(0.0, tau)
-        node = int(rng.integers(0, n))
-        u = float(rng.uniform(kappa, 2.0 * kappa)) * (1.0 if rng.uniform() < 0.5 else -1.0)
-        margin = u * _reaction_sample(system, t, node, u)
-        worst = max(worst, margin)
-        if margin >= 0.0:
-            violations += 1
-    return PropertyReport("dissipativity", sample_count, violations, worst, seed)
+    t, node, u = np.empty(sample_count), np.empty(sample_count, dtype=int), np.empty(sample_count)
+    for j in range(sample_count):
+        t[j] = rng.uniform(0.0, tau)
+        node[j] = rng.integers(0, system.n)
+        u[j] = rng.uniform(kappa, 2.0 * kappa) * (1.0 if rng.uniform() < 0.5 else -1.0)
+    if isinstance(kind, AnalyticScalar):
+        f = kind.value(u) - u
+    else:
+        nl, f = kind.nonlinearity, np.empty_like(u)
+        nl.g_into(u, f, np.empty_like(u))
+        f *= nl.amplitude(t, tau) * (1.0 if nl.profile is None else nl.profile[node])
+    margins = u * f  # fmax skips NaN margins, as a running max() does
+    return PropertyReport(
+        "dissipativity", sample_count, int(np.sum(margins >= 0.0)),
+        float(np.fmax.reduce(margins, initial=-np.inf)), seed,
+    )
 
 
 def trapping_check(system, horizon=200, sample_count=20, seed=7084, initial_states=None):
@@ -494,7 +489,8 @@ def trapping_check(system, horizon=200, sample_count=20, seed=7084, initial_stat
     worst_margin is the largest excess max_sup - kappa over all recorded
     iterates (negative values mean the box was never left); a start whose
     orbit escapes or turns non-finite counts as exited with margin inf.
-    The starts advance together as the columns of one block. A block that
+    Box starts are drawn in one generator call, bit for bit as one at a
+    time, and advance together as the columns of one block. A block that
     maps to itself bit for bit is not mapped again: every later iterate
     would record the same sups, so the report is that of the full horizon.
     """
@@ -502,15 +498,15 @@ def trapping_check(system, horizon=200, sample_count=20, seed=7084, initial_stat
         raise ValueError("horizon must be nonnegative")
     if sample_count < 0:
         raise ValueError("sample_count must be nonnegative")
-    rng = np.random.default_rng(seed)
     if initial_states is None:
-        initial_states = [draw_box_state(system, rng) for _ in range(sample_count)]
-    system.check_grid(*initial_states)
-    exited = np.zeros(len(initial_states), dtype=bool)
+        block = draw_box_states(system, np.random.default_rng(seed), sample_count)
+    else:
+        system.check_grid(*initial_states)
+        block = np.array([x.values for x in initial_states]).reshape(-1, system.n).T.copy()
+    exited = np.zeros(block.shape[1], dtype=bool)
     worst = -np.inf
-    if initial_states:
-        live = np.arange(len(initial_states))
-        block = np.stack([x.values for x in initial_states], axis=1)
+    if block.size:
+        live = np.arange(block.shape[1])
         for k in range(1, horizon + 1):
             before = block
             block, _, failures = tangent_columns(system, block, iteration=k)
@@ -526,9 +522,7 @@ def trapping_check(system, horizon=200, sample_count=20, seed=7084, initial_stat
             exited[live[sups > system.kappa]] = True
             if _maps_to_itself(before, block):
                 break
-    return PropertyReport(
-        "trapping", len(initial_states), int(np.sum(exited)), worst, seed
-    )
+    return PropertyReport("trapping", len(exited), int(np.sum(exited)), worst, seed)
 
 
 def check_strong_positivity(system, probe_count=50, seed=7085, eta=1e-12):
@@ -537,25 +531,20 @@ def check_strong_positivity(system, probe_count=50, seed=7085, eta=1e-12):
     Probes mix coordinate directions with random nonnegative vectors at
     random box states. worst_margin is the smallest component of DF(x) v
     observed; the check passes when it stays above eta. All probes are
-    drawn first, then map as one ``tangent_columns`` call, one tangent
-    column per base column. The first parabolic probe that fails raises
-    its error; the closed-form derivatives of the other kinds are read
-    whatever the image does.
+    drawn first, in two generator calls bit for bit as one at a time (the
+    coordinate probes, then the random ones), then map as one
+    ``tangent_columns`` call, one tangent column per base column. The first
+    parabolic probe that fails raises its error; the closed-form
+    derivatives of the other kinds are read whatever the image does.
     """
     if probe_count < 0:
         raise ValueError("probe_count must be nonnegative")
-    rng = np.random.default_rng(seed)
-    n = system.n
-    xs = np.empty((n, probe_count))
-    vs = np.zeros((n, probe_count))
-    for j in range(probe_count):
-        xs[:, j] = draw_box_state(system, rng).values
-        if j < n:
-            vs[j, j] = 1.0
-        else:
-            vs[:, j] = rng.uniform(0.0, 1.0, size=n)
-            if np.max(vs[:, j]) <= 0.0:
-                vs[0, j] = 1.0
+    rng, n = np.random.default_rng(seed), system.n
+    head = min(n, probe_count)
+    xs = draw_box_states(system, rng, head)
+    rows = draw_box_states(system, rng, probe_count - head, n)  # [x | v] per probe
+    xs, vs = np.hstack([xs, rows[:n]]), np.hstack([np.eye(n, head), rows[n:]])
+    vs[0, np.max(vs, axis=0) <= 0.0] = 1.0
     _, dv, failures = tangent_columns(system, xs, vs)
     if failures and isinstance(system.kind, Parabolic):
         raise failures[min(failures)]

@@ -1,10 +1,15 @@
 """The sampled property checks, run as column blocks, against per-sample loops.
 
-Each reference below draws the same samples in the same order as its check
-and maps them one state at a time through ``evaluate`` or a vector tangent
-pass. Counts must agree exactly; margins agree to roundoff, or exactly
-where they are infinite.
+Each reference below draws the same samples in the same order as its check,
+one sample at a time with the literal generator calls of ``loop_box_state``
+and ``loop_ordered_pair``, and maps them one state at a time through
+``evaluate`` or a vector tangent pass. Counts must agree exactly; margins
+agree to roundoff, or exactly where they are infinite. The block samplers
+must give the bits of those loops, and the dissipativity check the bits of
+its one-sample-at-a-time formula.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -19,19 +24,22 @@ from monotone_lab import (
     check_monotone,
     check_strong_monotone,
     check_strong_positivity,
+    catalog,
     classify_symmetric_limit,
-    draw_ordered_pair,
+    draw_ordered_pairs,
     evaluate,
     interval_reflection,
     negation_map,
+    logistic_map,
     parabolic_system,
     ring_rotation,
     sample_initial,
     smooth_field,
     symmetric_limit_survey,
     trivial_action,
+    validate_dissipativity,
 )
-from monotone_lab.order import draw_box_state
+from monotone_lab.order import PropertyReport, draw_box_states
 from monotone_lab.systems import BLOCK_WIDTH, Parabolic, tangent_columns
 
 SYSTEMS = (
@@ -56,6 +64,22 @@ def action_for(system):
     return trivial_action(system.grid)
 
 
+def loop_box_state(system, rng):
+    """One state uniform in the trapping box: one generator call."""
+    return rng.uniform(-system.kappa, system.kappa, size=system.n)
+
+
+def loop_ordered_pair(system, rng):
+    """One ordered pair x <= y in the box, in three generator calls: x, w, r."""
+    kappa, n = system.kappa, system.n
+    x = rng.uniform(-kappa, kappa, size=n)
+    w = rng.uniform(0.0, 1.0, size=n)
+    with np.errstate(divide="ignore"):
+        headroom = np.where(w > 0.0, (kappa - x) / np.where(w > 0.0, w, 1.0), np.inf)
+    r = rng.uniform(0.0, 1.0) * float(np.min(headroom))
+    return x, x + r * w
+
+
 def per_pair_monotone(system, pair_count, seed, strong):
     """(violations, pairs tested, worst margin) of a monotone check, pair by pair."""
     tol = CHECK_TOL if strong else DEFAULT_TOL
@@ -63,12 +87,12 @@ def per_pair_monotone(system, pair_count, seed, strong):
     violations, tested = 0, 0
     worst = np.inf if strong else -np.inf
     for _ in range(pair_count):
-        x, y = draw_ordered_pair(system, rng)
-        if strong and np.max(y.values - x.values) <= tol.tol_eq:
+        x, y = loop_ordered_pair(system, rng)
+        if strong and np.max(y - x) <= tol.tol_eq:
             continue
         tested += 1
         try:
-            fx, fy = evaluate(system, x), evaluate(system, y)
+            fx, fy = evaluate(system, system.state(x)), evaluate(system, system.state(y))
         except EscapeError:
             violations += 1
             worst = -np.inf if strong else np.inf
@@ -90,18 +114,18 @@ def per_probe_positivity(system, probe_count, seed, eta=1e-12):
     n, kind = system.n, system.kind
     violations, worst = 0, np.inf
     for j in range(probe_count):
-        x = draw_box_state(system, rng)
+        x = loop_box_state(system, rng)
         if j < n:
             v = np.zeros(n)
             v[j] = 1.0
         else:
             v = rng.uniform(0.0, 1.0, size=n)
         if isinstance(kind, Parabolic):
-            _, dv, failures = kind.propagator.tangent_columns(x.values, v, 2.0 * system.kappa)
+            _, dv, failures = kind.propagator.tangent_columns(x, v, 2.0 * system.kappa)
             if failures:
                 raise failures[0]
         elif hasattr(kind, "deriv"):
-            dv = kind.deriv(x.values) * v
+            dv = kind.deriv(x) * v
         else:
             dv = kind.matrix @ v
         gap = float(np.min(dv))
@@ -115,7 +139,7 @@ def per_sample_equivariance(system, action, sample_count, seed, tol=1e-10):
     rng = np.random.default_rng(seed)
     violations, worst = 0, -np.inf
     for _ in range(sample_count):
-        x = draw_box_state(system, rng)
+        x = system.state(loop_box_state(system, rng))
         gap = -np.inf
         try:
             fx = evaluate(system, x)
@@ -162,6 +186,81 @@ def test_block_checks_match_per_sample_loops(cat, name):
         check_equivariance(system, action, sample_count=12, seed=7086),
         per_sample_equivariance(system, action, 12, 7086),
     )
+
+
+def as_block(columns, n):
+    """Per-sample draws stacked as the columns of an (n, count) block."""
+    return np.array(columns, dtype=float).reshape(-1, n).T
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_block_samplers_match_one_at_a_time_draws(cat, name):
+    system = cat[name]
+    n, kappa = system.n, system.kappa
+    for count in sorted({0, 1, n - 1, n, n + 1, 200}):
+        block, loop = np.random.default_rng(count), np.random.default_rng(count)
+        xs, ys = draw_ordered_pairs(system, block, count)
+        pairs = [loop_ordered_pair(system, loop) for _ in range(count)]
+        assert_same_bits(xs, as_block([x for x, _ in pairs], n))
+        assert_same_bits(ys, as_block([y for _, y in pairs], n))
+        assert np.all(-kappa <= xs) and np.all(xs <= ys) and np.all(ys <= kappa)
+        assert_same_bits(
+            draw_box_states(system, block, count),
+            as_block([loop_box_state(system, loop) for _ in range(count)], n),
+        )
+        # the random probes of check_strong_positivity: [x | v] per probe
+        probes = []
+        for _ in range(count):
+            x = loop_box_state(system, loop)
+            probes.append(np.concatenate([x, loop.uniform(0.0, 1.0, size=n)]))
+        assert_same_bits(draw_box_states(system, block, count, n), as_block(probes, 2 * n))
+        # the generators read the same doubles, so they stand at the same place
+        assert block.random() == loop.random()
+
+
+def per_sample_dissipativity(system, sample_count, seed):
+    """The dissipativity report, sample by sample, with the reaction of a
+    constant state read at the sampled node."""
+    kind = system.kind
+    rng = np.random.default_rng(seed)
+    kappa = system.kappa
+    tau = kind.tau if isinstance(kind, Parabolic) else 1.0
+    violations, worst = 0, -np.inf
+    for _ in range(sample_count):
+        t = rng.uniform(0.0, tau)
+        node = int(rng.integers(0, system.n))
+        u = float(rng.uniform(kappa, 2.0 * kappa)) * (1.0 if rng.uniform() < 0.5 else -1.0)
+        if isinstance(kind, Parabolic):
+            nl = kind.nonlinearity
+            f = float(nl.rate(nl.amplitude(t, tau), np.full(system.n, u))[node])
+        else:
+            f = kind.value(u) - u
+        margin = u * f
+        worst = max(worst, margin)
+        violations += margin >= 0.0
+    return PropertyReport("dissipativity", sample_count, violations, worst, seed)
+
+
+def test_dissipativity_matches_one_sample_at_a_time(cat):
+    scalar = {k: s for k, s in cat.items() if k != "linear_cooperative"}
+    extra = (
+        parabolic_system("ring", 16, 5.0, modulation=0.4, profile="ramp", name="ramp"),
+        parabolic_system("neumann", 24, 8.0, profile="wave", kappa=0.8, name="wave"),
+        parabolic_system("dirichlet", 16, 3.0, form="linear", name="linear"),
+        logistic_map(3.9),
+    )
+    for system in list(scalar.values()) + list(extra):
+        for count in (0, 1, 200):
+            for seed in (7083, count):
+                got = validate_dissipativity(system, sample_count=count, seed=seed)
+                want = per_sample_dissipativity(system, count, seed)
+                # json text tells -0.0 from 0.0, which == does not
+                assert json.dumps(got.to_json()) == json.dumps(want.to_json())
 
 
 def test_escaping_pairs_are_violations_at_infinite_margin(logistic):
