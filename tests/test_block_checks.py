@@ -20,17 +20,17 @@ from monotone_lab import (
     ClassifyBudget,
     EscapeError,
     NumericalError,
+    catalog,
     check_equivariance,
     check_monotone,
     check_strong_monotone,
     check_strong_positivity,
-    catalog,
     classify_symmetric_limit,
     draw_ordered_pairs,
     evaluate,
     interval_reflection,
-    negation_map,
     logistic_map,
+    negation_map,
     parabolic_system,
     ring_rotation,
     sample_initial,
@@ -247,14 +247,14 @@ def per_sample_dissipativity(system, sample_count, seed):
 
 
 def test_dissipativity_matches_one_sample_at_a_time(cat):
-    scalar = {k: s for k, s in cat.items() if k != "linear_cooperative"}
-    extra = (
+    scalar = [s for name, s in cat.items() if name != "linear_cooperative"]
+    extra = [
         parabolic_system("ring", 16, 5.0, modulation=0.4, profile="ramp", name="ramp"),
         parabolic_system("neumann", 24, 8.0, profile="wave", kappa=0.8, name="wave"),
         parabolic_system("dirichlet", 16, 3.0, form="linear", name="linear"),
         logistic_map(3.9),
-    )
-    for system in list(scalar.values()) + list(extra):
+    ]
+    for system in scalar + extra:
         for count in (0, 1, 200):
             for seed in (7083, count):
                 got = validate_dissipativity(system, sample_count=count, seed=seed)
