@@ -192,18 +192,22 @@ def _scan_periods(tails, p_max, tol_cyc):
     ``tails`` has shape (length, n, K): row t holds state t of K tails. A
     period p is accepted for a column when the last 2 * p_max states agree
     with their p-shifted predecessors to within tol_cyc in sup norm over
-    window and nodes; the smallest accepted p wins.
+    window and nodes; the smallest accepted p wins. The oldest window row
+    is tested first, for every p at once: that gap is part of the sup, so
+    only the (p, column) pairs it lets through take the full window test.
+    A NaN gap fails both.
     """
     length, _, count = tails.shape
-    window = 2 * p_max
-    base = tails[length - window:]
+    oldest = length - 2 * p_max
+    base = tails[oldest:]
+    near = np.abs(tails[oldest] - tails[oldest - np.arange(1, p_max + 1)]).max(axis=1) < tol_cyc
     periods = np.zeros(count, dtype=int)
-    for p in range(1, p_max + 1):
-        shifted = tails[length - window - p: length - p]
-        gaps = np.abs(base - shifted).reshape(-1, count).max(axis=0)
-        periods[(periods == 0) & (gaps < tol_cyc)] = p
-        if periods.all():
-            break
+    for p in np.flatnonzero(near.any(axis=1)) + 1:
+        cols = np.flatnonzero(near[p - 1] & (periods == 0))
+        if cols.size:
+            shifted = tails[oldest - p: length - p, :, cols]
+            gaps = np.abs(base[:, :, cols] - shifted).reshape(-1, cols.size).max(axis=0)
+            periods[cols[gaps < tol_cyc]] = p
     return periods
 
 
@@ -376,43 +380,57 @@ def cycle_spectral_radius(system, cycle, tol=_POWER_TOL, max_power_iter=_POWER_M
     repeats from two steps back, the dense eigenvalue solve of the
     assembled product is used instead and reported as such.
 
-    ``classify_many`` grades the Jacobians of its block closure passes the
-    same way; a start classified alone gets this rho bit for bit.
+    This is the one-column case of ``_perron_roots``, with which
+    ``classify_many`` grades each period group of its block closure passes;
+    a start classified alone gets this rho bit for bit.
     """
     pts = _as_state_array(cycle)
-    det = _perron_root(
-        [jacobian(system, system.state(row)) for row in pts], tol, max_power_iter
-    )
+    mats = np.stack([jacobian(system, system.state(row)) for row in pts])
+    det = _perron_roots(mats[:, None], tol, max_power_iter)[0]
     return det if detail else det.rho
 
 
-def _perron_root(mats, tol=_POWER_TOL, max_power_iter=_POWER_MAX_ITER):
-    """Power iteration on the product of ``mats``, dense eigvals fallback."""
-    dim = mats[0].shape[0]
-    w = np.ones(dim)
-    w_back = lam_prev = lam_back = None
+def _perron_roots(mats, tol=_POWER_TOL, max_power_iter=_POWER_MAX_ITER):
+    """Spectral radius of each column's product of ``mats`` (period, K, n, n).
+
+    The power iteration of ``cycle_spectral_radius`` runs on the whole group,
+    one stacked product per Jacobian, and a column leaves the block at its
+    own stopping test; a column that repeats or runs out of budget takes the
+    dense solve alone. Returns one SpectralRadiusResult per column.
+    """
+    count, dim = mats.shape[1], mats.shape[2]
+    results, live = [None] * count, np.arange(count)
+    w = np.ones((count, dim, 1))
+    nan = np.full(count, np.nan)  # no ratio yet: every test below fails
+    w_back, lam_back, lam_prev, sub = w, nan, nan, mats
     for k in range(1, max_power_iter + 1):
         w_next = w
-        for mat in mats:
-            w_next = mat @ w_next
-        lam = float(np.max(np.abs(w_next)))
-        if lam == 0.0:
-            return SpectralRadiusResult(0.0, "power", k)
-        w_next = w_next / lam
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * max(1.0, lam):
-            return SpectralRadiusResult(lam, "power", k)
+        for mat in sub:
+            w_next = np.matmul(mat, w_next)
+        lam = np.abs(w_next).max(axis=(1, 2))
+        w_next = w_next / np.where(lam == 0.0, 1.0, lam)[:, None, None]
+        done = (lam == 0.0) | (np.abs(lam - lam_prev) <= tol * np.maximum(1.0, lam))
         # (w, lam) repeating bit for bit from two steps back (a +- leading
         # pair) makes the iteration periodic: the test above has seen every
         # pair of ratios it will see and never fires
-        if lam == lam_back and np.array_equal(w_next, w_back):
-            break
+        again = ~done & (lam == lam_back) & (w_next == w_back).all(axis=(1, 2))
+        for j in np.flatnonzero(done):
+            results[live[j]] = SpectralRadiusResult(float(lam[j]), "power", k)
+        keep = ~(done | again)
+        if not keep.all():
+            live, w_next, w, lam, lam_prev = (a[keep] for a in (live, w_next, w, lam, lam_prev))
+            sub = sub[:, keep]
+            if not live.size:
+                break
         w_back, w = w, w_next
         lam_back, lam_prev = lam_prev, lam
-    mono = np.eye(dim)
-    for mat in mats:
-        mono = mat @ mono
-    rho = float(np.max(np.abs(np.linalg.eigvals(mono))))
-    return SpectralRadiusResult(rho, "dense", max_power_iter)
+    for j in [j for j, det in enumerate(results) if det is None]:
+        mono = np.eye(dim)
+        for mat in mats[:, j]:
+            mono = mat @ mono
+        rho = float(np.max(np.abs(np.linalg.eigvals(mono))))
+        results[j] = SpectralRadiusResult(rho, "dense", max_power_iter)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +496,11 @@ def classify_many(system, starts, budget=None):
     BLOCK_WIDTH // n columns at a time, at least one), give the closure
     orbit and the dense Jacobians around it, and the columns whose gap
     exceeds newton_tol take their Newton steps together (``refine_cycle``
-    is the one-column case). The Jacobians at the final points are graded
-    by power iteration from the all-ones vector with the dense eigvals
-    fallback, as ``cycle_spectral_radius`` grades them; a column that fails
-    in its first closure passes raises its error.
+    is the one-column case). The Jacobians at the final points of the group
+    are graded in one power iteration from the all-ones vector, each column
+    stopping at its own test and taking the dense eigvals fallback alone
+    (``_perron_roots``; ``cycle_spectral_radius`` is its one-column case).
+    A column that fails in its first closure passes raises its error.
 
     A column's states may differ in the last bits from those of its start
     classified alone, because a block product rounds differently from a
@@ -544,8 +563,8 @@ def classify_many(system, starts, budget=None):
                 group = resolved[periods[resolved] == p]
                 records, mats = _close_cycles(system, tails[window_len - p][:, group], p,
                                               budget.newton_tol, budget.newton_max_iter)
-                for j, rec, jacs in zip(group, records, zip(*mats)):
-                    results[live[j]] = _graded_classification(rec, jacs, budget, iters)
+                for j, rec, det in zip(group, records, _perron_roots(mats)):
+                    results[live[j]] = _graded_classification(rec, det, budget, iters)
             if resolved.size:
                 live, block, window = retire(resolved)
     for i in live:
@@ -558,8 +577,7 @@ def classify_many(system, starts, budget=None):
     return results
 
 
-def _graded_classification(rec, jacs, budget, iters):
-    det = _perron_root(jacs)
+def _graded_classification(rec, det, budget, iters):
     rec.rho, rec.rho_method = det.rho, det.method
     stable = rec.rho <= 1.0 + budget.tol_stab
     rec.stability = "stable" if stable else "unstable"

@@ -157,9 +157,15 @@ class _Propagator:
             raise NumericalError(f"implicit diffusion matrix is singular: {exc}") from None
         self.nl = par.nonlinearity
         source_mat = s_inv * dt
-        self.stacked = np.hstack(
+        stacked = np.hstack(
             [s_inv @ (eye + (1.0 - scheme.theta) * dt * lap), source_mat, -source_mat]
         )
+        # 64-byte aligned, so the speed of every step product does not hang
+        # on where the heap put the matrix
+        buf = np.empty(stacked.size + 8)
+        start = -buf.ctypes.data % 64 // buf.itemsize
+        self.stacked = buf[start:start + stacked.size].reshape(stacked.shape)
+        self.stacked[...] = stacked
         # amplitudes over the whole step grid at once: one array evaluation
         # instead of a scalar forcing call per step
         self.amps = self.nl.amplitude(dt * np.arange(m_steps), par.tau)

@@ -57,7 +57,10 @@ class Nonlinearity:
         if not 0.0 <= self.modulation < 1.0:
             raise ValueError("modulation must lie in [0, 1)")
         if self.profile is not None:
-            object.__setattr__(self, "profile", np.asarray(self.profile, dtype=float))
+            profile = np.asarray(self.profile, dtype=float)
+            if profile.ndim != 1 or not np.all(np.isfinite(profile) & (profile > 0.0)):
+                raise ValueError("spatial profile must be a 1-D array of finite positive values")
+            object.__setattr__(self, "profile", profile)
 
     def forcing(self, t, tau):
         """Periodic amplitude a(t), mean one over a period."""
@@ -386,9 +389,12 @@ def tangent_columns(system, u, w=None, iteration=0):
         y = kind.matrix @ u
         if w is not None:
             dw = (kind.matrix @ w.reshape(len(w), -1)).reshape(w.shape)
-    sups = np.max(np.abs(y), axis=0)
+    sups = np.abs(y).max(axis=0)
+    inside = sups <= 2.0 * system.kappa
+    if inside.all():
+        return y, dw, {}
     failures = {}
-    for j in np.flatnonzero(~(sups <= 2.0 * system.kappa)):
+    for j in np.flatnonzero(~inside):
         sup = float(sups if y.ndim == 1 else sups[j])
         if not np.isfinite(sup):
             failures[int(j)] = NumericalError("map produced a non-finite value")

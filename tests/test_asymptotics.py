@@ -36,7 +36,7 @@ from monotone_lab import (
     smooth_field,
 )
 from monotone_lab import asymptotics
-from monotone_lab.asymptotics import _perron_root
+from monotone_lab.asymptotics import _perron_roots
 from monotone_lab.systems import tangent_columns
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -204,16 +204,18 @@ def test_periodic_power_iteration_goes_dense_at_once():
     products = []
 
     class Counted(np.ndarray):
-        def __matmul__(self, other):
-            products.append(other.shape)
-            return np.asarray(self) @ other
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                products.append(inputs[1].shape)
+            return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
 
-    mat = np.array([[0.0, 2.0], [1.0, 0.0]]).view(Counted)
-    det = _perron_root([mat], 1e-8, 10_000)
+    mat = np.array([[0.0, 2.0], [1.0, 0.0]]).reshape(1, 1, 2, 2).view(Counted)
+    det = _perron_roots(mat, 1e-8, 10_000)[0]
     assert (det.method, det.iterations) == ("dense", 10_000)
     assert det.rho == pytest.approx(np.sqrt(2.0), abs=1e-12)
-    # three power steps (w_3 repeats w_1) and the monodromy product
-    assert products == [(2,), (2,), (2,), (2, 2)]
+    # three stacked power steps of the one column (w_3 repeats w_1) and the
+    # monodromy product
+    assert products == [(1, 2, 1)] * 3 + [(2, 2)]
 
 
 def test_power_and_dense_radii_agree_on_catalog(cat):

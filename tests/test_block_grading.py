@@ -307,9 +307,8 @@ def test_a_column_failing_in_a_first_pass_raises_its_error(count):
     # without the escaping column the block closes and grades the rest
     records, mats = asymptotics._close_cycles(wild, firsts[:, :-1], 1, 1e-10, 12)
     rho = asymptotics.cycle_spectral_radius(wild, np.zeros((1, 16)), detail=True)
-    for k, rec in enumerate(records):
+    for rec, det in zip(records, asymptotics._perron_roots(mats)):
         assert rec.residual == 0.0 and rec.newton_converged
-        det = asymptotics._perron_root(mats[:, k])
         assert det.method == rho.method == "power"
         assert det.rho == pytest.approx(rho.rho, rel=1e-12)
 

@@ -9,7 +9,7 @@ and its derivative spelled out, and the two must agree to roundoff.
 import numpy as np
 import pytest
 
-from monotone_lab import EscapeError, NumericalError, parabolic_system
+from monotone_lab import EscapeError, NumericalError, build_diffusion, parabolic_system
 from monotone_lab.systems import parabolic_catalog
 
 RTOL = 1e-13
@@ -159,3 +159,22 @@ def test_escaping_columns_fail_alone_and_the_rest_match():
     _, _, failures = prop.tangent_columns(block, None, sup)
     assert sorted(failures) == [1, 2, 3]
     assert isinstance(failures[2], NumericalError)
+
+
+def test_step_matrix_is_64_byte_aligned_and_holds_the_step():
+    # fresh systems too, built after allocations of assorted sizes, so the
+    # heap offsets they would land on differ
+    systems = list(parabolic_catalog().values())
+    for n in (5, 12, 17, 32):
+        np.empty(n * 3 + 1)
+        systems.append(parabolic_system("neumann", n, 4.0, steps_per_period=20))
+    for system in systems:
+        prop, kind = system.kind.propagator, system.kind
+        assert prop.stacked.ctypes.data % 64 == 0, system.name
+        assert prop.stacked.flags.c_contiguous
+        n, dt, theta = system.n, kind.tau / kind.scheme.steps_per_period, kind.scheme.theta
+        lap = kind.diffusivity * build_diffusion(system.grid)
+        s_inv = np.linalg.inv(np.eye(n) - theta * dt * lap)
+        src = s_inv * dt
+        want = np.hstack([s_inv @ (np.eye(n) + (1.0 - theta) * dt * lap), src, -src])
+        np.testing.assert_array_equal(prop.stacked, want)

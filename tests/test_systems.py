@@ -42,6 +42,22 @@ def test_nonlinearity_validation():
         Nonlinearity(form="custom")
 
 
+@pytest.mark.parametrize("bad", [
+    np.full(16, np.nan),
+    np.r_[np.ones(15), np.nan],
+    np.r_[np.ones(15), 0.0],
+    np.r_[-np.ones(8), np.ones(8)],
+    np.r_[np.ones(15), np.inf],
+    np.ones((16, 1)),
+    np.array(1.0),
+])
+def test_profile_must_be_finite_positive_and_flat(bad):
+    with pytest.raises(ValueError, match="spatial profile"):
+        Nonlinearity(profile=bad)
+    with pytest.raises(ValueError, match="spatial profile"):
+        parabolic_system("ring", 16, 5.0, profile=bad)
+
+
 def test_forcing_has_mean_one():
     nl = Nonlinearity(form="cubic", modulation=0.3)
     ts = np.linspace(0.0, 1.0, 20001)

@@ -2,7 +2,7 @@
 
     python3 tools/cli_outputs.py CHECKOUT OUTDIR
 
-Runs 52 ``monotone-lab`` commands against the package in ``CHECKOUT/src``
+Runs 54 ``monotone-lab`` commands against the package in ``CHECKOUT/src``
 and the configs in ``CHECKOUT/configs``, one process each and one after
 another, with ``CHECKOUT`` as the working directory:
 
@@ -10,7 +10,9 @@ another, with ``CHECKOUT`` as the working directory:
   ``validate --report-only``, ``classify --x0 smooth:3`` and
   ``probe-omega --x0 zero``;
 - ``probe-line`` on ``cubic_line.cfg`` at the default resolution and at
-  ``--resolution 301``;
+  ``--resolution 301`` and ``1001`` (several 128-column blocks), and on
+  ``dirichlet_cubic_15.cfg`` along the ones direction through zero, a
+  parabolic line that crosses an unstable cycle;
 - ``symmetry`` on ``ring_cubic_5.cfg`` with 60 samples and seed 9;
 - ``simulate`` on ``cubic.cfg`` from 0.3 for 50 iterations;
 - ``--help`` of the entry point and of each of its seven subcommands.
@@ -61,6 +63,12 @@ def commands(checkout):
     out += [
         ("probe-line-default", ["probe-line", line], {"--out": "json"}),
         ("probe-line-301", ["probe-line", line, "--resolution", "301"],
+         {"--out": "json"}),
+        ("probe-line-1001", ["probe-line", line, "--resolution", "1001"],
+         {"--out": "json"}),
+        ("probe-line-dirichlet_cubic_15",
+         ["probe-line", "configs/dirichlet_cubic_15.cfg", "--base", "zero",
+          "--direction", "ones", "--range=-0.6:0.6", "--resolution", "41"],
          {"--out": "json"}),
         ("symmetry-ring_cubic_5",
          ["symmetry", "configs/ring_cubic_5.cfg", "--samples", "60",
