@@ -76,7 +76,7 @@ def catalog_groups():
 
 @pytest.mark.parametrize("size", [1, 3, 4, 128])
 def test_catalog_cycle_groups_match_the_column_loop(catalog_groups, size):
-    for name, mats in catalog_groups.items():
+    for mats in catalog_groups.values():
         assert_group_matches_loop(mats[:, :size])
 
 
