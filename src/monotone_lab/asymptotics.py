@@ -194,19 +194,21 @@ def _scan_periods(tails, p_max, tol_cyc):
     with their p-shifted predecessors to within tol_cyc in sup norm over
     window and nodes; the smallest accepted p wins. The oldest window row
     is tested first, for every p at once: that gap is part of the sup, so
-    only the (p, column) pairs it lets through take the full window test.
-    A NaN gap fails both.
+    only the (p, column) pairs it lets through and that have no period yet
+    take the full window test, and the scan stops when none is left. A NaN
+    gap fails both, and so does the NaN of inf - inf, without a warning.
     """
     length, _, count = tails.shape
     oldest = length - 2 * p_max
-    base = tails[oldest:]
-    near = np.abs(tails[oldest] - tails[oldest - np.arange(1, p_max + 1)]).max(axis=1) < tol_cyc
     periods = np.zeros(count, dtype=int)
-    for p in np.flatnonzero(near.any(axis=1)) + 1:
-        cols = np.flatnonzero(near[p - 1] & (periods == 0))
-        if cols.size:
+    with np.errstate(invalid="ignore"):
+        near = np.abs(tails[oldest] - tails[oldest - np.arange(1, p_max + 1)]).max(axis=1) < tol_cyc
+        p = 0
+        while (todo := near[p:] & (periods == 0)).any():
+            step = int(np.flatnonzero(todo.any(axis=1))[0])
+            p, cols = p + step + 1, np.flatnonzero(todo[step])
             shifted = tails[oldest - p: length - p, :, cols]
-            gaps = np.abs(base[:, :, cols] - shifted).reshape(-1, cols.size).max(axis=0)
+            gaps = np.abs(tails[oldest:, :, cols] - shifted).reshape(-1, cols.size).max(axis=0)
             periods[cols[gaps < tol_cyc]] = p
     return periods
 
@@ -268,47 +270,55 @@ def refine_cycle(system, candidate, newton_tol=1e-12, max_newton=12):
     runs on the cycles that resolve together.
     """
     pts = _as_state_array(candidate)
-    return _close_cycles(system, pts[:1].T, pts.shape[0], newton_tol, max_newton)[0][0]
+    return _close_cycles(system, pts[:1].T, pts.shape[0], newton_tol, max_newton,
+                         False)[0][0]  # no Jacobians unless Newton needs them
 
 
-def _closure_passes(system, firsts, period):
+def _closure_passes(system, firsts, period, jacobians=True):
     """``period`` tangent passes from the columns of ``firsts`` (n, K).
 
     Pass j maps point j of every column's closure orbit and carries each
     column's identity along it. Returns the orbits (period + 1, n, K), the
-    dense Jacobians around them (period, K, n, n) and the first error of
-    every column that fails in a pass; a failed column is kept finite
-    through the remaining passes.
+    dense Jacobians around them (period, K, n, n; None, and no tangent
+    carried, without ``jacobians``) and the first error of every column
+    that fails in a pass; a failed column is kept finite through the
+    remaining passes.
     """
     n, count = firsts.shape
-    seed = np.repeat(np.eye(n)[:, None, :], count, axis=1)
+    seed = np.repeat(np.eye(n)[:, None, :], count, axis=1) if jacobians else None
     xs = np.empty((period + 1, n, count))
-    mats = np.empty((period, count, n, n))
+    mats = np.empty((period, count, n, n)) if jacobians else None
     xs[0] = firsts
     failed = {}
     for j in range(period):
         xs[j + 1], jac, failures = tangent_columns(system, xs[j], seed)
         failed = {**failures, **failed}  # each column keeps its first error
         xs[j + 1][:, list(failures)] = xs[j][:, list(failures)]
-        mats[j] = jac.transpose(1, 0, 2)
+        if jacobians:
+            mats[j] = jac.transpose(1, 0, 2)
     return xs, mats, failed
 
 
-def _close_cycles(system, firsts, period, newton_tol, max_newton):
+def _close_cycles(system, firsts, period, newton_tol, max_newton, jacobians=True):
     """Close K candidate cycles of one period as a block.
 
     ``firsts`` (n, K) holds each candidate's first point; a column that
-    fails in the first closure passes raises its error. A column whose
-    closure gap exceeds newton_tol takes damped Newton steps on
-    F^p(z) - z, solved column by column against its monodromy minus the
-    identity: a singular solve stops that column, and the trial points of
-    all pending columns are mapped as one block of closure passes, the
-    step halved up to four times until the gap falls (a column that fails
-    in a trial has gap inf). The accepted trial's passes carry the
-    Jacobians at its points. Returns one CycleRecord per column, rho not
-    yet graded, and the Jacobians (period, K, n, n) around its points.
+    fails in the first closure passes raises its error. Without
+    ``jacobians`` they carry the identity only when a gap exceeds
+    newton_tol, else the Jacobians are None (a one-column pass maps the
+    same bits with or without them). A column whose closure gap exceeds
+    newton_tol takes damped Newton steps on F^p(z) - z, solved column by
+    column against its monodromy minus the identity: a singular solve
+    stops that column, and the trial points of all pending columns are
+    mapped as one block of closure passes, the step halved up to four
+    times until the gap falls (a column that fails in a trial has gap
+    inf). The accepted trial's passes carry the Jacobians at its points.
+    Returns one CycleRecord per column, rho not yet graded, and the
+    Jacobians (period, K, n, n) around its points.
     """
-    xs, mats, failed = _closure_passes(system, firsts, period)
+    xs, mats, failed = _closure_passes(system, firsts, period, jacobians)
+    if mats is None and not failed and (np.abs(xs[period] - xs[0]) > newton_tol).any():
+        xs, mats, failed = _closure_passes(system, firsts, period)
     if failed:
         raise failed[min(failed)]
     gaps = np.max(np.abs(xs[period] - xs[0]), axis=0)

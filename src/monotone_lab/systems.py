@@ -133,7 +133,10 @@ class AnalyticScalar:
 
     def value(self, u):
         if self.family == "cubic":
-            return u + self.param * u * (1.0 - u * u)
+            out = 1.0 - u * u  # u + param u (1 - u u), the same operations in place
+            out *= self.param * u
+            out += u
+            return out
         if self.family == "logistic":
             return self.param * u * (1.0 - u)
         return -u
@@ -209,7 +212,7 @@ class SystemSpec:
         if self.kappa == np.inf:
             raise ValueError("kappa must be finite")
 
-    @property
+    @cached_property
     def grid(self):
         if isinstance(self.kind, Parabolic):
             return self.kind.grid
@@ -357,7 +360,9 @@ def tangent_columns(system, u, w=None, iteration=0):
     whose image is non-finite or leaves the inflated box, or (parabolic
     systems) whose tangent turned non-finite, to its NumericalError or
     EscapeError; those columns of ``y`` and of a parabolic ``dw`` hold no
-    meaningful values. The one map call: it runs ``max(1, BLOCK_WIDTH // m)``
+    meaningful values; closed-form kinds look for them only when the whole
+    block's sup (NaN when one is) is not within the box. The one map call:
+    it runs ``max(1, BLOCK_WIDTH // m)``
     columns at a time, parabolic systems in one lockstep pass of base and
     tangent. Loops that map blocks without tangents and retire the failing
     columns call it with ``w`` None and read ``failures``.
@@ -389,10 +394,10 @@ def tangent_columns(system, u, w=None, iteration=0):
         y = kind.matrix @ u
         if w is not None:
             dw = (kind.matrix @ w.reshape(len(w), -1)).reshape(w.shape)
+    if np.abs(y).max(initial=0.0) <= 2.0 * system.kappa:
+        return y, dw, {}
     sups = np.abs(y).max(axis=0)
     inside = sups <= 2.0 * system.kappa
-    if inside.all():
-        return y, dw, {}
     failures = {}
     for j in np.flatnonzero(~inside):
         sup = float(sups if y.ndim == 1 else sups[j])

@@ -1,5 +1,6 @@
 """Orbit classification: detection, refinement, stability, and probes."""
 
+import warnings
 from collections import deque
 from pathlib import Path
 
@@ -138,6 +139,24 @@ def test_detect_cycle_needs_long_tail():
         detect_cycle(np.ones(11), p_max=4, tol_cyc=1e-8)
     with pytest.raises(ValueError):
         detect_cycle(np.ones(12), p_max=0, tol_cyc=1e-8)
+
+
+def test_detect_cycle_on_a_tail_holding_inf_does_not_warn():
+    # inf - inf is NaN, which numpy reports as an invalid value; the scan
+    # must neither warn nor accept a gap that holds it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        inf_row = np.zeros((12, 2))
+        inf_row[6] = np.inf
+        assert detect_cycle(inf_row, p_max=4, tol_cyc=1e-8) is None
+        assert detect_cycle(np.full((12, 2), np.inf), p_max=4, tol_cyc=1e-8) is None
+        # an inf before the window spoils only the periods that reach it
+        before = np.ones((12, 2))
+        before[0] = np.inf
+        assert detect_cycle(before, p_max=4, tol_cyc=1e-8).period == 1
+        mixed = np.tile([[0.0, 1.0], [2.0, 3.0]], (6, 1))
+        mixed[0, 1] = -np.inf
+        assert detect_cycle(mixed, p_max=4, tol_cyc=1e-8).period == 2
 
 
 # ------------------------------------------------------------- refinement

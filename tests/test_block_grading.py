@@ -268,6 +268,48 @@ def test_single_start_equals_the_one_column_path(dirichlet15):
     assert (det.rho, det.method) == (cls.cycle.rho, cls.cycle.rho_method)
 
 
+def test_refine_cycle_carries_tangents_only_into_newton(cat, monkeypatch):
+    """``refine_cycle`` maps its first closure passes without tangents and
+    carries the identity only when Newton must run; its record equals that
+    of the closure with Jacobians throughout, field by field."""
+    dirichlet15 = cat["dirichlet_cubic_15"]
+    cycle = classify_many(dirichlet15, smooth_starts(dirichlet15, 1), BUDGET)[0].cycle.points
+    logistic = cat["logistic_map"]
+    r = logistic.kind.param
+    root = np.sqrt((r - 3.0) * (r + 1.0))
+    lo, hi = (r + 1.0 - root) / (2.0 * r), (r + 1.0 + root) / (2.0 * r)
+    cases = [  # system, candidate points, newton_tol, whether Newton runs
+        (cat["cubic_map"], [[1.0]], 1e-12, False),
+        (cat["cubic_map"], [[1.0 + 1e-6]], 1e-12, True),
+        (cat["linear_cooperative"], [[0.0, 0.0]], 1e-12, False),
+        (negation_map(), [[0.5], [-0.5]], 1e-12, False),
+        (logistic, [[lo + 1e-3], [hi - 1e-3]], 1e-12, True),
+        (logistic, [[(1.0 - 1.0 / r) / 2.0]], 1e-12, True),  # singular Newton matrix
+        (dirichlet15, cycle, 1e-10, False),
+        (dirichlet15, cycle + 1e-6, 1e-10, True),
+    ]
+    seen = []
+    inner = asymptotics.tangent_columns
+
+    def spy(system, u, w=None, iteration=0):
+        seen.append(w is not None)
+        return inner(system, u, w, iteration)
+
+    monkeypatch.setattr(asymptotics, "tangent_columns", spy)
+    for k, (system, points, newton_tol, newton) in enumerate(cases):
+        points = np.array(points, dtype=float)
+        period = len(points)
+        seen.clear()
+        rec = refine_cycle(system, CycleCandidate(period, points), newton_tol=newton_tol)
+        assert seen[:period] == [False] * period, k
+        assert any(seen) == newton, k
+        want = asymptotics._close_cycles(system, points[:1].T, period, newton_tol, 12)[0][0]
+        for name in ("grid", "period", "residual", "rho", "stability", "rho_method",
+                     "newton_converged", "newton_iterations"):
+            assert getattr(rec, name) == getattr(want, name), (k, name)
+        assert rec.points.tobytes() == want.points.tobytes(), k
+
+
 # ------------------------------------------------------------ tangent passes
 
 def test_tangent_pass_reports_each_failing_column():

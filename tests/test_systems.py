@@ -11,10 +11,12 @@ from monotone_lab import (
     GridError,
     LinearCooperative,
     Nonlinearity,
+    NumericalError,
     Parabolic,
     SystemSpec,
     apply_map,
     catalog,
+    check_monotone,
     check_strong_positivity,
     cubic_map,
     evaluate,
@@ -28,6 +30,7 @@ from monotone_lab import (
     trapping_check,
     validate_dissipativity,
 )
+from monotone_lab.systems import tangent_columns
 
 
 # ----------------------------------------------------------- construction
@@ -218,6 +221,89 @@ def test_escape_error_reports_iteration_and_sup():
         apply_map(system, np.array([0.9]), iteration=17)
     assert info.value.iteration == 17
     assert info.value.sup == pytest.approx(3.6)
+
+
+def loop_image(system, col):
+    """One column's image under a closed-form kind, the formulas written out."""
+    kind = system.kind
+    if isinstance(kind, LinearCooperative):
+        return kind.matrix @ col
+    if kind.family == "cubic":
+        return col + kind.param * col * (1.0 - col * col)
+    return kind.param * col * (1.0 - col)
+
+
+def loop_failures(system, u, iteration):
+    """The failures of one map call, looked for one column at a time."""
+    bound = 2.0 * system.kappa
+    failures = {}
+    for j, col in enumerate(u.reshape(system.n, -1).T):
+        sup = float(np.max(np.abs(loop_image(system, col))))
+        if not np.isfinite(sup):
+            failures[j] = NumericalError("map produced a non-finite value")
+        elif sup > bound:
+            failures[j] = EscapeError(
+                f"image left the inflated trapping box (sup {sup:.3g} > {bound:.3g})",
+                iteration=iteration, sup=sup,
+            )
+    return failures
+
+
+def failure_facts(failures):
+    return {j: (type(exc), str(exc), getattr(exc, "iteration", None), getattr(exc, "sup", None))
+            for j, exc in failures.items()}
+
+
+@pytest.mark.parametrize("make", [cubic_map, logistic_map, linear_cooperative])
+def test_map_failures_match_a_per_column_reference(make):
+    base = make()
+    n = base.n
+    edge = np.full(n, 1.3)
+    # kappa set so that the image of edge sits at exactly 2 kappa
+    sup_edge = float(np.max(np.abs(loop_image(base, edge))))
+    system = SystemSpec(base.kind, kappa=sup_edge / 2.0, name=base.name)
+    assert 2.0 * system.kappa == sup_edge
+    above = edge.copy()  # the nearest start whose image is above it
+    while np.max(np.abs(loop_image(system, above))) <= sup_edge:
+        above = np.nextafter(above, np.inf)
+    inside = np.random.default_rng(5).uniform(0.0, 0.5, (n, 3))
+    cols = [inside[:, 0], np.full(n, np.nan), inside[:, 1], np.full(n, np.inf),
+            edge, above, inside[:, 2]]
+    block = np.stack(cols, axis=1)
+    cases = [block, block[:, [0, 2, 4, 6]], block[:, :0], edge, above,
+             np.full(n, np.nan), np.full(n, np.inf)]
+    cases += [block[:, [j]] for j in range(block.shape[1])]
+    for u in cases:
+        with np.errstate(over="ignore", invalid="ignore"):  # the NaN and inf columns
+            want = loop_failures(system, u, 7)
+            y, _, got = tangent_columns(system, u, iteration=7)
+        assert y.shape == u.shape
+        assert failure_facts(got) == failure_facts(want), u
+        if u is block:
+            assert sorted(want) == [1, 3, 5]
+            assert [type(want[j]) for j in (1, 3, 5)] == [NumericalError] * 2 + [EscapeError]
+
+
+def test_monotone_check_on_no_pairs(cubic):
+    report = check_monotone(cubic_map(), pair_count=0)
+    assert report.passed and report.violations == 0
+
+
+def test_cubic_value_keeps_the_bits_of_the_formula():
+    cub = AnalyticScalar("cubic", 0.1)
+    rng = np.random.default_rng(3)
+    arrays = [rng.uniform(-2.0, 2.0, shape) for shape in ((7,), (1, 107), (3, 5))]
+    arrays += [np.array(0.3), np.array(-1.0), np.array(0.0), np.zeros((1, 0))]
+    for u in arrays:
+        before = u.copy()
+        got, want = cub.value(u), u + 0.1 * u * (1.0 - u * u)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert u.tobytes() == before.tobytes()  # the input is not written
+    for x in (0.0, 1.0, -1.0, 0.3, -0.7, 1.2345678901234567):
+        got = cub.value(x)
+        assert type(got) is float
+        assert got.hex() == (x + 0.1 * x * (1.0 - x * x)).hex()
 
 
 def test_jacobian_closed_forms(cubic, logistic, coop):
