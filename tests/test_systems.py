@@ -292,7 +292,9 @@ def test_monotone_check_on_no_pairs(cubic):
 def test_cubic_value_keeps_the_bits_of_the_formula():
     cub = AnalyticScalar("cubic", 0.1)
     rng = np.random.default_rng(3)
-    arrays = [rng.uniform(-2.0, 2.0, shape) for shape in ((7,), (1, 107), (3, 5))]
+    # thousands of values: a reordered product changes about one in thirty
+    shapes = ((7,), (1, 107), (3, 5), (64, 128))
+    arrays = [rng.uniform(-2.0, 2.0, shape) for shape in shapes]
     arrays += [np.array(0.3), np.array(-1.0), np.array(0.0), np.zeros((1, 0))]
     for u in arrays:
         before = u.copy()
