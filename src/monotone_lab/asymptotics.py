@@ -4,11 +4,11 @@ The pipeline is: iterate an orbit, watch a sliding window for low-period
 recurrence, close the candidate cycle by iterating its first point (with a
 damped Newton step on the period-p displacement when it does not close),
 and grade stability by the spectral radius of the monodromy product of
-Jacobians around the cycle. ``classify_many`` runs it on a block of starts:
-the cycles that resolve together are closed, polished where needed and
-graded in block tangent passes, whose base images are the closure orbit;
-``refine_cycle`` is that closure on one column. On top of that sit two
-probe experiments:
+Jacobians around the cycle, from power products of thin tangent passes.
+``classify_many`` runs it on a block of starts: the cycles that resolve
+together are closed, polished where needed and graded in block tangent
+passes, whose base images are the closure orbit; ``refine_cycle`` is that
+closure on one column. On top of that sit two probe experiments:
 
 * ``omega_plus_probe`` estimates the one-sided limit of omega sets under
   perturbations eps * v with v strongly positive and eps shrinking through
@@ -33,7 +33,7 @@ from .grids import Grid
 from .order import StateVector
 from .reports import JsonReport
 from .systems import (
-    BLOCK_WIDTH, Parabolic, _maps_to_itself, apply_map, jacobian, tangent_columns,
+    BLOCK_WIDTH, Parabolic, _maps_to_itself, apply_map, tangent_columns,
 )
 
 VERDICTS = ("stable_cycle", "unstable_cycle", "unresolved", "escaped")
@@ -270,71 +270,64 @@ def refine_cycle(system, candidate, newton_tol=1e-12, max_newton=12):
     runs on the cycles that resolve together.
     """
     pts = _as_state_array(candidate)
-    return _close_cycles(system, pts[:1].T, pts.shape[0], newton_tol, max_newton,
-                         False)[0][0]  # no Jacobians unless Newton needs them
+    return _close_cycles(system, pts[:1].T, pts.shape[0], newton_tol, max_newton)[0][0]
 
 
-def _closure_passes(system, firsts, period, jacobians=True):
+def _closure_passes(system, firsts, period, seed=None):
     """``period`` tangent passes from the columns of ``firsts`` (n, K).
 
-    Pass j maps point j of every column's closure orbit and carries each
-    column's identity along it. Returns the orbits (period + 1, n, K), the
-    dense Jacobians around them (period, K, n, n; None, and no tangent
-    carried, without ``jacobians``) and the first error of every column
-    that fails in a pass; a failed column is kept finite through the
-    remaining passes.
+    Pass j maps point j of every column's closure orbit and carries the
+    tangents of the pass before, from ``seed``: None, (n, K) or (n, K, m).
+    Returns the orbits (period + 1, n, K), the tangents carried round and
+    the first error of every column that fails in a pass; a failed column
+    is kept finite through the remaining passes.
     """
-    n, count = firsts.shape
-    seed = np.repeat(np.eye(n)[:, None, :], count, axis=1) if jacobians else None
-    xs = np.empty((period + 1, n, count))
-    mats = np.empty((period, count, n, n)) if jacobians else None
+    xs = np.empty((period + 1,) + firsts.shape)
     xs[0] = firsts
     failed = {}
     for j in range(period):
-        xs[j + 1], jac, failures = tangent_columns(system, xs[j], seed)
+        xs[j + 1], seed, failures = tangent_columns(system, xs[j], seed)
         failed = {**failures, **failed}  # each column keeps its first error
         xs[j + 1][:, list(failures)] = xs[j][:, list(failures)]
-        if jacobians:
-            mats[j] = jac.transpose(1, 0, 2)
-    return xs, mats, failed
+    return xs, seed, failed
 
 
-def _close_cycles(system, firsts, period, newton_tol, max_newton, jacobians=True):
+def _close_cycles(system, firsts, period, newton_tol, max_newton, graded=False):
     """Close K candidate cycles of one period as a block.
 
     ``firsts`` (n, K) holds each candidate's first point; a column that
-    fails in the first closure passes raises its error. Without
-    ``jacobians`` they carry the identity only when a gap exceeds
-    newton_tol, else the Jacobians are None (a one-column pass maps the
-    same bits with or without them). A column whose closure gap exceeds
-    newton_tol takes damped Newton steps on F^p(z) - z, solved column by
-    column against its monodromy minus the identity: a singular solve
-    stops that column, and the trial points of all pending columns are
-    mapped as one block of closure passes, the step halved up to four
-    times until the gap falls (a column that fails in a trial has gap
-    inf). The accepted trial's passes carry the Jacobians at its points.
-    Returns one CycleRecord per column, rho not yet graded, and the
-    Jacobians (period, K, n, n) around its points.
+    fails in the first closure passes raises its error. With ``graded``
+    those passes carry the all-ones tangent, whose image M 1 is the first
+    power product of ``_perron_roots``; without, none (a column maps the
+    same bits either way). A column whose closure gap exceeds newton_tol
+    takes damped Newton steps on F^p(z) - z, solved column by column
+    against its monodromy minus the identity, from identity passes of
+    these columns only: a singular solve stops that column, and the trial
+    points of all pending columns are mapped as one block of identity
+    passes, the step halved up to four times until the gap falls (a column
+    that fails in a trial has gap inf). Returns one CycleRecord per column,
+    rho not yet graded, M 1 around its points (None without ``graded``),
+    and column -> monodromy at its points for the columns Newton saw.
     """
-    xs, mats, failed = _closure_passes(system, firsts, period, jacobians)
-    if mats is None and not failed and (np.abs(xs[period] - xs[0]) > newton_tol).any():
-        xs, mats, failed = _closure_passes(system, firsts, period)
+    n, count = firsts.shape
+    xs, mw, failed = _closure_passes(system, firsts, period,
+                                     np.ones((n, count)) if graded else None)
     if failed:
         raise failed[min(failed)]
     gaps = np.max(np.abs(xs[period] - xs[0]), axis=0)
-    iters = np.zeros(gaps.size, dtype=int)
+    iters = np.zeros(count, dtype=int)
     pending = np.flatnonzero(gaps > newton_tol)
+    eye, monos = np.eye(n), {}  # the monodromy at the points of each column Newton sees
+    if pending.size:
+        turn = _turn(system, xs[:period][:, :, pending], eye[:, None].repeat(pending.size, 1))
+        monos.update(zip(pending.tolist(), turn.transpose(1, 0, 2)))
     it = 0
     while pending.size and it < max_newton:
         it += 1
-        eye = np.eye(firsts.shape[0])
         cols, steps = [], []
         for k in pending:
-            mono = eye
-            for j in range(period):
-                mono = mats[j, k] @ mono
             try:
-                steps.append(np.linalg.solve(mono - eye, xs[0, :, k] - xs[period, :, k]))
+                steps.append(np.linalg.solve(monos[k] - eye, xs[0, :, k] - xs[period, :, k]))
                 cols.append(k)
             except np.linalg.LinAlgError:
                 pass  # neutral multiplier, nothing to polish against
@@ -343,21 +336,35 @@ def _close_cycles(system, firsts, period, newton_tol, max_newton, jacobians=True
             if not cols.size:
                 break
             z_try = xs[0][:, cols] + step
-            xs_try, mats_try, failed = _closure_passes(system, z_try, period)
+            xs_try, monos_try, failed = _closure_passes(system, z_try, period,
+                                                        eye[:, None].repeat(cols.size, 1))
             gap_try = np.max(np.abs(xs_try[period] - xs_try[0]), axis=0)
             gap_try[list(failed)] = np.inf
             won = gap_try < gaps[cols]
             took = cols[won]
-            xs[:, :, took], mats[:, took] = xs_try[:, :, won], mats_try[:, won]
+            xs[:, :, took] = xs_try[:, :, won]
+            monos.update(zip(took.tolist(), monos_try[:, won].transpose(1, 0, 2)))
             gaps[took], iters[took] = gap_try[won], it
             cols, step = cols[~won], 0.5 * step[:, ~won]
         # a column goes on only after an accepted step that left it open
         pending = np.flatnonzero((iters == it) & (gaps > newton_tol))
+    if graded and (moved := np.flatnonzero(iters)).size:
+        mw[:, moved] = _turn(system, xs[:period][:, :, moved], np.ones((n, moved.size)))
     return [
         CycleRecord(system.grid, period, gap, newton_converged=gap <= newton_tol,
                     newton_iterations=used, points=xs[:period, :, k].copy())
         for k, (gap, used) in enumerate(zip(gaps.tolist(), iters.tolist()))
-    ], mats
+    ], mw, monos
+
+
+def _turn(system, points, seed):
+    """``seed`` carried round the cycles ``points`` (period, n, K), pass j
+    from point j, as the closure passes do; a failing column raises."""
+    for point in points:
+        _, seed, failed = tangent_columns(system, point, seed)
+        if failed:
+            raise failed[min(failed)]
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -370,76 +377,62 @@ class SpectralRadiusResult:
     iterations: int
 
 
-# power iteration defaults of every spectral radius
+# relative width at which a Collatz-Wielandt enclosure counts as closed
 _POWER_TOL = 1e-8
-_POWER_MAX_ITER = 10_000
 
 
-def cycle_spectral_radius(system, cycle, tol=_POWER_TOL, max_power_iter=_POWER_MAX_ITER,
-                          detail=False):
+def cycle_spectral_radius(system, cycle, detail=False):
     """Spectral radius of the product of Jacobians around a cycle.
 
-    Power iteration from the all-ones vector, normalized in sup norm, stops
-    at the first two successive ratios that agree to tol. For a primitive
-    nonnegative monodromy the Perron value dominates and that ratio is the
-    radius, but an imprimitive one can stop early: on
-    linear_cooperative([[0, 0, 2], [1, 0, 0], [0, 1, 0]]) at the origin the
-    ratios run 2, 1, 1 and rho is 1.0 by power, where the radius is
-    2 ** (1 / 3). When the ratio has not stabilized within the budget
-    (rotating complex pair, near-degenerate leading pair) or the iterate
-    repeats from two steps back, the dense eigenvalue solve of the
-    assembled product is used instead and reported as such.
+    Power products M w from w = 1, each one turn of thin tangent passes
+    along the cycle and normalized in sup norm, stop when the
+    Collatz-Wielandt enclosure min_i (M w)_i / w_i <= rho <= max_i
+    (M w)_i / w_i (M >= 0, w > 0; Horn & Johnson, Matrix Analysis, 2nd ed.,
+    8.1) closes to a relative 1e-8; rho is |M w|_inf, inside it, or 0 when
+    M w = 0. A product with an entry <= 0, or an enclosure open after
+    ceil((n + 1) / 2) products, takes the dense eigenvalue solve of M from
+    identity passes, reported as such. ``detail`` returns the
+    SpectralRadiusResult, whose iterations count the products made.
 
     This is the one-column case of ``_perron_roots``, with which
     ``classify_many`` grades each period group of its block closure passes;
     a start classified alone gets this rho bit for bit.
     """
     pts = _as_state_array(cycle)
-    mats = np.stack([jacobian(system, system.state(row)) for row in pts])
-    det = _perron_roots(mats[:, None], tol, max_power_iter)[0]
+    det = _perron_roots(system, pts[:, :, None], None, {})[0]
     return det if detail else det.rho
 
 
-def _perron_roots(mats, tol=_POWER_TOL, max_power_iter=_POWER_MAX_ITER):
-    """Spectral radius of each column's product of ``mats`` (period, K, n, n).
+def _perron_roots(system, points, mw, monos):
+    """``cycle_spectral_radius`` of each cycle of ``points`` (period, n, K).
 
-    The power iteration of ``cycle_spectral_radius`` runs on the whole group,
-    one stacked product per Jacobian, and a column leaves the block at its
-    own stopping test; a column that repeats or runs out of budget takes the
-    dense solve alone. Returns one SpectralRadiusResult per column.
+    Each product is one turn of thin passes for the columns still open
+    (``mw``, unless None, is the first, M 1), and each column stops at its
+    own test; ceil((n + 1) / 2) products cost about one identity pass. A
+    column that goes dense takes its M from ``monos`` (column -> M, from
+    ``_close_cycles``), or else from one shared turn of identity passes.
     """
-    count, dim = mats.shape[1], mats.shape[2]
-    results, live = [None] * count, np.arange(count)
-    w = np.ones((count, dim, 1))
-    nan = np.full(count, np.nan)  # no ratio yet: every test below fails
-    w_back, lam_back, lam_prev, sub = w, nan, nan, mats
-    for k in range(1, max_power_iter + 1):
-        w_next = w
-        for mat in sub:
-            w_next = np.matmul(mat, w_next)
-        lam = np.abs(w_next).max(axis=(1, 2))
-        w_next = w_next / np.where(lam == 0.0, 1.0, lam)[:, None, None]
-        done = (lam == 0.0) | (np.abs(lam - lam_prev) <= tol * np.maximum(1.0, lam))
-        # (w, lam) repeating bit for bit from two steps back (a +- leading
-        # pair) makes the iteration periodic: the test above has seen every
-        # pair of ratios it will see and never fires
-        again = ~done & (lam == lam_back) & (w_next == w_back).all(axis=(1, 2))
+    _, n, count = points.shape
+    results, live, w = [None] * count, np.arange(count), np.ones((n, count))
+    products = np.zeros(count, dtype=int)
+    for k in range(1, (n + 2) // 2 + 1):
+        mw = _turn(system, points[:, :, live], w) if mw is None else mw
+        products[live], lam, ratios = k, np.abs(mw).max(axis=0), mw / w
+        positive = (mw > 0.0).all(axis=0)
+        done = (lam == 0.0) | positive & (np.ptp(ratios, 0) <= _POWER_TOL * ratios.max(0))
         for j in np.flatnonzero(done):
             results[live[j]] = SpectralRadiusResult(float(lam[j]), "power", k)
-        keep = ~(done | again)
-        if not keep.all():
-            live, w_next, w, lam, lam_prev = (a[keep] for a in (live, w_next, w, lam, lam_prev))
-            sub = sub[:, keep]
-            if not live.size:
-                break
-        w_back, w = w, w_next
-        lam_back, lam_prev = lam_prev, lam
-    for j in [j for j, det in enumerate(results) if det is None]:
-        mono = np.eye(dim)
-        for mat in mats[:, j]:
-            mono = mat @ mono
-        rho = float(np.max(np.abs(np.linalg.eigvals(mono))))
-        results[j] = SpectralRadiusResult(rho, "dense", max_power_iter)
+        keep = positive & ~done
+        live, w, mw = live[keep], mw[:, keep] / lam[keep], None
+        if not live.size:
+            break
+    dense = [j for j, det in enumerate(results) if det is None]
+    if todo := [j for j in dense if j not in monos]:
+        turn = _turn(system, points[:, :, todo], np.eye(n)[:, None].repeat(len(todo), 1))
+        monos = {**monos, **dict(zip(todo, turn.transpose(1, 0, 2)))}
+    for j in dense:
+        rho = float(np.max(np.abs(np.linalg.eigvals(monos[j]))))
+        results[j] = SpectralRadiusResult(rho, "dense", int(products[j]))
     return results
 
 
@@ -502,15 +495,16 @@ def classify_many(system, starts, budget=None):
 
     The cycles detected at one checkpoint are closed as one block per
     period p: p tangent passes from the candidates' first points, each
-    column carrying its identity (``tangent_columns`` runs such a pass
-    BLOCK_WIDTH // n columns at a time, at least one), give the closure
-    orbit and the dense Jacobians around it, and the columns whose gap
-    exceeds newton_tol take their Newton steps together (``refine_cycle``
-    is the one-column case). The Jacobians at the final points of the group
-    are graded in one power iteration from the all-ones vector, each column
-    stopping at its own test and taking the dense eigvals fallback alone
-    (``_perron_roots``; ``cycle_spectral_radius`` is its one-column case).
-    A column that fails in its first closure passes raises its error.
+    column carrying the all-ones tangent, give the closure orbit and the
+    first power product M 1 around it, and the columns whose gap exceeds
+    newton_tol take their Newton steps together, on identity passes of
+    those columns alone (``refine_cycle`` is the one-column case). The
+    group is then graded by power products, each one turn of thin passes
+    around the final points, every column stopping when its
+    Collatz-Wielandt enclosure closes and taking the dense eigvals solve,
+    on identity passes, when it does not (``_perron_roots``;
+    ``cycle_spectral_radius`` is its one-column case). A column that fails
+    in its first closure passes raises its error.
 
     A column's states may differ in the last bits from those of its start
     classified alone, because a block product rounds differently from a
@@ -571,9 +565,11 @@ def classify_many(system, starts, budget=None):
             resolved = np.flatnonzero(periods)
             for p in sorted(set(periods[resolved].tolist())):
                 group = resolved[periods[resolved] == p]
-                records, mats = _close_cycles(system, tails[window_len - p][:, group], p,
-                                              budget.newton_tol, budget.newton_max_iter)
-                for j, rec, det in zip(group, records, _perron_roots(mats)):
+                records, mw, monos = _close_cycles(system, tails[window_len - p][:, group], p,
+                                                   budget.newton_tol, budget.newton_max_iter,
+                                                   True)
+                points = np.stack([rec.points for rec in records], axis=2)
+                for j, rec, det in zip(group, records, _perron_roots(system, points, mw, monos)):
                     results[live[j]] = _graded_classification(rec, det, budget, iters)
             if resolved.size:
                 live, block, window = retire(resolved)

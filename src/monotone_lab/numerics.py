@@ -221,22 +221,25 @@ class _Propagator:
             dg, dg_then = np.empty((n, count)), np.empty((n, count))
             d_now, d_then = dg[:, :, None], dg_then[:, :, None]
             stacked_v = stacked[:, :2 * n]
+        # bound once, outputs positional: lookups and keywords cost M times
+        mul, sub, matmul = np.multiply, np.subtract, np.matmul
         for k, (now, then) in enumerate(self.factors):
-            g = cur[2]
-            g_into(cur[1], g, sq, dg)
-            np.multiply(g, then, out=cur[3])
-            np.multiply(g, now, out=g)
+            z, state, g, g_then = cur
+            g_into(state, g, sq, dg)
+            mul(g, then, g_then)
+            mul(g, now, g)
             if k and not guarded:
                 np.maximum(peak, sq, out=peak)
-            np.matmul(stacked, cur[0], out=nxt[1])
+            matmul(stacked, z, nxt[1])
             cur, nxt = nxt, cur
             if v is not None:
-                np.multiply(dg, then, out=dg_then)
-                np.multiply(dg, now, out=dg)
-                np.multiply(d_now, tan[2], out=tan[3])
-                np.subtract(tan[3], hist, out=tan[3])
-                np.multiply(d_then, tan[2], out=hist)
-                np.matmul(stacked_v, tan[0], out=tan_nxt[1])
+                t, _, t_v, t_e = tan
+                mul(dg, then, dg_then)
+                mul(dg, now, dg)
+                mul(d_now, t_v, t_e)
+                sub(t_e, hist, t_e)
+                mul(d_then, t_v, hist)
+                matmul(stacked_v, t, tan_nxt[1])
                 tan, tan_nxt = tan_nxt, tan
             if guarded:
                 self._guard(cur[1], k, escape_sup, iteration)

@@ -86,13 +86,14 @@ class Nonlinearity:
         ``u``, and ``sq`` is scratch that ends holding u * u. The reaction
         is ``factor(amp)`` times these.
         """
-        np.multiply(u, u, out=sq)
+        mul, sub = np.multiply, np.subtract
+        mul(u, u, sq)
         if self.form == "cubic":
-            np.multiply(sq, u, out=out)
-            np.subtract(u, out, out=out)
+            mul(sq, u, out)
+            sub(u, out, out)
             if du is not None:
-                np.multiply(sq, _THREE, out=du)
-                np.subtract(_ONE, du, out=du)
+                mul(sq, _THREE, du)
+                sub(_ONE, du, du)
         else:
             np.copyto(out, u)
             if du is not None:

@@ -37,7 +37,6 @@ from monotone_lab import (
     smooth_field,
 )
 from monotone_lab import asymptotics
-from monotone_lab.asymptotics import _perron_roots
 from monotone_lab.systems import tangent_columns
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -207,34 +206,48 @@ def test_spectral_radius_neutral_flip_cycle():
 
 
 def test_spectral_radius_dense_fallback():
-    # leading eigenvalues +-sqrt(2): the power ratio oscillates forever
+    # leading eigenvalues +-sqrt(2): the Collatz-Wielandt ratios from the
+    # ones vector alternate between 1 and 2 and never close
     system = linear_cooperative(matrix=[[0.0, 2.0], [1.0, 0.0]], kappa=10.0)
-    det = cycle_spectral_radius(
-        system, np.array([[0.1, 0.1]]), max_power_iter=50, detail=True
-    )
+    det = cycle_spectral_radius(system, np.array([[0.1, 0.1]]), detail=True)
     assert det.method == "dense"
     assert det.rho == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
-def test_periodic_power_iteration_goes_dense_at_once():
+def test_periodic_power_iteration_goes_dense_at_once(monkeypatch):
     # from the ones vector the normalised iterate of [[0, 2], [1, 0]]
-    # repeats every two steps, so the power ratio never settles: the dense
-    # solve follows the first repeat, reported as after the whole budget
-    products = []
+    # repeats every two steps, so the enclosure [1, 2] never closes: the
+    # dense solve follows the ceil((n + 1) / 2) = 2 products of the budget
+    passes = []
+    inner = asymptotics.tangent_columns
 
-    class Counted(np.ndarray):
-        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            if ufunc is np.matmul:
-                products.append(inputs[1].shape)
-            return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+    def spy(system, u, w=None, iteration=0):
+        passes.append((u.shape, None if w is None else w.shape))
+        return inner(system, u, w, iteration)
 
-    mat = np.array([[0.0, 2.0], [1.0, 0.0]]).reshape(1, 1, 2, 2).view(Counted)
-    det = _perron_roots(mat, 1e-8, 10_000)[0]
-    assert (det.method, det.iterations) == ("dense", 10_000)
+    monkeypatch.setattr(asymptotics, "tangent_columns", spy)
+    system = linear_cooperative(matrix=[[0.0, 2.0], [1.0, 0.0]], kappa=10.0)
+    det = cycle_spectral_radius(system, np.array([[0.1, 0.1]]), detail=True)
+    assert (det.method, det.iterations) == ("dense", 2)
     assert det.rho == pytest.approx(np.sqrt(2.0), abs=1e-12)
-    # three stacked power steps of the one column (w_3 repeats w_1) and the
-    # monodromy product
-    assert products == [(1, 2, 1)] * 3 + [(2, 2)]
+    # two thin passes of the one column, then one identity pass
+    assert passes == [((2, 1), (2, 1))] * 2 + [((2, 1), (2, 1, 2))]
+
+
+def test_spectral_radius_beyond_the_primitive_case():
+    # imprimitive: ratios 2, 1, 1 from the ones vector, rotating for ever
+    det = cycle_spectral_radius(
+        linear_cooperative(matrix=[[0, 0, 2], [1, 0, 0], [0, 1, 0]]), np.zeros((1, 3)),
+        detail=True)
+    assert det.method == "dense"
+    assert det.rho == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12)
+    # reducible: the ratios stay 0.7 and 0.5
+    det = cycle_spectral_radius(linear_cooperative(matrix=[[0.7, 0], [0, 0.5]]),
+                                np.zeros((1, 2)), detail=True)
+    assert det.rho == pytest.approx(0.7, rel=1e-12)
+    # M = -1 at the negation map's fixed point: M 1 has no positive entry
+    det = cycle_spectral_radius(negation_map(), np.zeros((1, 1)), detail=True)
+    assert (det.rho, det.method) == (1.0, "dense")
 
 
 def test_power_and_dense_radii_agree_on_catalog(cat):

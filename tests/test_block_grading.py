@@ -4,11 +4,13 @@
 grades the cycles that resolve at a checkpoint as blocks of tangent passes.
 The reference here is the per-column path: the start's orbit alone, scanned
 at the same checkpoints, polished by ``refine_cycle`` (the block closure on
-one column) and graded by power iteration on ``jacobian`` matrices with the
-eigvals fallback. Verdicts, iterations, periods and ``rho_method`` must be
-equal, and rho must agree to 1e-12 relative.
+one column) and graded by the Collatz-Wielandt power products on
+``jacobian`` matrices with the eigvals fallback. Verdicts, iterations,
+periods and ``rho_method`` must be equal, and rho must agree to 1e-12
+relative.
 """
 
+import math
 import sys
 from collections import deque
 
@@ -37,21 +39,25 @@ from monotone_lab.systems import BLOCK_WIDTH, tangent_columns
 BUDGET = ClassifyBudget(max_iterations=400, p_max=8)
 
 
-def dense_radius(system, points, tol=1e-8, max_power_iter=10_000):
-    """Power iteration on the dense Jacobians around a cycle, eigvals fallback."""
+def dense_radius(system, points, tol=1e-8):
+    """Power products on the dense Jacobians around a cycle, stopped when the
+    Collatz-Wielandt ratios close, with the eigvals fallback after a product
+    with an entry <= 0 or ceil((n + 1) / 2) open enclosures."""
     mats = [jacobian(system, system.state(p)) for p in points]
     w = np.ones(system.n)
-    lam_prev = None
-    for _ in range(max_power_iter):
+    for _ in range(math.ceil((system.n + 1) / 2)):
+        mw = w
         for mat in mats:
-            w = mat @ w
-        lam = float(np.max(np.abs(w)))
+            mw = mat @ mw
+        lam = float(np.max(np.abs(mw)))
         if lam == 0.0:
             return 0.0, "power"
-        w = w / lam
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * max(1.0, lam):
+        if np.min(mw) <= 0.0:
+            break
+        ratios = mw / w
+        if ratios.max() - ratios.min() <= tol * ratios.max():
             return lam, "power"
-        lam_prev = lam
+        w = mw / lam
     mono = np.eye(system.n)
     for mat in mats:
         mono = mat @ mono
@@ -109,33 +115,40 @@ def closed_blocks(monkeypatch):
     close = asymptotics._close_cycles
 
     def spy(system, firsts, period, *args):
-        records, mats = close(system, firsts, period, *args)
+        records, *grading = close(system, firsts, period, *args)
         if sys._getframe(1).f_code is classify_many.__code__:
             blocks.append(records)
-        return records, mats
+        return (records, *grading)
 
     monkeypatch.setattr(asymptotics, "_close_cycles", spy)
     return blocks
 
 
+def seed_kind(u, w):
+    """"map" without tangents, "thin" with one per column, else "identity"."""
+    return "map" if w is None else "thin" if w.ndim == u.ndim else "identity"
+
+
 @pytest.fixture
 def closure_maps(monkeypatch):
-    """The column count of every map call in ``classify_many``'s closure passes.
+    """(columns, seed kind) of every map call of ``classify_many``'s closure
+    and grading passes.
 
-    ``_closure_passes`` hands its whole block to ``tangent_columns``, which
-    runs a wide block by calling itself on each chunk; both calls are kept.
+    ``_closure_passes`` and ``_turn`` hand their whole block to
+    ``tangent_columns``, which runs a wide block by calling itself on each
+    chunk; both calls are kept.
     """
     widths = []
     inner = systems.tangent_columns
-    scope = {asymptotics._closure_passes.__code__, classify_many.__code__}
+    passes = {asymptotics._closure_passes.__code__, asymptotics._turn.__code__}
 
     def spy(system, u, w=None, iteration=0):
         frame, callers = sys._getframe(1), set()
         while frame is not None:
             callers.add(frame.f_code)
             frame = frame.f_back
-        if scope <= callers:
-            widths.append(u.shape[1])
+        if classify_many.__code__ in callers and passes & callers:
+            widths.append((u.shape[1], seed_kind(u, w)))
         return inner(system, u, w, iteration)
 
     monkeypatch.setattr(systems, "tangent_columns", spy)
@@ -232,13 +245,15 @@ def test_dense_eigvals_fallback_in_blocks(closed_blocks, closure_maps):
     mat = np.block([[zero, ones * (2.0 / half)], [ones / half, zero]])
     system = linear_cooperative(matrix=mat, kappa=5.0)
     width = BLOCK_WIDTH // system.n
-    for count, maps in ((1, [1]), (width + 1, [width + 1, width, 1])):
+    for count, chunks in ((1, [1]), (width + 1, [width + 1, width, 1])):
         closed_blocks.clear()
         closure_maps.clear()
         got = assert_matches_reference(system, np.zeros((2 * half, count)))
-        # one closure per period group; its pass runs in chunks of width
+        # one closure per period group, carrying M 1; the enclosures [1, 2]
+        # stay open for ceil(33 / 2) = 17 products, then one identity pass,
+        # in chunks of width, assembles the monodromies
         assert shapes(closed_blocks) == [(count, 1)]
-        assert closure_maps == maps
+        assert closure_maps == [(count, "thin")] * 17 + [(n, "identity") for n in chunks]
         for cls in got:
             assert cls.cycle.rho_method == "dense"
             assert cls.cycle.rho == pytest.approx(np.sqrt(2.0), rel=1e-12)
@@ -246,15 +261,18 @@ def test_dense_eigvals_fallback_in_blocks(closed_blocks, closure_maps):
 
 @pytest.mark.parametrize("name", ["dirichlet_cubic_15", "ring_cubic_5"])
 def test_widths_straddling_the_chunk_width(name, cat, closed_blocks, closure_maps):
-    # K * n = BLOCK_WIDTH is one pass, BLOCK_WIDTH + n is two chunks of one pass
+    # K * n = BLOCK_WIDTH identity columns were one pass, BLOCK_WIDTH + n
+    # two chunks; thin passes carry 2 K flat columns and run whole
     system = cat[name]
     width = BLOCK_WIDTH // system.n
-    for count, maps in ((width, [width]), (width + 1, [width + 1, width, 1])):
+    for count in (width, width + 1):
         closed_blocks.clear()
         closure_maps.clear()
         assert_matches_reference(system, smooth_starts(system, count, seed=8))
         assert shapes(closed_blocks) == [(count, 1)]
-        assert closure_maps == maps
+        # the closure carries M 1 and any later product is one more call
+        # (the ring's constant limits close at M 1, Dirichlet's need two)
+        assert closure_maps == [(count, "thin")] * (1 + (name == "dirichlet_cubic_15"))
 
 
 def test_single_start_equals_the_one_column_path(dirichlet15):
@@ -266,6 +284,57 @@ def test_single_start_equals_the_one_column_path(dirichlet15):
     assert rec.residual == cls.cycle.residual
     det = asymptotics.cycle_spectral_radius(dirichlet15, cls.cycle, detail=True)
     assert (det.rho, det.method) == (cls.cycle.rho, cls.cycle.rho_method)
+
+
+def test_only_newton_and_dense_columns_take_identity_passes(dirichlet15, monkeypatch):
+    seen = []
+    inner = asymptotics.tangent_columns
+
+    def spy(system, u, w=None, iteration=0):
+        seen.append((u.shape[1], seed_kind(u, w)))
+        return inner(system, u, w, iteration)
+
+    monkeypatch.setattr(asymptotics, "tangent_columns", spy)
+    got = classify_many(dirichlet15, smooth_starts(dirichlet15, 4), BUDGET)
+    assert {cls.cycle.rho_method for cls in got} == {"power"}
+    assert [kind for _, kind in seen if kind != "map"] == ["thin", "thin"]
+    # one start 1e-6 off its cycle: identity passes for its Newton column only
+    firsts = np.stack([cls.cycle.points[0] for cls in got], axis=1)
+    firsts[:, 2] += 1e-6
+    seen.clear()
+    records, mw, monos = asymptotics._close_cycles(dirichlet15, firsts, 1, 1e-10, 12, True)
+    points = np.stack([rec.points for rec in records], axis=2)
+    grades = asymptotics._perron_roots(dirichlet15, points, mw, monos)
+    assert [rec.newton_iterations > 0 for rec in records] == [False, False, True, False]
+    assert {det.method for det in grades} == {"power"}
+    assert {width for width, kind in seen if kind == "identity"} == {1}
+    assert {width for width, kind in seen if kind == "thin"} == {4, 1}
+
+
+def test_newton_monodromies_serve_the_dense_solve(logistic, monkeypatch):
+    # M = 2 - r < 0 at the logistic fixed point 1 - 1/r, so its cycles go
+    # dense; the columns that took Newton steps bring their monodromy along
+    r = logistic.kind.param
+    fixed = 1.0 - 1.0 / r
+    firsts = np.array([[fixed, fixed + 1e-2, fixed - 3e-2]])
+    records, mw, monos = asymptotics._close_cycles(logistic, firsts, 1, 1e-12, 12, True)
+    assert sorted(monos) == [1, 2]
+    seen = []
+    inner = asymptotics.tangent_columns
+
+    def spy(system, u, w=None, iteration=0):
+        seen.append((u.shape[1], seed_kind(u, w)))
+        return inner(system, u, w, iteration)
+
+    monkeypatch.setattr(asymptotics, "tangent_columns", spy)
+    points = np.stack([rec.points for rec in records], axis=2)
+    grades = asymptotics._perron_roots(logistic, points, mw, monos)
+    # one identity pass, for the column that closed without Newton
+    assert seen == [(1, "identity")]
+    for rec, det in zip(records, grades):
+        assert (det.method, det.iterations) == ("dense", 1)
+        assert det == asymptotics.cycle_spectral_radius(logistic, rec, detail=True)
+        assert det.rho == pytest.approx(r - 2.0, rel=1e-12)
 
 
 def test_refine_cycle_carries_tangents_only_into_newton(cat, monkeypatch):
@@ -303,7 +372,9 @@ def test_refine_cycle_carries_tangents_only_into_newton(cat, monkeypatch):
         rec = refine_cycle(system, CycleCandidate(period, points), newton_tol=newton_tol)
         assert seen[:period] == [False] * period, k
         assert any(seen) == newton, k
-        want = asymptotics._close_cycles(system, points[:1].T, period, newton_tol, 12)[0][0]
+        # the graded closure of classify_many carries the ones tangent
+        want = asymptotics._close_cycles(system, points[:1].T, period, newton_tol, 12,
+                                         True)[0][0]
         for name in ("grid", "period", "residual", "rho", "stability", "rho_method",
                      "newton_converged", "newton_iterations"):
             assert getattr(rec, name) == getattr(want, name), (k, name)
@@ -347,9 +418,10 @@ def test_a_column_failing_in_a_first_pass_raises_its_error(count):
     assert str(block.value) == str(alone.value)
     assert (block.value.step, block.value.sup) == (alone.value.step, alone.value.sup)
     # without the escaping column the block closes and grades the rest
-    records, mats = asymptotics._close_cycles(wild, firsts[:, :-1], 1, 1e-10, 12)
+    records, mw, monos = asymptotics._close_cycles(wild, firsts[:, :-1], 1, 1e-10, 12, True)
     rho = asymptotics.cycle_spectral_radius(wild, np.zeros((1, 16)), detail=True)
-    for rec, det in zip(records, asymptotics._perron_roots(mats)):
+    points = np.stack([rec.points for rec in records], axis=2)
+    for rec, det in zip(records, asymptotics._perron_roots(wild, points, mw, monos)):
         assert rec.residual == 0.0 and rec.newton_converged
         assert det.method == rho.method == "power"
         assert det.rho == pytest.approx(rho.rho, rel=1e-12)
@@ -359,7 +431,7 @@ def assert_block_newton_matches_alone(system, cands, newton_tol=1e-12):
     """Close candidates of one period as a block and one at a time."""
     period = len(cands[0])
     firsts = np.array([c[0] for c in cands]).T
-    records, mats = asymptotics._close_cycles(system, firsts, period, newton_tol, 12)
+    records, mw, _ = asymptotics._close_cycles(system, firsts, period, newton_tol, 12, True)
     for k, (cand, rec) in enumerate(zip(cands, records)):
         alone = refine_cycle(system, CycleCandidate(period, np.array(cand)),
                              newton_tol=newton_tol)
@@ -367,10 +439,11 @@ def assert_block_newton_matches_alone(system, cands, newton_tol=1e-12):
             alone.newton_converged, alone.newton_iterations), k
         np.testing.assert_allclose(rec.points, alone.points, rtol=0.0, atol=1e-12)
         assert rec.residual == pytest.approx(alone.residual, rel=0.0, abs=1e-12)
-        # the Jacobians returned are those at the final points
-        for j, point in enumerate(rec.points):
-            np.testing.assert_allclose(mats[j, k], jacobian(system, system.state(point)),
-                                       rtol=1e-13, atol=1e-15)
+        # the first power product returned is M 1 at the final points
+        mono = np.eye(system.n)
+        for point in rec.points:
+            mono = jacobian(system, system.state(point)) @ mono
+        np.testing.assert_allclose(mw[:, k], mono.sum(axis=1), rtol=1e-13, atol=1e-15)
     return records
 
 

@@ -1,11 +1,17 @@
-"""Period groups graded in one power iteration, and the period scan's prefilter.
+"""Period groups graded by one set of power products, and the period scan's prefilter.
 
-``asymptotics._perron_roots`` grades a whole period group in one stacked
-power iteration, and ``asymptotics._scan_periods`` tests one window row for
-every period before it runs the full window test. Both must give what the
-plain per-column loops written out here give, bit for bit: rho, method and
-iteration count of every column, and every column's minimal period.
+``asymptotics._perron_roots`` grades a whole period group with one turn of
+thin tangent passes per power product, each column leaving the block at its
+own Collatz-Wielandt stop, and ``asymptotics._scan_periods`` tests one window
+row for every period before it runs the full window test. Both must give
+what the plain per-column loops written out here give: the method and
+product count of every column and its rho, bit for bit where a column's
+bits do not depend on the width of its block (the closed-form kinds, a lone
+column), to 1e-12 relative on the parabolic kinds otherwise; and every
+column's minimal period.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -13,123 +19,154 @@ import pytest
 from monotone_lab import asymptotics
 from monotone_lab.asymptotics import ClassifyBudget, _perron_roots, _scan_periods
 from monotone_lab.order import draw_box_states
-from monotone_lab.systems import catalog, jacobian, logistic_map
+from monotone_lab.systems import (
+    Parabolic, catalog, jacobian, linear_cooperative, logistic_map, tangent_columns,
+)
 
-TOL, MAX_ITER = 1e-8, 10_000
+TOL = 1e-8
 
 
-def loop_perron_root(mats, tol=TOL, max_iter=MAX_ITER):
-    """(rho, method, iterations) of one column, one matrix-vector product at a time."""
-    dim = mats[0].shape[0]
-    w = np.ones(dim)
-    w_back = lam_prev = lam_back = None
-    for k in range(1, max_iter + 1):
-        w_next = w
-        for mat in mats:
-            w_next = mat @ w_next
-        lam = float(np.max(np.abs(w_next)))
+def loop_perron_root(system, points):
+    """(rho, method, products) of one cycle (period, n), one column at a time:
+    thin passes of that column alone, the dense fallback on ``jacobian``."""
+    n = system.n
+    w = np.ones((n, 1))
+    for k in range(1, math.ceil((n + 1) / 2) + 1):
+        mw = w
+        for point in points:
+            _, mw, failures = tangent_columns(system, point[:, None], mw)
+            assert not failures
+        lam = float(np.max(np.abs(mw)))
         if lam == 0.0:
             return 0.0, "power", k
-        w_next = w_next / lam
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * max(1.0, lam):
-            return lam, "power", k
-        if lam == lam_back and np.array_equal(w_next, w_back):
+        if np.min(mw) <= 0.0:
             break
-        w_back, w = w, w_next
-        lam_back, lam_prev = lam_prev, lam
-    mono = np.eye(dim)
-    for mat in mats:
-        mono = mat @ mono
-    return float(np.max(np.abs(np.linalg.eigvals(mono)))), "dense", max_iter
+        ratios = mw / w
+        if ratios.max() - ratios.min() <= TOL * ratios.max():
+            return lam, "power", k
+        w = mw / lam
+    mono = np.eye(n)
+    for point in points:
+        mono = jacobian(system, system.state(point)) @ mono
+    return float(np.max(np.abs(np.linalg.eigvals(mono)))), "dense", k
 
 
-def assert_group_matches_loop(mats, tol=TOL, max_iter=MAX_ITER):
-    """``_perron_roots`` on the group (period, K, n, n) against each column alone."""
-    got = _perron_roots(mats, tol, max_iter)
-    assert len(got) == mats.shape[1]
-    for k, det in enumerate(got):
-        rho, method, iters = loop_perron_root(mats[:, k], tol, max_iter)
-        assert (det.method, det.iterations) == (method, iters), k
-        assert np.float64(det.rho).tobytes() == np.float64(rho).tobytes(), k
+def assert_group_matches_loop(system, points, loops=None):
+    """``_perron_roots`` on the group (period, n, K) against each column alone,
+    or against the loop results ``loops`` holds for some columns."""
+    got = _perron_roots(system, points, None, {})
+    count = points.shape[2]
+    assert len(got) == count
+    if loops is None:
+        loops = {k: loop_perron_root(system, points[:, :, k]) for k in range(count)}
+    exact = count == 1 or not isinstance(system.kind, Parabolic)
+    for k, (rho, method, products) in loops.items():
+        det = got[k]
+        assert (det.method, det.iterations) == (method, products), k
+        if exact and method == "power":
+            assert np.float64(det.rho).tobytes() == np.float64(rho).tobytes(), k
+        else:
+            assert det.rho == pytest.approx(rho, rel=1e-12, abs=0.0), k
     return got
 
 
-def cycle_jacobians(system, count, seed=0):
-    """Jacobians (period, K, n, n) around the cycles of ``count`` box starts,
-    from the closure passes ``classify_many`` grades, for the most common
-    period among them."""
+def cycle_group(system, count, seed=0):
+    """The cycles (period, n, K) of the most common period among ``count`` box
+    starts and their first products M 1, closed as ``classify_many`` closes
+    a period group."""
     starts = draw_box_states(system, np.random.default_rng(seed), count)
     results = asymptotics.classify_many(system, starts, ClassifyBudget(p_max=4))
     cycles = [cls.cycle for cls in results if cls.cycle is not None]
     periods = [c.period for c in cycles]
     period = max(set(periods), key=periods.count)
     firsts = np.array([c.points[0] for c in cycles if c.period == period]).T
-    _, mats, failed = asymptotics._closure_passes(system, firsts, period)
-    assert not failed
-    return mats
+    records, mw, _ = asymptotics._close_cycles(system, firsts, period, 1e-10, 12, True)
+    return np.stack([rec.points for rec in records], axis=2), mw
 
 
 @pytest.fixture(scope="module")
 def catalog_groups():
-    return {name: cycle_jacobians(system, 128) for name, system in catalog().items()}
+    """Per catalog system: the system, its cycle group, its first products
+    and the loop's result on the first four columns and every eighth (the
+    loop is slow on the parabolic systems)."""
+    groups = {}
+    for name, system in catalog().items():
+        points, mw = cycle_group(system, 128)
+        loops = {k: loop_perron_root(system, points[:, :, k])
+                 for k in range(points.shape[2]) if k < 4 or k % 8 == 0}
+        groups[name] = system, points, mw, loops
+    return groups
 
 
 @pytest.mark.parametrize("size", [1, 3, 4, 128])
 def test_catalog_cycle_groups_match_the_column_loop(catalog_groups, size):
-    for mats in catalog_groups.values():
-        assert_group_matches_loop(mats[:, :size])
+    for system, points, mw, loops in catalog_groups.values():
+        got = assert_group_matches_loop(system, points[:, :, :size],
+                                        {k: loop for k, loop in loops.items() if k < size})
+        # the closure passes' M 1 is the group's first product, bit for bit
+        if size == points.shape[2]:
+            assert _perron_roots(system, points, mw, {}) == got
 
 
 def test_a_period_two_group_matches_the_column_loop():
     system = logistic_map(3.2)
-    mats = cycle_jacobians(system, 40, seed=3)
-    assert mats.shape[0] == 2
-    got = assert_group_matches_loop(mats)
+    points, _ = cycle_group(system, 40, seed=3)
+    assert points.shape[0] == 2
+    got = assert_group_matches_loop(system, points)
     assert {det.method for det in got} == {"power"}
 
 
-def test_a_mixed_group_stops_each_column_at_its_own_step(catalog_groups):
-    # the n = 32 catalog systems side by side: their columns stop at
-    # different k, and the block shrinks as they do
-    groups = [mats[:, :5] for mats in catalog_groups.values() if mats.shape[2:] == (32, 32)]
-    mixed = np.concatenate(groups, axis=1)
-    got = assert_group_matches_loop(mixed)
-    assert len({det.iterations for det in got}) > 1
-
-
-def one_matrix_group(*mats):
-    return np.array(mats, dtype=float)[None]
+def test_a_mixed_group_stops_each_column_at_its_own_step(cat):
+    # constant states of the zero-flux system have M 1 parallel to 1, so
+    # their enclosure closes at once; the others take two or three
+    # products, and the block shrinks as they leave
+    system = cat["neumann_cubic_5"]
+    xs = system.grid.nodes()
+    cols = [c * np.ones(system.n) for c in (-1.2, 0.0, 0.7)]
+    cols += [a * np.sin(np.pi * xs) + b * np.cos(3.0 * xs)
+             for a in (-1.0, 1.2) for b in (-0.5, 0.2)]
+    got = assert_group_matches_loop(system, np.stack(cols, axis=1)[None])
+    assert {det.iterations for det in got} == {1, 2, 3}
 
 
 def test_small_matrices_match_the_column_loop():
-    imprimitive = [[0.0, 0.0, 2.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
-    got = assert_group_matches_loop(one_matrix_group(imprimitive))
-    # ratios 2, 1, 1: the power iteration stops at 1.0, not at 2 ** (1 / 3)
-    assert (got[0].rho, got[0].method, got[0].iterations) == (1.0, "power", 3)
-    got = assert_group_matches_loop(one_matrix_group([[0.0, 2.0], [1.0, 0.0]]))
-    # dense at the first repeat, which comes at k = 3
-    assert (got[0].method, got[0].iterations) == ("dense", MAX_ITER)
-    assert got[0].rho == pytest.approx(np.sqrt(2.0), abs=1e-12)
-    got = assert_group_matches_loop(one_matrix_group(np.zeros((3, 3))))
-    assert (got[0].rho, got[0].method, got[0].iterations) == (0.0, "power", 1)
+    def grade(matrix):
+        system = linear_cooperative(matrix=matrix)
+        got = assert_group_matches_loop(system, np.zeros((1, system.n, 1)))
+        return got[0].rho, got[0].method, got[0].iterations
+
+    # imprimitive: the ratios rotate through 2, 1, 1 and never close
+    rho, method, products = grade([[0.0, 0.0, 2.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    assert (method, products) == ("dense", 2)
+    assert rho == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12)
+    rho, method, products = grade([[0.0, 2.0], [1.0, 0.0]])
+    assert (method, products) == ("dense", 2)
+    assert rho == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    assert grade(np.zeros((3, 3))) == (0.0, "power", 1)
+    # a row of M 1 that is zero: the lower bound is 0, dense at once
+    rho, method, products = grade([[0.5, 0.0], [0.0, 0.0]])
+    assert (rho, method, products) == (0.5, "dense", 1)
+    # primitive, with equal row sums: the enclosure closes at once
+    assert grade([[0.3, 0.5], [0.6, 0.2]]) == (0.8, "power", 1)
+    # primitive, with the ratios closing at 0.36 / 0.64 per product: still
+    # open after the budget of 2
+    rho, method, products = grade([[0.5, 0.2], [0.1, 0.5]])
+    assert (method, products) == ("dense", 2)
+    assert rho == pytest.approx(0.5 + np.sqrt(0.02), rel=1e-12)
 
 
 def test_a_mixed_small_group_leaves_the_block_column_by_column():
-    mats = one_matrix_group(
-        [[0.5, 0.2], [0.1, 0.5]],   # power after 28 steps
-        [[0.0, 2.0], [1.0, 0.0]],   # repeats from two steps back: dense
-        np.zeros((2, 2)),           # zero at the first step
-        [[1.0, 1.0], [0.0, 1.0]],   # a Jordan block: out of budget, dense
-        [[0.0, -1.0], [1.0, 0.0]],  # a rotation: ratio 1 at once
-        [[0.9, 0.1], [0.0, 0.8]],   # power after 115 steps
-    )
-    got = assert_group_matches_loop(mats, max_iter=200)
+    # the logistic map's derivative r (1 - 2 u): positive, zero, negative
+    # and, over two points, a positive product of two negative factors
+    system = logistic_map(3.2)
+    singles = np.array([[[0.2, 0.5, 0.8, 0.9]]])
+    got = assert_group_matches_loop(system, singles)
     assert [(det.method, det.iterations) for det in got] == [
-        ("power", 28), ("dense", 200), ("power", 1), ("dense", 200), ("power", 2),
-        ("power", 115),
-    ]
-    # a period-2 group of the same matrices, each column its own product
-    assert_group_matches_loop(np.concatenate([mats, mats[:, ::-1]]), max_iter=200)
+        ("power", 1), ("power", 1), ("dense", 1), ("dense", 1)]
+    assert got[1].rho == 0.0
+    pairs = np.array([[[0.2, 0.8, 0.9]], [[0.3, 0.7, 0.6]]])
+    got = assert_group_matches_loop(system, pairs)
+    assert [det.method for det in got] == ["power", "power", "power"]
 
 
 def test_cycle_spectral_radius_is_the_one_column_case():
@@ -137,8 +174,8 @@ def test_cycle_spectral_radius_is_the_one_column_case():
         for c in (0.0, 0.3):
             points = np.full((2, system.n), c)
             det = asymptotics.cycle_spectral_radius(system, points, detail=True)
-            want = loop_perron_root([jacobian(system, system.state(row)) for row in points])
-            assert (det.rho, det.method, det.iterations) == want, name
+            assert [det] == _perron_roots(system, points[:, :, None], None, {}), name
+            assert (det.rho, det.method, det.iterations) == loop_perron_root(system, points), name
 
 
 # ------------------------------------------------------------------- scan

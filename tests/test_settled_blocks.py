@@ -128,11 +128,12 @@ def test_helper_compares_bits_and_shapes():
 def test_classify_from_zero_maps_once(dirichlet15, monkeypatch):
     calls = counted(monkeypatch, asymptotics)
     cls = classify_orbit(dirichlet15, np.zeros(dirichlet15.n), BUDGET)
-    assert len(calls) == 2  # one map, then the period-1 closure pass
+    # one map, then the period-1 closure pass and the second power product
+    assert len(calls) == 3
     monkeypatch.setattr(asymptotics, "_maps_to_itself", lambda before, after: False)
     calls.clear()
     want = classify_orbit(dirichlet15, np.zeros(dirichlet15.n), BUDGET)
-    assert len(calls) == 25
+    assert len(calls) == 26
     assert (cls.verdict, cls.iterations_used) == ("unstable_cycle", 24)
     assert (cls.verdict, cls.iterations_used, cls.diagnostics) == (
         want.verdict, want.iterations_used, want.diagnostics
