@@ -28,7 +28,6 @@ from .order import (
     ValidationReport,
     check_monotone,
     check_strong_monotone,
-    draw_ordered_pair,
     draw_ordered_pairs,
     leq,
     order_interval_sample,

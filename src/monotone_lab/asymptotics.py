@@ -100,16 +100,6 @@ class OrbitRecord:
     indices: np.ndarray
     escaped: bool = False
 
-    def __post_init__(self):
-        self.samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
-        self.indices = np.asarray(self.indices, dtype=int)
-        if self.samples.shape[0] != self.indices.shape[0]:
-            raise DimensionMismatchError("one index per stored sample required")
-        if self.samples.shape[1] != self.grid.n:
-            raise DimensionMismatchError(
-                f"samples have {self.samples.shape[1]} nodes, grid has {self.grid.n}"
-            )
-
     def __len__(self):
         return self.samples.shape[0]
 
@@ -617,11 +607,11 @@ def set_distance(first, second):
 
 @dataclass(eq=False)
 class SideEstimate(JsonReport):
-    """One-sided omega limit estimate for a fixed perturbation direction."""
+    """One-sided omega limit estimate for a fixed perturbation direction: the
+    cycle at the smallest eps, consistent when all agree within 1e-4."""
 
     sign: int
     verdicts: list
-    sets: list = field(metadata={"json": False})
     consistent: bool
     limit: Optional[np.ndarray]
     distance_to_base: Optional[float]
@@ -659,40 +649,42 @@ def _probe_direction(system, direction):
     return v
 
 
-def _one_side(sign, classifications, tol_set, omega_base):
-    sets = []
-    verdicts = []
-    for cls in classifications:
-        verdicts.append(cls.verdict)
-        if cls.cycle is not None:
-            sets.append(cls.cycle.points)
+# set distance within which two omega set estimates count as the same set
+_TOL_SET = 1e-4
+
+
+def _widest_gap(sets):
+    """Largest ``set_distance`` over the pairs of ``sets``, 0 for fewer than two."""
+    return max((set_distance(a, b) for i, a in enumerate(sets) for b in sets[i + 1:]),
+               default=0.0)
+
+
+def _one_side(sign, classifications, omega_base):
+    verdicts = [cls.verdict for cls in classifications]
+    sets = [cls.cycle.points for cls in classifications if cls.cycle is not None]
     if len(sets) < len(classifications):
         # some perturbed orbit failed to settle, no limit to speak of
-        return SideEstimate(sign, verdicts, sets, False, None, None, "inconclusive")
-    consistent = all(
-        set_distance(sets[i], sets[j]) <= tol_set
-        for i in range(len(sets))
-        for j in range(i + 1, len(sets))
-    )
+        return SideEstimate(sign, verdicts, False, None, None, "inconclusive")
+    consistent = _widest_gap(sets) <= _TOL_SET
     limit = sets[-1]
     if not consistent or omega_base is None:
-        return SideEstimate(sign, verdicts, sets, consistent, limit, None,
-                            "inconclusive")
+        return SideEstimate(sign, verdicts, consistent, limit, None, "inconclusive")
     dist = set_distance(omega_base, limit)
-    membership = "member" if dist > tol_set else "not_member"
-    return SideEstimate(sign, verdicts, sets, consistent, limit, dist, membership)
+    membership = "member" if dist > _TOL_SET else "not_member"
+    return SideEstimate(sign, verdicts, consistent, limit, dist, membership)
 
 
 def omega_plus_probe(system, x, direction=None, eps_values=(1e-2, 1e-3, 1e-4),
-                     budget=None, tol_set=1e-4, extra_directions=None):
+                     budget=None, extra_directions=None):
     """Estimate the one-sided limits of omega sets under x + eps * v, eps -> 0.
 
     For each sign the perturbed orbits are classified at each eps; the side
     estimate is consistent when all resolved omega sets agree pairwise within
-    tol_set, and its limit is the set at the smallest eps. The base point is
-    reported as a member of the one-sided instability set when its own omega
-    set sits farther than tol_set from that limit. Any unresolved or escaped
-    ingredient degrades the verdict to inconclusive rather than guessing.
+    tol_set = 1e-4 (fixed, and written to the report), and its limit is the
+    set at the smallest eps. The base point is a member of the one-sided
+    instability set when its own omega set sits farther than tol_set from
+    that limit. Any unresolved or escaped ingredient degrades the verdict to
+    inconclusive rather than guessing.
 
     extra_directions, when given, repeats the upper estimate along other
     strongly positive directions and reports the worst pairwise disagreement
@@ -725,7 +717,7 @@ def omega_plus_probe(system, x, direction=None, eps_values=(1e-2, 1e-3, 1e-4),
         notes = f"base orbit {base_cls.verdict}; membership cannot be graded"
     count = len(eps_values)
     estimates = [
-        _one_side(sign, results[1 + i * count: 1 + (i + 1) * count], tol_set, omega_base)
+        _one_side(sign, results[1 + i * count: 1 + (i + 1) * count], omega_base)
         for i, (sign, _) in enumerate(sides)
     ]
     upper, lower = estimates[:2]
@@ -733,18 +725,14 @@ def omega_plus_probe(system, x, direction=None, eps_values=(1e-2, 1e-3, 1e-4),
     if extra_directions:
         limits = [est.limit for est in [upper] + estimates[2:] if est.limit is not None]
         if len(limits) >= 2:
-            disagreement = max(
-                set_distance(limits[i], limits[j])
-                for i in range(len(limits))
-                for j in range(i + 1, len(limits))
-            )
-            if disagreement > tol_set and not notes:
+            disagreement = _widest_gap(limits)
+            if disagreement > _TOL_SET and not notes:
                 notes = "one-sided limits disagree across directions"
     return OmegaProbeReport(
         base_point=base,
         direction=v,
         eps_values=eps_values,
-        tol_set=tol_set,
+        tol_set=_TOL_SET,
         base_verdict=base_cls.verdict,
         omega_base=omega_base,
         upper=upper,

@@ -181,12 +181,6 @@ def draw_ordered_pairs(system, rng, count):
     return x, x + r * w
 
 
-def draw_ordered_pair(system, rng):
-    """One ordered pair of states: ``draw_ordered_pairs`` with count 1."""
-    xs, ys = draw_ordered_pairs(system, rng, 1)
-    return StateVector(xs[:, 0], system.grid), StateVector(ys[:, 0], system.grid)
-
-
 def _pair_images(system, xs, ys):
     """Images of both ends of every pair, mapped as the columns of one block.
 
@@ -211,47 +205,47 @@ def _pair_images(system, xs, ys):
     return images[:, 0::2], images[:, 1::2], escaped
 
 
-def check_monotone(system, pair_count=200, seed=7081, tol=None):
+def check_monotone(system, pair_count=200, seed=7081):
     """Sampled order preservation: x <= y must give F(x) <= F(y).
 
     Draws ordered pairs from the trapping box and reports every pair whose
-    images violate the order beyond the equality slack. worst_margin is the
-    largest componentwise excess of F(x) over F(y) seen across pairs,
-    so any value at or below tol_eq means a clean pass; a pair whose map
-    escapes is a violation with margin inf. The pairs are drawn first, in
-    one generator call with the bits of one-at-a-time draws, then both ends
-    of all of them advance as the columns of blocks.
+    images violate the order beyond the equality slack, DEFAULT_TOL's
+    tol_eq = 1e-12. worst_margin is the largest componentwise excess of
+    F(x) over F(y) seen across pairs, so any value at or below tol_eq means
+    a clean pass; a pair whose map escapes is a violation with margin inf.
+    The pairs are drawn first, in one generator call with the bits of
+    one-at-a-time draws, then both ends of all of them advance as the
+    columns of blocks.
     """
     if pair_count < 0:
         raise ValueError("pair_count must be nonnegative")
-    tol = tol or DEFAULT_TOL
     xs, ys = draw_ordered_pairs(system, np.random.default_rng(seed), pair_count)
     fx, fy, escaped = _pair_images(system, xs, ys)
     margins = np.where(escaped, np.inf, np.max(fx - fy, axis=0))
     return PropertyReport(
-        "monotone", pair_count, int(np.sum(margins > tol.tol_eq)),
+        "monotone", pair_count, int(np.sum(margins > DEFAULT_TOL.tol_eq)),
         float(np.max(margins, initial=-np.inf)), seed,
     )
 
 
-def check_strong_monotone(system, pair_count=200, seed=7082, tol=None):
+def check_strong_monotone(system, pair_count=200, seed=7082):
     """Sampled strong order preservation: x < y must give F(x) strongly below F(y).
 
-    Pairs indistinguishable from equal (within tol_eq) are skipped as vacuous.
-    worst_margin is the minimum interior gap min(F(y) - F(x)) observed, so the
-    check passes exactly when that gap stays above eta_interior; a pair
-    whose map escapes is a violation with gap -inf. The pairs are drawn
-    first, in one generator call with the bits of one-at-a-time draws, then
-    both ends of the tested ones advance as the columns of blocks.
+    The slacks are CHECK_TOL's: pairs indistinguishable from equal (within
+    tol_eq = 1e-13) are skipped as vacuous. worst_margin is the minimum
+    interior gap min(F(y) - F(x)) observed, so the check passes exactly when
+    that gap stays above eta_interior = 1e-12; a pair whose map escapes is a
+    violation with gap -inf. The pairs are drawn first, in one generator
+    call with the bits of one-at-a-time draws, then both ends of the tested
+    ones advance as the columns of blocks.
     """
     if pair_count < 0:
         raise ValueError("pair_count must be nonnegative")
-    tol = tol or CHECK_TOL
     xs, ys = draw_ordered_pairs(system, np.random.default_rng(seed), pair_count)
-    tested = np.max(ys - xs, axis=0) > tol.tol_eq
+    tested = np.max(ys - xs, axis=0) > CHECK_TOL.tol_eq
     fx, fy, escaped = _pair_images(system, xs[:, tested], ys[:, tested])
     gaps = np.where(escaped, -np.inf, np.min(fy - fx, axis=0))
     return PropertyReport(
-        "strong_monotone", int(np.sum(tested)), int(np.sum(gaps <= tol.eta_interior)),
+        "strong_monotone", int(np.sum(tested)), int(np.sum(gaps <= CHECK_TOL.eta_interior)),
         float(np.min(gaps, initial=np.inf)), seed,
     )

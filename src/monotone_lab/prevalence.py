@@ -272,13 +272,19 @@ def wilson_interval(successes, total, z=WILSON_Z):
     return (max(0.0, lo), min(1.0, hi))
 
 
-def _budget_summary(budget):
-    return {
-        "max_iterations": budget.max_iterations,
-        "p_max": budget.p_max,
-        "check_every": budget.check_every,
-        "tol_cyc": budget.tol_cyc,
-        "tol_stab": budget.tol_stab,
+def _classify_samples(system, sampler, count, budget):
+    """Samples 0..count-1 classified in lockstep, and the report fields every
+    ensemble shares: system name, sampler, resolved budget and wall time."""
+    resolved = (budget if budget is not None else ClassifyBudget()).resolve(system)
+    start = time.perf_counter()
+    results = classify_many(system, sample_starts(system, sampler, count), resolved)
+    wall = time.perf_counter() - start
+    keys = ("max_iterations", "p_max", "check_every", "tol_cyc", "tol_stab")
+    return results, {
+        "system_name": system.name or system.kind.__class__.__name__,
+        "sampler": sampler.describe(),
+        "budget": {key: getattr(resolved, key) for key in keys},
+        "wall_time": wall,
     }
 
 
@@ -298,12 +304,8 @@ def estimate_prevalence(system, sampler=None, count=DEFAULT_COUNT, budget=None,
             "prevalence experiments apply to monotone systems; "
             f"{system.name or system.kind} is declared non-monotone"
         )
-    sampler = sampler or default_sampler(system)
-    resolved = (budget if budget is not None else ClassifyBudget()).resolve(system)
-    start = time.perf_counter()
-    starts = sample_starts(system, sampler, count)
-    results = classify_many(system, starts, resolved)
-    wall = time.perf_counter() - start
+    results, shared = _classify_samples(system, sampler or default_sampler(system), count,
+                                        budget)
 
     counts = {name: 0 for name in VERDICTS}
     periods = {}
@@ -324,10 +326,7 @@ def estimate_prevalence(system, sampler=None, count=DEFAULT_COUNT, budget=None,
     )
     overflow = sum(1 for r in rhos if r > RHO_EDGES[-1])
     return PrevalenceReport(
-        system_name=system.name or system.kind.__class__.__name__,
-        sampler=sampler.describe(),
         count=count,
-        budget=_budget_summary(resolved),
         counts=counts,
         stable_fraction=fraction,
         wilson_95=wilson,
@@ -337,7 +336,7 @@ def estimate_prevalence(system, sampler=None, count=DEFAULT_COUNT, budget=None,
             "counts": [int(c) for c in in_range],
             "overflow": int(overflow),
         },
-        wall_time=wall,
+        **shared,
     )
 
 
@@ -379,11 +378,7 @@ def line_probe(system, sampler, budget=None, threads=None):
         raise ValueError("line_probe needs a line_scan sampler")
     if not system.monotone_expected:
         raise ValueError("line probes apply to monotone systems")
-    resolved = (budget if budget is not None else ClassifyBudget()).resolve(system)
-    start = time.perf_counter()
-    starts = sample_starts(system, sampler, sampler.resolution)
-    results = classify_many(system, starts, resolved)
-    wall = time.perf_counter() - start
+    results, shared = _classify_samples(system, sampler, sampler.resolution, budget)
     s_values = [float(s) for s in sampler.s_values()]
     verdicts = [cls.verdict for cls in results]
     rhos = [None if cls.cycle is None else cls.cycle.rho for cls in results]
@@ -394,14 +389,11 @@ def line_probe(system, sampler, budget=None, threads=None):
     ]
     stable = sum(1 for v in verdicts if v == "stable_cycle")
     return LineReport(
-        system_name=system.name or system.kind.__class__.__name__,
-        sampler=sampler.describe(),
-        budget=_budget_summary(resolved),
         s_values=s_values,
         verdicts=verdicts,
         rhos=rhos,
         stable_count=stable,
         bad=bad,
         bad_fraction=len(bad) / len(verdicts) if verdicts else 0.0,
-        wall_time=wall,
+        **shared,
     )

@@ -106,8 +106,8 @@ def spatial_variance(u):
     return float(np.var(values))
 
 
-def check_equivariance(system, action, sample_count=30, seed=7086, tol=1e-10):
-    """Check sup|F(g.u) - g.F(u)| < tol for random box states and all generators.
+def check_equivariance(system, action, sample_count=30, seed=7086):
+    """Check sup|F(g.u) - g.F(u)| <= 1e-10 for random box states and all generators.
 
     The states are drawn first, in one generator call with the bits of
     one-at-a-time draws; each then contributes the columns
@@ -138,7 +138,7 @@ def check_equivariance(system, action, sample_count=30, seed=7086, tol=1e-10):
     )
     gaps = np.where(failed, np.inf, gaps)
     return PropertyReport(
-        "equivariance", sample_count, int(np.sum(gaps > tol)),
+        "equivariance", sample_count, int(np.sum(gaps > 1e-10)),
         float(np.max(gaps, initial=-np.inf)), seed,
     )
 

@@ -237,7 +237,9 @@ def per_sample_dissipativity(system, sample_count, seed):
         u = float(rng.uniform(kappa, 2.0 * kappa)) * (1.0 if rng.uniform() < 0.5 else -1.0)
         if isinstance(kind, Parabolic):
             nl = kind.nonlinearity
-            f = float(nl.rate(nl.amplitude(t, tau), np.full(system.n, u))[node])
+            g = np.empty(system.n)
+            nl.g_into(np.full(system.n, u), g, np.empty(system.n))
+            f = float((g[:, None] * nl.factor(nl.amplitude(t, tau)))[node, 0])
         else:
             f = kind.value(u) - u
         margin = u * f

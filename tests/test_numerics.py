@@ -224,8 +224,10 @@ def first_escape_per_step(system, u0):
     u = u0[:, None]
     then = np.zeros_like(u)
     for k, amp in enumerate(prop.amps):
-        now = prop.nl.rate((1.5 if k else 1.0) * amp, u)
-        u, then = prop.stacked @ np.vstack([u, now, then]), prop.nl.rate(0.5 * amp, u)
+        g = np.empty_like(u)
+        prop.nl.g_into(u, g, np.empty_like(u))
+        now, half = g * prop.nl.factor((1.5 if k else 1.0) * amp), g * prop.nl.factor(0.5 * amp)
+        u, then = prop.stacked @ np.vstack([u, now, then]), half
         sup = float(np.max(np.abs(u)))
         if sup > 2.0 * system.kappa:
             return k, sup

@@ -16,7 +16,7 @@ from monotone_lab import (
     StateVector,
     check_monotone,
     check_strong_monotone,
-    draw_ordered_pair,
+    draw_ordered_pairs,
     leq,
     linear_cooperative,
     order_interval_sample,
@@ -209,9 +209,8 @@ def test_order_interval_sample_rejects_unordered():
 
 
 def test_draw_ordered_pair_stays_ordered_and_boxed(cubic):
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        x, y = draw_ordered_pair(cubic, rng)
+    xs, ys = draw_ordered_pairs(cubic, np.random.default_rng(5), 100)
+    for x, y in zip(map(cubic.state, xs.T), map(cubic.state, ys.T)):
         assert leq(x, y)
         assert x.sup_norm() <= cubic.kappa
         assert y.sup_norm() <= cubic.kappa

@@ -77,19 +77,26 @@ def test_rate_du_matches_central_differences(form, profile):
     prof = spatial_profile(grid, profile)
     nl = Nonlinearity(form=form, strength=5.0, modulation=0.3, profile=prof)
     amp = nl.amplitude(0.2, 1.0)
+
+    def reaction(u):
+        """g_into's g and du, each times factor, as the step loop forms them."""
+        block = u.reshape(len(u), -1)
+        g, du, sq = (np.empty_like(block) for _ in range(3))
+        nl.g_into(block, g, sq, du)
+        return (g * nl.factor(amp)).reshape(u.shape), (du * nl.factor(amp)).reshape(u.shape)
+
     u = 1.2 * np.sin(2.0 * np.pi * grid.nodes()) + 0.1
     g = u - u**3 if form == "cubic" else u
     scale = 1.0 if prof is None else prof
-    np.testing.assert_allclose(nl.rate(amp, u), amp * scale * g, rtol=1e-14, atol=1e-13)
+    np.testing.assert_allclose(reaction(u)[0], amp * scale * g, rtol=1e-14, atol=1e-13)
     eps = 1e-6
-    fd = (nl.rate(amp, u + eps) - nl.rate(amp, u - eps)) / (2.0 * eps)
-    np.testing.assert_allclose(nl.rate_du(amp, u), fd, rtol=1e-8, atol=1e-8)
+    fd = (reaction(u + eps)[0] - reaction(u - eps)[0]) / (2.0 * eps)
+    np.testing.assert_allclose(reaction(u)[1], fd, rtol=1e-8, atol=1e-8)
     # a block holds one state per column, the profile multiplies each column
     block = np.stack([u, -0.5 * u, u + 0.3], axis=1)
-    for fn in (nl.rate, nl.rate_du):
-        out = fn(amp, block)
+    for out, want in zip(reaction(block), zip(*(reaction(col) for col in block.T))):
         for j in range(block.shape[1]):
-            np.testing.assert_array_equal(out[:, j], fn(amp, block[:, j]))
+            np.testing.assert_array_equal(out[:, j], want[j])
 
 
 def test_scalar_families_closed_forms():
@@ -282,6 +289,19 @@ def test_map_failures_match_a_per_column_reference(make):
         if u is block:
             assert sorted(want) == [1, 3, 5]
             assert [type(want[j]) for j in (1, 3, 5)] == [NumericalError] * 2 + [EscapeError]
+
+
+@pytest.mark.parametrize("make", [cubic_map, logistic_map])
+def test_a_huge_or_infinite_state_raises_numerical_error_unwarned(make):
+    # the suite turns numpy's overflow and invalid-value warnings into errors
+    system = make()
+    for value in (np.inf, -np.inf, np.nan, 1e200):
+        with pytest.raises(NumericalError, match="non-finite"):
+            apply_map(system, np.array([value]))
+    with pytest.raises(NumericalError, match="non-finite"):
+        evaluate(system, system.state(1e200))
+    with pytest.raises(NumericalError, match="non-finite"):
+        jacobian(system, system.state(1e200))
 
 
 def test_monotone_check_on_no_pairs(cubic):

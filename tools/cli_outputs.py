@@ -29,12 +29,29 @@ value by ``null``, so two checkouts that behave alike give trees that
     python3 tools/cli_outputs.py ../parent /tmp/a
     python3 tools/cli_outputs.py . /tmp/b
     diff -r /tmp/a /tmp/b
+
+    python3 tools/cli_outputs.py --golden
+
+rewrites ``tests/golden/cli_facts.json`` from this checkout: the
+machine-stable facts of the commands, each run in this process through
+``cli.main``, which ``tests/test_cli_golden.py`` checks in the same way.
+The facts are the exit code and stderr, the help text of the ``--help``
+commands, and from the files written: verdicts and their counts, periods,
+``iterations_used``, the ``bad`` list, ``passed``, ``violations`` and
+``pairs_tested``, rho, margins, limits, Wilson bounds and sup norms.
+Floats are compared to a relative 1e-9, with an absolute 1e-12 floor for
+values at roundoff. The commands in ``SLOW`` are left out.
 """
 
+import io
+import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 _WALL_TIME = re.compile(r'("wall_time":\s*)[^,\n}]+')
@@ -42,6 +59,25 @@ SUBCOMMANDS = (
     "validate", "simulate", "classify", "prevalence", "probe-line",
     "probe-omega", "symmetry",
 )
+GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden" / "cli_facts.json"
+# left out of the golden facts: in-process these six take about 5 s
+# together, the other 40 commands that are not --help about 1.2 s
+SLOW = {
+    "prevalence-dirichlet_linear_unstable", "validate-dirichlet_linear_unstable",
+    "probe-omega-dirichlet_linear_unstable", "validate-dirichlet_cubic_5",
+    "validate-dirichlet_cubic_15", "validate-radial_cubic_15",
+}
+# report keys whose values are facts; a key not listed is searched for
+# nested facts, and dropped (with wall_time, sampler and budget) if it has none
+FACT_KEYS = {
+    "count", "counts", "period_histogram", "stable_fraction", "wilson_95",
+    "all_pass", "pairs_tested", "violations", "worst_margin",
+    "verdict", "iterations_used", "period", "rho", "stability", "rhos", "bad",
+    "stable_count", "base_verdict", "verdicts", "consistent", "limit",
+    "distance_to_base", "membership", "direction_disagreement", "tol_set",
+    "symmetric_count", "max_deviation", "deviations",
+}
+REL, ABS = 1e-9, 1e-12
 
 
 def commands(checkout):
@@ -117,7 +153,91 @@ def run(checkout, outdir):
     print(f"{len(todo)} commands, {len(list(outdir.iterdir()))} files in {outdir}")
 
 
+def pick_facts(doc):
+    """The FACT_KEYS entries of a report document, nested as in it; a
+    property check also gets its ``passed``."""
+    if isinstance(doc, list):
+        picked = [pick_facts(item) for item in doc]
+        return picked if any(picked) else None
+    if not isinstance(doc, dict):
+        return None
+    out = {}
+    for key, value in doc.items():
+        sub = value if key in FACT_KEYS else pick_facts(value)
+        if key in FACT_KEYS or sub:
+            out[key] = sub
+    if "violations" in doc:
+        out["passed"] = doc["violations"] == 0
+    return out
+
+
+def command_facts(name, argv, files, outdir):
+    """Run one command through ``cli.main`` in this process, with the
+    checkout as working directory and ``monotone_lab`` importable, and
+    return its facts."""
+    from monotone_lab import cli
+
+    written = {flag: Path(outdir) / f"{name}.{suffix}" for flag, suffix in files.items()}
+    flags = [arg for flag, path in written.items() for arg in (flag, str(path))]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main([*argv, *flags])
+        except SystemExit as exc:  # argparse after --help
+            code = exc.code
+    facts = {"exit": code, "stderr": err.getvalue().replace(str(outdir), "<OUT>")}
+    if "--help" in argv:
+        facts["stdout"] = out.getvalue()
+    for path in written.values():
+        if not path.exists():
+            continue
+        if path.suffix == ".json":
+            facts["json"] = pick_facts(json.loads(path.read_text()))
+        elif path.suffix == ".norm":
+            facts["norm"] = [float(line.split()[1]) for line in path.read_text().splitlines()[1:]]
+    return facts
+
+
+def fact_mismatches(want, got, where=""):
+    """Where ``got`` differs from ``want``: floats beyond REL (ABS at
+    roundoff), anything else at all."""
+    if isinstance(want, float) or isinstance(got, float):
+        if isinstance(want, (int, float)) and isinstance(got, (int, float)) \
+                and not isinstance(want, bool) and not isinstance(got, bool) \
+                and math.isclose(want, got, rel_tol=REL, abs_tol=ABS):
+            return []
+        return [f"{where}: {got!r}, recorded {want!r}"]
+    if isinstance(want, dict) and isinstance(got, dict) and want.keys() == got.keys():
+        return [m for key in want for m in fact_mismatches(want[key], got[key], f"{where}.{key}")]
+    if isinstance(want, list) and isinstance(got, list) and len(want) == len(got):
+        return [m for i, (a, b) in enumerate(zip(want, got))
+                for m in fact_mismatches(a, b, f"{where}[{i}]")]
+    return [] if want == got else [f"{where}: {got!r}, recorded {want!r}"]
+
+
+def golden_commands(checkout):
+    return [cmd for cmd in commands(checkout) if cmd[0] not in SLOW]
+
+
+def write_golden():
+    checkout = GOLDEN.parents[2]
+    sys.path.insert(0, str(checkout / "src"))
+    os.chdir(checkout)
+    os.environ["COLUMNS"] = "80"
+    records = {}
+    with tempfile.TemporaryDirectory() as outdir:
+        for name, argv, files in golden_commands(checkout):
+            records[name] = {"argv": argv, "files": files,
+                             "facts": command_facts(name, argv, files, outdir)}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(records, indent=1) + "\n")
+    print(f"{len(records)} commands recorded in {GOLDEN}")
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 3:
+    if sys.argv[1:] == ["--golden"]:
+        write_golden()
+    elif len(sys.argv) != 3:
         raise SystemExit(__doc__)
-    run(sys.argv[1], sys.argv[2])
+    else:
+        run(sys.argv[1], sys.argv[2])
