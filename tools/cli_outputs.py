@@ -185,7 +185,7 @@ def command_facts(name, argv, files, outdir):
             code = cli.main([*argv, *flags])
         except SystemExit as exc:  # argparse after --help
             code = exc.code
-    facts = {"exit": code, "stderr": err.getvalue().replace(str(outdir), "<OUT>")}
+    facts = {"exit": code, "stderr": err.getvalue()}
     if "--help" in argv:
         facts["stdout"] = out.getvalue()
     for path in written.values():
@@ -202,9 +202,8 @@ def fact_mismatches(want, got, where=""):
     """Where ``got`` differs from ``want``: floats beyond REL (ABS at
     roundoff), anything else at all."""
     if isinstance(want, float) or isinstance(got, float):
-        if isinstance(want, (int, float)) and isinstance(got, (int, float)) \
-                and not isinstance(want, bool) and not isinstance(got, bool) \
-                and math.isclose(want, got, rel_tol=REL, abs_tol=ABS):
+        numbers = type(want) in (int, float) and type(got) in (int, float)  # no bools
+        if numbers and math.isclose(want, got, rel_tol=REL, abs_tol=ABS):
             return []
         return [f"{where}: {got!r}, recorded {want!r}"]
     if isinstance(want, dict) and isinstance(got, dict) and want.keys() == got.keys():
