@@ -527,42 +527,45 @@ def classify_many(system, starts, budget=None):
             k % budget.check_every == 0 or k == budget.max_iterations
         )
 
-    while iters < budget.max_iterations and live.size:
-        before = block
-        block, _, failures = tangent_columns(system, block, iteration=iters + 1)
-        iters += 1
-        if failures:
-            for j, exc in sorted(failures.items()):
-                if not isinstance(exc, EscapeError):
-                    raise exc
-                results[live[j]] = Classification(
-                    "escaped", iters - 1,
-                    f"orbit escaped at iteration {iters}: {exc}",
-                )
-            live, block, window = retire(list(failures))
-            if not live.size:
-                break
-        window[iters % window_len] = block
-        if _maps_to_itself(before, block):
-            # every map up to the next checkpoint would return this block
-            while not is_checkpoint(iters) and iters < budget.max_iterations:
-                iters += 1
-                window[iters % window_len] = block
-        if is_checkpoint(iters):
-            # the window rows in iterate order, oldest first
-            tails = window[(iters + 1 + np.arange(window_len)) % window_len]
-            periods = _scan_periods(tails, budget.p_max, budget.tol_cyc)
-            resolved = np.flatnonzero(periods)
-            for p in sorted(set(periods[resolved].tolist())):
-                group = resolved[periods[resolved] == p]
-                records, mw, monos = _close_cycles(system, tails[window_len - p][:, group], p,
-                                                   budget.newton_tol, budget.newton_max_iter,
-                                                   True)
-                points = np.stack([rec.points for rec in records], axis=2)
-                for j, rec, det in zip(group, records, _perron_roots(system, points, mw, monos)):
-                    results[live[j]] = _graded_classification(rec, det, budget, iters)
-            if resolved.size:
-                live, block, window = retire(resolved)
+    # an overflowing or non-finite start fails unwarned; set per call, not per map
+    with np.errstate(over="ignore", invalid="ignore"):
+        while iters < budget.max_iterations and live.size:
+            before = block
+            block, _, failures = tangent_columns(system, block, iteration=iters + 1)
+            iters += 1
+            if failures:
+                for j, exc in sorted(failures.items()):
+                    if not isinstance(exc, EscapeError):
+                        raise exc
+                    results[live[j]] = Classification(
+                        "escaped", iters - 1,
+                        f"orbit escaped at iteration {iters}: {exc}",
+                    )
+                live, block, window = retire(list(failures))
+                if not live.size:
+                    break
+            window[iters % window_len] = block
+            if _maps_to_itself(before, block):
+                # every map up to the next checkpoint would return this block
+                while not is_checkpoint(iters) and iters < budget.max_iterations:
+                    iters += 1
+                    window[iters % window_len] = block
+            if is_checkpoint(iters):
+                # the window rows in iterate order, oldest first
+                tails = window[(iters + 1 + np.arange(window_len)) % window_len]
+                periods = _scan_periods(tails, budget.p_max, budget.tol_cyc)
+                resolved = np.flatnonzero(periods)
+                for p in sorted(set(periods[resolved].tolist())):
+                    group = resolved[periods[resolved] == p]
+                    firsts = tails[window_len - p][:, group]
+                    records, mw, monos = _close_cycles(system, firsts, p, budget.newton_tol,
+                                                       budget.newton_max_iter, True)
+                    points = np.stack([rec.points for rec in records], axis=2)
+                    radii = _perron_roots(system, points, mw, monos)
+                    for j, rec, det in zip(group, records, radii):
+                        results[live[j]] = _graded_classification(rec, det, budget, iters)
+                if resolved.size:
+                    live, block, window = retire(resolved)
     for i in live:
         results[i] = Classification(
             "unresolved",

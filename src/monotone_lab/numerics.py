@@ -23,7 +23,7 @@ verify. One step of width dt = tau/M reads
 The implicit matrix is inverted once per system (the grids here are small,
 at most a few hundred nodes), so that with S = (I - theta dt A)^{-1}
 (I + (1-theta) dt A) and Src = dt (I - theta dt A)^{-1} a step is one
-product for a whole block of states,
+``np.dot`` product (matmul's bits, cheaper per call) for a block of states,
 
     u_{k+1} = [S | Src | -Src] @ [u_k; 3/2 f_k; 1/2 f_{k-1}].
 
@@ -121,17 +121,28 @@ def build_diffusion(grid):
     return a
 
 
+def _aligned(a):
+    """A C-contiguous copy of ``a`` on a 64-byte boundary, so the speed of the
+    step products does not hang on where the heap put the matrix."""
+    buf = np.empty(a.size + 8)
+    start = -buf.ctypes.data % 64 // buf.itemsize
+    buf[start:start + a.size] = a.ravel()
+    return buf[start:start + a.size].reshape(a.shape)
+
+
 class _Propagator:
     """Precomputed one-period integrator for a single parabolic system.
 
-    Holds the stacked step matrix and the reaction factors (now, then) of
-    every step; built once per system by ``Parabolic.propagator``. Its one
-    entry point is ``tangent_columns``, which ``systems.tangent_columns``
-    calls in blocks of at most ``BLOCK_WIDTH`` flat columns. States are
-    column blocks (n, K), and a vector runs as an (n, 1) block, so the two
-    agree bit for bit. Two preallocated buffers [u_k; now_k; then_k]
-    trade places every step: the product writes u_{k+1} into the other,
-    whose then block the reaction filled in place in the same step.
+    Holds the stacked step matrix, [S | Src] as its own copy for the
+    tangents (both aligned, see ``_aligned``), and the reaction factors
+    (now, then) of every step; built once per system by
+    ``Parabolic.propagator``. Its one entry point is ``tangent_columns``,
+    which ``systems.tangent_columns`` calls in blocks of at most
+    ``BLOCK_WIDTH`` flat columns. States are column blocks (n, K), and a
+    vector runs as an (n, 1) block, so the two agree bit for bit. Two
+    preallocated buffers [u_k; now_k; then_k] trade places every step: the
+    product writes u_{k+1} into the other, whose then block the reaction
+    filled in place in the same step.
 
     Escape is checked once per period from the running peak of u * u. A
     column whose peak is not inside the inflated box, or whose tangent
@@ -160,12 +171,10 @@ class _Propagator:
         stacked = np.hstack(
             [s_inv @ (eye + (1.0 - scheme.theta) * dt * lap), source_mat, -source_mat]
         )
-        # 64-byte aligned, so the speed of every step product does not hang
-        # on where the heap put the matrix
-        buf = np.empty(stacked.size + 8)
-        start = -buf.ctypes.data % 64 // buf.itemsize
-        self.stacked = buf[start:start + stacked.size].reshape(stacked.shape)
-        self.stacked[...] = stacked
+        self.stacked = _aligned(stacked)
+        # [S | Src] for the tangents: np.dot would copy the strided view
+        # stacked[:, :2n] on every call
+        self.stacked_v = _aligned(stacked[:, :2 * n])
         # amplitudes over the whole step grid at once: one array evaluation
         # instead of a scalar forcing call per step
         self.amps = self.nl.amplitude(dt * np.arange(m_steps), par.tau)
@@ -201,7 +210,7 @@ class _Propagator:
         """
         n, count = u.shape
         g_into = self.nl.g_into
-        stacked = self.stacked
+        stacked, stacked_v = self.stacked, self.stacked_v
         a, b = np.empty((3 * n, count)), np.empty((3 * n, count))
         a[:n] = u
         a[2 * n:] = 0.0  # no history before the startup step
@@ -220,9 +229,9 @@ class _Propagator:
             hist = np.zeros((n, count, m))  # 1/2 J_{k-1} v_{k-1}
             dg, dg_then = np.empty((n, count)), np.empty((n, count))
             d_now, d_then = dg[:, :, None], dg_then[:, :, None]
-            stacked_v = stacked[:, :2 * n]
-        # bound once, outputs positional: lookups and keywords cost M times
-        mul, sub, matmul = np.multiply, np.subtract, np.matmul
+        # bound once, outputs positional: lookups and keywords cost M times;
+        # np.dot gives np.matmul's bits here and dispatches faster
+        mul, sub, dot = np.multiply, np.subtract, np.dot
         for k, (now, then) in enumerate(self.factors):
             z, state, g, g_then = cur
             g_into(state, g, sq, dg)
@@ -230,7 +239,7 @@ class _Propagator:
             mul(g, now, g)
             if k and not guarded:
                 np.maximum(peak, sq, out=peak)
-            matmul(stacked, z, nxt[1])
+            dot(stacked, z, nxt[1])
             cur, nxt = nxt, cur
             if v is not None:
                 t, _, t_v, t_e = tan
@@ -239,7 +248,7 @@ class _Propagator:
                 mul(d_now, t_v, t_e)
                 sub(t_e, hist, t_e)
                 mul(d_then, t_v, hist)
-                matmul(stacked_v, t, tan_nxt[1])
+                dot(stacked_v, t, tan_nxt[1])
                 tan, tan_nxt = tan_nxt, tan
             if guarded:
                 self._guard(cur[1], k, escape_sup, iteration)

@@ -12,6 +12,7 @@ from monotone_lab import (
     CycleCandidate,
     DimensionMismatchError,
     EscapeError,
+    NumericalError,
     OrderError,
     Parabolic,
     VERDICTS,
@@ -393,6 +394,17 @@ def test_classify_many_validates_block_shape(coop):
     with pytest.raises(DimensionMismatchError):
         classify_many(coop, np.zeros((3, 2)))
     assert classify_many(coop, np.zeros((2, 0))) == []
+
+
+@pytest.mark.parametrize("name", ["cubic_map", "logistic_map"])
+def test_a_huge_or_infinite_start_fails_unwarned(name, cat):
+    # the suite turns numpy's overflow and invalid-value warnings into errors
+    system = cat[name]
+    for value in (np.inf, -np.inf, np.nan, 1e200):
+        with pytest.raises(NumericalError, match="non-finite"):
+            classify_orbit(system, [value])
+    with pytest.raises(NumericalError, match="non-finite"):
+        classify_many(system, [[0.3, 1e200]])
 
 
 @pytest.mark.parametrize("name", ["dirichlet_cubic_15", "ring_cubic_5"])

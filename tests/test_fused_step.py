@@ -170,11 +170,64 @@ def test_step_matrix_is_64_byte_aligned_and_holds_the_step():
         systems.append(parabolic_system("neumann", n, 4.0, steps_per_period=20))
     for system in systems:
         prop, kind = system.kind.propagator, system.kind
-        assert prop.stacked.ctypes.data % 64 == 0, system.name
-        assert prop.stacked.flags.c_contiguous
+        for mat in (prop.stacked, prop.stacked_v):
+            assert mat.ctypes.data % 64 == 0, system.name
+            assert mat.flags.c_contiguous
+        np.testing.assert_array_equal(prop.stacked_v, prop.stacked[:, :2 * system.n])
         n, dt, theta = system.n, kind.tau / kind.scheme.steps_per_period, kind.scheme.theta
         lap = kind.diffusivity * build_diffusion(system.grid)
         s_inv = np.linalg.inv(np.eye(n) - theta * dt * lap)
         src = s_inv * dt
         want = np.hstack([s_inv @ (np.eye(n) + (1.0 - theta) * dt * lap), src, -src])
         np.testing.assert_array_equal(prop.stacked, want)
+
+
+def matmul_period(prop, u, v=None):
+    """One period of the step loop as np.matmul runs it, tangents stepped
+    with the strided view [S | Src] of the stacked matrix.
+
+    ``u`` is a block (n, K) and ``v`` (or None) holds m tangents along each
+    column, (n, K, m). Each step is the same two products and the same
+    elementwise operations as the loop, so the bits must match.
+    """
+    n = len(u)
+    stacked_v = prop.stacked[:, :2 * n]
+    then_f = np.zeros_like(u)
+    hist = None if v is None else np.zeros_like(v)
+    for now, then in prop.factors:
+        g, sq = np.empty_like(u), np.empty_like(u)
+        dg = None if v is None else np.empty_like(u)
+        prop.nl.g_into(u, g, sq, dg)
+        u_next = np.matmul(prop.stacked, np.vstack([u, g * now, then_f]))
+        then_f = g * then
+        if v is not None:
+            e = (dg * now)[:, :, None] * v - hist
+            hist = (dg * then)[:, :, None] * v
+            v = np.matmul(stacked_v, np.vstack([v.reshape(n, -1), e.reshape(n, -1)]))
+            v = v.reshape(hist.shape)
+        u = u_next
+    return u, v
+
+
+@pytest.mark.parametrize("name", sorted(parabolic_catalog()))
+def test_step_products_round_as_matmul_does(name):
+    system = parabolic_catalog()[name]
+    prop = system.kind.propagator
+    n, sup = system.n, 2.0 * system.kappa
+    rng = np.random.default_rng(4)
+    for width in (1, 2, 3, 4, 5, 8, 16, 33, 128):
+        u = rng.uniform(-1.0, 1.0, (n, width))
+        one = rng.uniform(-1.0, 1.0, (n, width))
+        got_u, _, failures = prop.tangent_columns(u, None, sup)
+        assert failures == {}
+        want_u, want_one = matmul_period(prop, u, one[:, :, None])
+        assert np.array_equal(got_u, want_u), width
+        got_u, got_one, failures = prop.tangent_columns(u, one, sup)
+        assert failures == {}
+        assert np.array_equal(got_u, want_u), width
+        assert np.array_equal(got_one, want_one[:, :, 0]), width
+    # the identity as n tangents along one column: that column's Jacobian
+    eye = np.eye(n)[:, None, :]
+    _, got_jac, failures = prop.tangent_columns(u[:, :1], eye, sup)
+    assert failures == {}
+    assert np.array_equal(got_jac, matmul_period(prop, u[:, :1], eye)[1])

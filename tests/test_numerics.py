@@ -218,7 +218,8 @@ def first_escape_per_step(system, u0):
 
     Each step is the period map's one product of the stacked matrix
     [S | Src | -Src] with [u_k; 3/2 f_k; 1/2 f_{k-1}] (the startup step
-    f_0 and no history), so the loop rounds as the map does.
+    f_0 and no history), through np.dot as in the map, so the loop rounds
+    as the map does.
     """
     prop = system.kind.propagator
     u = u0[:, None]
@@ -227,7 +228,7 @@ def first_escape_per_step(system, u0):
         g = np.empty_like(u)
         prop.nl.g_into(u, g, np.empty_like(u))
         now, half = g * prop.nl.factor((1.5 if k else 1.0) * amp), g * prop.nl.factor(0.5 * amp)
-        u, then = prop.stacked @ np.vstack([u, now, then]), half
+        u, then = np.dot(prop.stacked, np.vstack([u, now, then])), half
         sup = float(np.max(np.abs(u)))
         if sup > 2.0 * system.kappa:
             return k, sup
