@@ -3,7 +3,8 @@
 The propagator advances u_{k+1} = [S | Src | -Src] @ [u_k; 3/2 f_k; 1/2 f_{k-1}]
 as one product per step over preallocated buffers. Here the same period runs
 as the plain recursion S u + Src (3/2 f_k - 1/2 f_{k-1}), with the reaction
-and its derivative spelled out, and the two must agree to roundoff.
+and its derivative spelled out, and the two must agree to roundoff. The
+loop's own steps, written with np.matmul, must agree with it bit for bit.
 """
 
 import numpy as np
