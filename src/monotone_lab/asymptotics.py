@@ -32,9 +32,7 @@ from .errors import DimensionMismatchError, EscapeError, OrderError
 from .grids import Grid
 from .order import StateVector
 from .reports import JsonReport
-from .systems import (
-    BLOCK_WIDTH, Parabolic, _maps_to_itself, apply_map, tangent_columns,
-)
+from .systems import BLOCK_WIDTH, Parabolic, apply_map, map_rows, tangent_columns
 
 VERDICTS = ("stable_cycle", "unstable_cycle", "unresolved", "escaped")
 
@@ -463,10 +461,9 @@ def classify_orbit(system, x0, budget=None):
     p_max is detected and graded, escaped when the orbit leaves the inflated
     trapping box, unresolved when the budget runs out first. Detection runs
     on a sliding window of the last 3 * p_max iterates, every check_every
-    steps once the window fills, and once more at the final iterate. An
-    orbit that maps to itself bit for bit is not mapped again up to its next
-    checkpoint, whose window and iteration count are those the maps would
-    give. This is ``classify_many`` on a single start.
+    steps once the window fills, and once more at the final iterate. The
+    orbit maps a segment (checkpoint to checkpoint) at a time, bit for bit
+    as map by map. This is ``classify_many`` on a single start.
     """
     u = _initial_values(system, x0)
     return classify_many(system, u[:, None], budget)[0]
@@ -478,10 +475,11 @@ def classify_many(system, starts, budget=None):
     The columns run BLOCK_WIDTH at a time. All live orbits of a block
     advance together through the map, each column with its own sliding
     window; a column retires when it escapes or when its cycle is detected
-    and graded, and the rest run on. A block that maps to itself bit for
-    bit is not mapped again up to its next checkpoint: its rows fill the
-    window and the iteration count moves there, as the maps would have
-    left them. Returns one Classification per column, in column order.
+    and graded, and the rest run on. A block maps into its window a segment
+    at a time (``systems.map_rows``): to the next checkpoint or the budget,
+    at most one turn. Rows after a failing map are dropped, its failing
+    columns retire and the rest map on, so no map runs wider than map by
+    map. Returns one Classification per column, in column order.
 
     The cycles detected at one checkpoint are closed as one block per
     period p: p tangent passes from the candidates' first points, each
@@ -512,7 +510,7 @@ def classify_many(system, starts, budget=None):
     if block.shape[1] > BLOCK_WIDTH:
         return [cls for lo in range(0, block.shape[1], BLOCK_WIDTH)
                 for cls in classify_many(system, block[:, lo:lo + BLOCK_WIDTH], budget)]
-    window_len = 3 * budget.p_max
+    window_len, every = 3 * budget.p_max, budget.check_every
     window = np.empty((window_len,) + block.shape)
     window[0] = block
     live = np.arange(block.shape[1])
@@ -520,52 +518,44 @@ def classify_many(system, starts, budget=None):
     iters = 0
 
     def retire(done):
-        return np.delete(live, done), np.delete(block, done, 1), np.delete(window, done, 2)
+        return np.delete(live, done), np.delete(window, done, 2)
 
-    def is_checkpoint(k):
-        return k >= window_len - 1 and (
-            k % budget.check_every == 0 or k == budget.max_iterations
-        )
-
-    # an overflowing or non-finite start fails unwarned; set per call, not per map
-    with np.errstate(over="ignore", invalid="ignore"):
-        while iters < budget.max_iterations and live.size:
-            before = block
-            block, _, failures = tangent_columns(system, block, iteration=iters + 1)
+    while iters < budget.max_iterations and live.size:
+        # a segment: to the next checkpoint (or the budget), at most one turn
+        checkpoint = min(-(-max(iters + 1, window_len - 1) // every) * every,
+                         budget.max_iterations)
+        slots = np.arange(iters + 1, min(checkpoint, iters + window_len) + 1) % window_len
+        done, failures = map_rows(system, window[iters % window_len].copy(), window,
+                                  slots, iters + 1)
+        iters += done
+        if failures:
             iters += 1
-            if failures:
-                for j, exc in sorted(failures.items()):
-                    if not isinstance(exc, EscapeError):
-                        raise exc
-                    results[live[j]] = Classification(
-                        "escaped", iters - 1,
-                        f"orbit escaped at iteration {iters}: {exc}",
-                    )
-                live, block, window = retire(list(failures))
-                if not live.size:
-                    break
-            window[iters % window_len] = block
-            if _maps_to_itself(before, block):
-                # every map up to the next checkpoint would return this block
-                while not is_checkpoint(iters) and iters < budget.max_iterations:
-                    iters += 1
-                    window[iters % window_len] = block
-            if is_checkpoint(iters):
-                # the window rows in iterate order, oldest first
-                tails = window[(iters + 1 + np.arange(window_len)) % window_len]
-                periods = _scan_periods(tails, budget.p_max, budget.tol_cyc)
-                resolved = np.flatnonzero(periods)
-                for p in sorted(set(periods[resolved].tolist())):
-                    group = resolved[periods[resolved] == p]
-                    firsts = tails[window_len - p][:, group]
-                    records, mw, monos = _close_cycles(system, firsts, p, budget.newton_tol,
-                                                       budget.newton_max_iter, True)
-                    points = np.stack([rec.points for rec in records], axis=2)
-                    radii = _perron_roots(system, points, mw, monos)
-                    for j, rec, det in zip(group, records, radii):
-                        results[live[j]] = _graded_classification(rec, det, budget, iters)
-                if resolved.size:
-                    live, block, window = retire(resolved)
+            for j, exc in sorted(failures.items()):
+                if not isinstance(exc, EscapeError):
+                    raise exc
+                results[live[j]] = Classification(
+                    "escaped", iters - 1,
+                    f"orbit escaped at iteration {iters}: {exc}",
+                )
+            live, window = retire(list(failures))
+            if not live.size:
+                break
+        if iters == checkpoint >= window_len - 1:
+            # the window rows in iterate order, oldest first
+            tails = window[(iters + 1 + np.arange(window_len)) % window_len]
+            periods = _scan_periods(tails, budget.p_max, budget.tol_cyc)
+            resolved = np.flatnonzero(periods)
+            for p in sorted(set(periods[resolved].tolist())):
+                group = resolved[periods[resolved] == p]
+                firsts = tails[window_len - p][:, group]
+                records, mw, monos = _close_cycles(system, firsts, p, budget.newton_tol,
+                                                   budget.newton_max_iter, True)
+                points = np.stack([rec.points for rec in records], axis=2)
+                radii = _perron_roots(system, points, mw, monos)
+                for j, rec, det in zip(group, records, radii):
+                    results[live[j]] = _graded_classification(rec, det, budget, iters)
+            if resolved.size:
+                live, window = retire(resolved)
     for i in live:
         results[i] = Classification(
             "unresolved",

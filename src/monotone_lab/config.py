@@ -137,6 +137,8 @@ class _Table:
             ) from exc
         if kind is float and not np.isfinite(out):
             raise ConfigError(f"[{self.section}] {key}: {value!r} is not finite")
+        if key == "kappa" and not np.isfinite(2.0 * out):
+            raise ConfigError(f"[system] kappa: {value!r} overflows the box width 2 kappa")
         return out
 
     def args(self, *keys):

@@ -284,21 +284,21 @@ class _Propagator:
             tangents = v0.reshape(n, count, v0.shape[-1] if v0.ndim > u0.ndim else 1)
         # a column that leaves the box keeps stepping to the end of the
         # period, the replay below reports it; a non-finite tangent entry
-        # stays non-finite, so one test at the end finds it
+        # stays non-finite, so one test at the end finds it; none of it warns
         with np.errstate(over="ignore", invalid="ignore"):
             u, v, sups = self._run(block, tangents, escape_sup, iteration, guarded=False)
-        ok = sups <= escape_sup
-        if v is not None:
-            ok &= np.isfinite(v).all(axis=(0, 2))
-        failures = {}
-        # the replay of a column is the authority: a block product may round
-        # a column's peak across the threshold that the vector product keeps
-        for j in np.flatnonzero(~ok):
-            tan = None if tangents is None else tangents[:, j:j + 1]
-            try:
-                self._run(block[:, j:j + 1], tan, escape_sup, iteration, guarded=True)
-            except (EscapeError, NumericalError) as exc:
-                failures[int(j)] = exc
+            ok = sups <= escape_sup
+            if v is not None:
+                ok &= np.isfinite(v).all(axis=(0, 2))
+            failures = {}
+            # the replay of a column is the authority: a block product may round
+            # a column's peak across the threshold that the vector product keeps
+            for j in np.flatnonzero(~ok):
+                tan = None if tangents is None else tangents[:, j:j + 1]
+                try:
+                    self._run(block[:, j:j + 1], tan, escape_sup, iteration, guarded=True)
+                except (EscapeError, NumericalError) as exc:
+                    failures[int(j)] = exc
         return u.reshape(u0.shape), None if v is None else v.reshape(v0.shape), failures
 
 

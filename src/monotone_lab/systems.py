@@ -116,16 +116,22 @@ class AnalyticScalar:
     def __post_init__(self):
         if self.family not in ("cubic", "logistic", "negation"):
             raise ValueError(f"unknown scalar family {self.family!r}")
+        object.__setattr__(self, "_param", np.array(float(self.param)))  # 0-d, as _ONE
 
-    def value(self, u):
+    def value(self, u, out=None):
+        """F(u), written into ``out`` (an array other than ``u``) when given."""
+        out = np.empty_like(u, dtype=float) if out is None else out
         if self.family == "cubic":
-            out = 1.0 - u * u  # u + param u (1 - u u), the same operations in place
-            out *= self.param * u
+            np.multiply(u, u, out)  # u + param u (1 - u u), the same operations in place
+            np.subtract(_ONE, out, out)
+            out *= self._param * u
             out += u
-            return out
-        if self.family == "logistic":
-            return self.param * u * (1.0 - u)
-        return -u
+        elif self.family == "logistic":
+            np.multiply(self._param, u, out)
+            out *= 1.0 - u
+        else:
+            np.negative(u, out)
+        return out if out.ndim else type(u + 0.0)(out)  # float, or numpy's float64
 
     def deriv(self, u):
         if self.family == "cubic":
@@ -149,6 +155,9 @@ class LinearCooperative:
             raise ValueError("cooperative matrices must be entrywise nonnegative")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+
+    def value(self, u, out=None):
+        return np.matmul(self.matrix, u, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,8 +204,8 @@ class SystemSpec:
     def __post_init__(self):
         if not self.kappa > 0.0:
             raise ValueError("kappa must be positive")
-        if self.kappa == np.inf:
-            raise ValueError("kappa must be finite")
+        if not np.isfinite(2.0 * self.kappa):
+            raise ValueError("kappa must be finite, and so must the box width 2 kappa")
 
     @cached_property
     def grid(self):
@@ -372,13 +381,11 @@ def tangent_columns(system, u, w=None, iteration=0):
     if isinstance(kind, Parabolic):
         return kind.propagator.tangent_columns(u, w, 2.0 * system.kappa, iteration)
     dw = None
-    if isinstance(kind, AnalyticScalar):
+    with np.errstate(over="ignore", invalid="ignore"):  # failures are reported below
         y = kind.value(u)
-        if w is not None:
+        if w is not None and isinstance(kind, AnalyticScalar):
             dw = (kind.deriv(u)[..., None] if along else kind.deriv(u)) * w
-    else:
-        y = kind.matrix @ u
-        if w is not None:
+        elif w is not None:
             dw = (kind.matrix @ w.reshape(len(w), -1)).reshape(w.shape)
     if np.abs(y).max(initial=0.0) <= 2.0 * system.kappa:
         return y, dw, {}
@@ -397,6 +404,38 @@ def tangent_columns(system, u, w=None, iteration=0):
                 sup=sup,
             )
     return y, dw, failures
+
+
+def map_rows(system, block, rows, slots, iteration=0):
+    """Map ``block`` (n, K <= BLOCK_WIDTH) in place into window rows, iterate
+    k into ``rows[slots[k - 1]]``, up to the first map with a failing
+    column; ``slots`` are distinct, ``block`` is no row written, and
+    ``iteration`` numbers the first map. Returns ``(done, failures)``: the
+    maps before that one and its ``tangent_columns`` failures ({} if none;
+    its row holds its image). Closed forms map unchecked, test the rows'
+    sup once (NaN fails) and replay the first failing map through
+    ``tangent_columns``; parabolic maps call it per map, and a block that
+    maps to itself bit for bit fills the rest unmapped."""
+    kind, src = system.kind, block
+    if isinstance(kind, Parabolic):
+        for k, slot in enumerate(slots):
+            rows[slot], _, failures = tangent_columns(system, src, iteration=iteration + k)
+            if failures:
+                return k, failures
+            if _maps_to_itself(src, rows[slot]):
+                rows[slots[k + 1:]] = rows[slot]
+                break
+            src = rows[slot]
+        return len(slots), {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for slot in slots.tolist():
+            src = kind.value(src, rows[slot])
+        bad = ~(np.abs(rows[slots]).max(axis=(1, 2)) <= 2.0 * system.kappa)
+    if not bad.any():
+        return len(slots), {}
+    k = int(bad.argmax())
+    before = rows[slots[k - 1]] if k else block
+    return k, tangent_columns(system, before, iteration=iteration + k)[2]
 
 
 def _maps_to_itself(before, after):
@@ -419,8 +458,7 @@ def apply_map(system, u, iteration=0):
     columns, and the first column that fails raises its EscapeError or
     NumericalError; one that overflows or turns non-finite does not warn.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        y, _, failures = tangent_columns(system, u, iteration=iteration)
+    y, _, failures = tangent_columns(system, u, iteration=iteration)
     if failures:
         raise failures[min(failures)]
     return y
@@ -439,8 +477,7 @@ def jacobian(system, x):
     Raises the EscapeError or NumericalError of a failing image, unwarned.
     """
     system.check_grid(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, dw, failures = tangent_columns(system, x.values, np.eye(system.n))
+    _, dw, failures = tangent_columns(system, x.values, np.eye(system.n))
     if failures:
         raise failures[0]
     return dw

@@ -405,6 +405,12 @@ def test_a_huge_or_infinite_start_fails_unwarned(name, cat):
             classify_orbit(system, [value])
     with pytest.raises(NumericalError, match="non-finite"):
         classify_many(system, [[0.3, 1e200]])
+    # a caller's cycle whose point overflows the map
+    for value in (1e200, -1e200):
+        with pytest.raises(NumericalError, match="non-finite"):
+            refine_cycle(system, CycleCandidate(1, np.array([[value]])))
+        with pytest.raises(NumericalError, match="non-finite"):
+            cycle_spectral_radius(system, np.array([[value]]))
 
 
 @pytest.mark.parametrize("name", ["dirichlet_cubic_15", "ring_cubic_5"])

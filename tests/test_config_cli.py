@@ -691,6 +691,20 @@ def test_cli_symmetry_requires_section_and_equivariance(tmp_path, capsys):
     assert "refusing" in err
 
 
+@pytest.mark.parametrize("text", [CUBIC, RING], ids=["closed_form", "parabolic"])
+@pytest.mark.parametrize("command", [["validate"], ["prevalence", "--samples", "3"]],
+                         ids=["validate", "prevalence"])
+def test_cli_refuses_a_kappa_whose_box_width_overflows(text, command, tmp_path, capsys):
+    # 1e308 is finite, 2e308 is not: the box draws uniform in (-kappa, kappa)
+    path = tmp_path / "huge_kappa.cfg"
+    path.write_text(text.replace("[system]\n", "[system]\nkappa = 1e308\n"))
+    assert main([command[0], str(path), *command[1:]]) == 1
+    message = "[system] kappa: '1e308' overflows the box width 2 kappa"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    path.write_text(text.replace("[system]\n", "[system]\nkappa = 8e307\n"))
+    assert build_experiment(load_config(path)).system.kappa == 8e307
+
+
 def test_cli_symmetry_refuses_a_sampler_outside_the_box(tmp_path, capsys):
     wide = tmp_path / "wide.cfg"
     wide.write_text(

@@ -1,10 +1,13 @@
 """Blocks that map to themselves bit for bit are not mapped again.
 
-``trapping_check`` stops at such a block and ``classify_many`` moves it to
-its next checkpoint without mapping. The references here map every
-iterate: ``trapping_check`` must report exactly what the full horizon
-gives, and ``classify_many`` exactly what it gives with the rule switched
-off, bit for bit, with fewer maps.
+``trapping_check`` stops at such a block, and ``systems.map_rows``, the
+segment mapper of ``classify_many``, fills the rest of a parabolic
+segment (up to the next checkpoint) without mapping. The references here
+map every iterate: ``trapping_check`` must report exactly what the full
+horizon gives, and ``classify_many`` exactly what it gives with the rule
+switched off, bit for bit, with fewer maps. The maps are counted as
+``systems.tangent_columns`` calls, which ``map_rows`` makes once per
+parabolic map; closed-form segments make none (see test_segment_maps.py).
 """
 
 from dataclasses import astuple
@@ -126,14 +129,15 @@ def test_helper_compares_bits_and_shapes():
 
 
 def test_classify_from_zero_maps_once(dirichlet15, monkeypatch):
-    calls = counted(monkeypatch, asymptotics)
+    maps, passes = counted(monkeypatch, systems), counted(monkeypatch, asymptotics)
     cls = classify_orbit(dirichlet15, np.zeros(dirichlet15.n), BUDGET)
     # one map, then the period-1 closure pass and the second power product
-    assert len(calls) == 3
-    monkeypatch.setattr(asymptotics, "_maps_to_itself", lambda before, after: False)
-    calls.clear()
+    assert (len(maps), len(passes)) == (1, 2)
+    monkeypatch.setattr(systems, "_maps_to_itself", lambda before, after: False)
+    maps.clear()
+    passes.clear()
     want = classify_orbit(dirichlet15, np.zeros(dirichlet15.n), BUDGET)
-    assert len(calls) == 26
+    assert (len(maps), len(passes)) == (24, 2)
     assert (cls.verdict, cls.iterations_used) == ("unstable_cycle", 24)
     assert (cls.verdict, cls.iterations_used, cls.diagnostics) == (
         want.verdict, want.iterations_used, want.diagnostics
@@ -184,14 +188,18 @@ def test_classify_many_matches_every_map(name, budget, cat, monkeypatch):
     system = cat[name]
     starts = settling_starts(system)
     blocks = [starts] + [starts[:, j:j + 1] for j in range(3)]
-    calls = counted(monkeypatch, asymptotics)
+    calls = counted(monkeypatch, systems)
     got = [fingerprint(classify_many(system, block, budget)) for block in blocks]
     fast = len(calls)
-    monkeypatch.setattr(asymptotics, "_maps_to_itself", lambda before, after: False)
+    monkeypatch.setattr(systems, "_maps_to_itself", lambda before, after: False)
     calls.clear()
     want = [fingerprint(classify_many(system, block, budget)) for block in blocks]
     assert got == want
-    assert fast < len(calls)
+    if name == "cubic_map":
+        # closed-form segments map without tangent_columns, settled or not
+        assert fast == len(calls) == 0
+    else:
+        assert fast < len(calls)
 
 
 def test_negative_counts_are_refused(ring5):

@@ -150,6 +150,8 @@ def test_system_spec_helpers(cubic, coop, dirichlet15):
         SystemSpec(AnalyticScalar("cubic", 0.1), kappa=np.nan)
     with pytest.raises(ValueError, match="kappa must be finite"):
         SystemSpec(AnalyticScalar("cubic", 0.1), kappa=np.inf)
+    with pytest.raises(ValueError, match="so must the box width 2 kappa"):
+        SystemSpec(AnalyticScalar("cubic", 0.1), kappa=1e308)
 
 
 def test_named_profiles():
@@ -291,17 +293,23 @@ def test_map_failures_match_a_per_column_reference(make):
             assert [type(want[j]) for j in (1, 3, 5)] == [NumericalError] * 2 + [EscapeError]
 
 
-@pytest.mark.parametrize("make", [cubic_map, logistic_map])
+@pytest.mark.parametrize(
+    "make", [cubic_map, logistic_map, lambda: parabolic_system("dirichlet", 8, 15.0)],
+    ids=["cubic_map", "logistic_map", "dirichlet_8"],
+)
 def test_a_huge_or_infinite_state_raises_numerical_error_unwarned(make):
-    # the suite turns numpy's overflow and invalid-value warnings into errors
+    # the suite turns numpy's overflow and invalid-value warnings into errors;
+    # the parabolic failures come from the propagator's guarded replay
     system = make()
     for value in (np.inf, -np.inf, np.nan, 1e200):
         with pytest.raises(NumericalError, match="non-finite"):
-            apply_map(system, np.array([value]))
+            apply_map(system, np.full(system.n, value))
+        failures = tangent_columns(system, np.full((system.n, 2), value))[2]
+        assert [type(failures.get(j)) for j in (0, 1)] == [NumericalError] * 2
     with pytest.raises(NumericalError, match="non-finite"):
-        evaluate(system, system.state(1e200))
+        evaluate(system, system.state(np.full(system.n, 1e200)))
     with pytest.raises(NumericalError, match="non-finite"):
-        jacobian(system, system.state(1e200))
+        jacobian(system, system.state(np.full(system.n, 1e200)))
 
 
 def test_monotone_check_on_no_pairs(cubic):
