@@ -16,7 +16,7 @@ Adams-Bashforth reaction. Three checks, in increasing strength:
 
 import numpy as np
 
-from monotone_lab import parabolic_system, propagate_period
+from monotone_lab import evaluate, parabolic_system
 
 # --------------------------------------- exact rational decay, n=31
 
@@ -27,7 +27,7 @@ system = parabolic_system(
 )
 xs = system.grid.nodes()
 u0 = np.sin(np.pi * xs)
-out = propagate_period(system.state(u0), system)
+out = evaluate(system, system.state(u0))
 
 h = 1.0 / (n + 1)
 mu1 = 4.0 / h ** 2 * np.sin(np.pi * h / 2.0) ** 2
@@ -51,7 +51,7 @@ def run_time(m):
     s = parabolic_system("dirichlet", 31, 15.0, steps_per_period=m)
     x = s.grid.nodes()
     w0 = 0.8 * np.sin(np.pi * x) + 0.3 * np.sin(2 * np.pi * x)
-    return propagate_period(s.state(w0), s).values
+    return evaluate(s, s.state(w0)).values
 
 
 print("\ntime refinement, cubic reaction at strength 15, reference M=3200")
@@ -72,7 +72,7 @@ def run_grid(nn):
     s = parabolic_system("dirichlet", nn, 15.0, steps_per_period=1600)
     x = s.grid.nodes()
     w0 = 0.8 * np.sin(np.pi * x) + 0.3 * np.sin(2 * np.pi * x)
-    return propagate_period(s.state(w0), s).values
+    return evaluate(s, s.state(w0)).values
 
 
 print("\ngrid refinement, same system, reference n=255 at M=1600")

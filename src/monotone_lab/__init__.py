@@ -37,7 +37,6 @@ from .order import (
 from .numerics import (
     SteppingScheme,
     build_diffusion,
-    propagate_period,
     propagate_tangent,
 )
 from .systems import (

@@ -21,13 +21,12 @@ from .prevalence import DEFAULT_COUNT, STRATEGIES, SamplerSpec, default_amplitud
 from .symmetry import ACTIONS, DEFAULT_TOL_SYM, GroupAction
 from . import systems
 
-# Every config key and the type its value is read as: float, int, bool, or
-# str for a value kept as written. A key left out takes the library default.
+# Every config key and the type its value is read as: float, int, or str
+# for a value kept as written. A key left out takes the library default.
 SECTIONS = {
     "system": {
         "kind": str,
         "kappa": float,
-        "monotone_expected": bool,
         "gain": float,
         "r": float,
         "matrix": str,
@@ -39,7 +38,7 @@ SECTIONS = {
         "name": str,
     },
     "grid": {"domain": str, "n": int, "radial_dimension": int},
-    "time": {"tau": float, "steps_per_period": int, "theta": float},
+    "time": {"tau": float, "steps_per_period": int},
     "classify": {"max_iterations": int, "p_max": int, "check_every": int,
                  "tol_cyc": float, "tol_stab": float},
     "sampling": {
@@ -107,15 +106,6 @@ def load_config(path):
 # ---------------------------------------------------------------------------
 # typed extraction
 
-def _bool(value):
-    low = value.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(value)
-
-
 class _Table:
     """One section's keys with consume-and-complain-about-leftovers access."""
 
@@ -130,7 +120,7 @@ class _Table:
         value = self.pending.pop(key)
         kind = SECTIONS[self.section][key]
         try:
-            out = (_bool if kind is bool else kind)(value)
+            out = kind(value)
         except ValueError as exc:
             raise ConfigError(
                 f"[{self.section}] {key}: cannot read {value!r} as {kind.__name__}"
@@ -251,7 +241,6 @@ def _build_system(cfg):
     else:
         raise ConfigError(f"[system] kind: unknown system kind {kind!r}")
 
-    system = replace(system, **table.args("monotone_expected"))
     name = table.take("name")
     if name:
         system = replace(system, name=name)

@@ -9,20 +9,18 @@ whose time-tau solution operator is the period map studied everywhere else in
 the package. Space is discretized by second-order central differences
 (``build_diffusion``), time by an implicit-explicit two-step scheme:
 
-* diffusion is advanced with a theta weighting (theta = 1/2 is
-  Crank-Nicolson),
+* diffusion is advanced by Crank-Nicolson,
 * the reaction is explicit Adams-Bashforth with weights 3/2 and -1/2, an
   implicit-Euler-style startup step supplying the missing history.
 
-Both parts are second order at theta = 1/2, which the refinement tests
-verify. One step of width dt = tau/M reads
+Both parts are second order, which the refinement tests verify. One step
+of width dt = tau/M reads
 
-    (I - theta dt A) u_{k+1} = (I + (1-theta) dt A) u_k
-                               + dt (3/2 f_k - 1/2 f_{k-1}).
+    (I - dt/2 A) u_{k+1} = (I + dt/2 A) u_k + dt (3/2 f_k - 1/2 f_{k-1}).
 
 The implicit matrix is inverted once per system (the grids here are small,
-at most a few hundred nodes), so that with S = (I - theta dt A)^{-1}
-(I + (1-theta) dt A) and Src = dt (I - theta dt A)^{-1} a step is one
+at most a few hundred nodes), so that with S = (I - dt/2 A)^{-1}
+(I + dt/2 A) and Src = dt (I - dt/2 A)^{-1} a step is one
 ``np.dot`` product (matmul's bits, cheaper per call) for a block of states,
 
     u_{k+1} = [S | Src | -Src] @ [u_k; 3/2 f_k; 1/2 f_{k-1}].
@@ -48,26 +46,13 @@ class SteppingScheme:
 
     steps_per_period
         Number M of equal steps covering [0, tau].
-    theta
-        Implicitness of the diffusion solve, in [0, 1]. The default 1/2 is
-        Crank-Nicolson; the reaction stays explicit regardless.
     """
 
     steps_per_period: int = 200
-    theta: float = 0.5
 
     def __post_init__(self):
         if self.steps_per_period < 1:
             raise ValueError("steps_per_period must be at least 1")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
-
-
-def _tridiagonal(main, lower, upper):
-    a = np.diag(main)
-    a += np.diag(lower, -1)
-    a += np.diag(upper, 1)
-    return a
 
 
 def build_diffusion(grid):
@@ -97,7 +82,8 @@ def build_diffusion(grid):
         raise GridError(f"diffusion operator needs at least 3 nodes, got {n}")
     h = grid.h
     inv = 1.0 / (h * h)
-    a = _tridiagonal(np.full(n, -2.0 * inv), np.full(n - 1, inv), np.full(n - 1, inv))
+    a = np.diag(np.full(n, -2.0 * inv))
+    a += np.diag(np.full(n - 1, inv), -1) + np.diag(np.full(n - 1, inv), 1)
     if grid.kind == "neumann":
         a[0, 1] *= 2.0
         a[-1, -2] *= 2.0
@@ -152,32 +138,35 @@ class _Propagator:
 
     def __init__(self, par):
         grid = par.grid
-        scheme = par.scheme
         n = grid.n
-        m_steps = scheme.steps_per_period
+        m_steps = par.scheme.steps_per_period
         dt = par.tau / m_steps
-        if par.diffusivity != 0.0:
-            lap = par.diffusivity * build_diffusion(grid)
-        else:
-            lap = np.zeros((n, n))
         eye = np.eye(n)
-        a_imp = eye - scheme.theta * dt * lap
-        try:
-            s_inv = np.linalg.inv(a_imp)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"implicit diffusion matrix is singular: {exc}") from None
         self.nl = par.nonlinearity
-        source_mat = s_inv * dt
-        stacked = np.hstack(
-            [s_inv @ (eye + (1.0 - scheme.theta) * dt * lap), source_mat, -source_mat]
-        )
+        # a huge tau or diffusivity overflows here; refused below, unwarned
+        with np.errstate(over="ignore", invalid="ignore"):
+            if par.diffusivity != 0.0:
+                lap = par.diffusivity * build_diffusion(grid)
+            else:
+                lap = np.zeros((n, n))
+            half = 0.5 * dt * lap
+            try:
+                s_inv = np.linalg.inv(eye - half)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"implicit diffusion matrix is singular: {exc}") from None
+            source_mat = s_inv * dt
+            stacked = np.hstack([s_inv @ (eye + half), source_mat, -source_mat])
+            # amplitudes over the whole step grid at once: one array evaluation
+            # instead of a scalar forcing call per step
+            self.amps = self.nl.amplitude(dt * np.arange(m_steps), par.tau)
+        if not (np.isfinite(stacked).all() and np.isfinite(self.amps).all()):
+            raise NumericalError(
+                f"the step matrices or reaction amplitudes at dt = {dt:.3g} are not finite"
+            )
         self.stacked = _aligned(stacked)
         # [S | Src] for the tangents: np.dot would copy the strided view
         # stacked[:, :2n] on every call
         self.stacked_v = _aligned(stacked[:, :2 * n])
-        # amplitudes over the whole step grid at once: one array evaluation
-        # instead of a scalar forcing call per step
-        self.amps = self.nl.amplitude(dt * np.arange(m_steps), par.tau)
         # the reaction factors (now, then) of every step: step k weighs its
         # reaction 3/2 now (the startup step 1) and hands 1/2 of it to step
         # k + 1 as history
@@ -302,29 +291,19 @@ class _Propagator:
         return u.reshape(u0.shape), None if v is None else v.reshape(v0.shape), failures
 
 
-def _period_columns(system, *states):
-    """``systems.tangent_columns`` on a parabolic system's state (and its
-    tangent); a failing image raises its EscapeError or NumericalError."""
-    from .systems import Parabolic, tangent_columns
-
-    if not isinstance(system.kind, Parabolic):
-        raise ValueError("stepping operations apply to parabolic systems only")
-    system.check_grid(*states)
-    u, v, failures = tangent_columns(system, *(x.values for x in states))
-    if failures:
-        raise failures[0]
-    return u, v
-
-
-def propagate_period(state, system):
-    """The period map: integrate one full forcing period from phase t = 0."""
-    return state.with_values(_period_columns(system, state)[0])
-
-
 def propagate_tangent(state, tangent, system):
     """Derivative of the period map at ``state`` applied to ``tangent``.
 
     Integrates the variational recursion of the discrete scheme along the
-    base trajectory, in lockstep, and returns the propagated tangent.
+    base trajectory, in lockstep, and returns the propagated tangent. A
+    failing image raises its EscapeError or NumericalError.
     """
-    return tangent.with_values(_period_columns(system, state, tangent)[1])
+    from .systems import Parabolic, tangent_columns
+
+    if not isinstance(system.kind, Parabolic):
+        raise ValueError("stepping operations apply to parabolic systems only")
+    system.check_grid(state, tangent)
+    _, v, failures = tangent_columns(system, state.values, tangent.values)
+    if failures:
+        raise failures[0]
+    return tangent.with_values(v)

@@ -62,6 +62,12 @@ class Nonlinearity:
             if profile.ndim != 1 or not np.all(np.isfinite(profile) & (profile > 0.0)):
                 raise ValueError("spatial profile must be a 1-D array of finite positive values")
             object.__setattr__(self, "profile", profile)
+        # the largest reaction factor of a step, in the propagator's order of
+        # operations: if it is finite, no factor overflows
+        scale = 1.0 if self.profile is None else float(self.profile.max(initial=0.0))
+        if not np.isfinite(1.5 * ((1.0 + float(self.modulation)) * float(self.strength)) * scale):
+            raise ValueError(f"strength {self.strength!r}: the reaction factor "
+                             "1.5 * strength * (1 + modulation) * profile is not finite")
 
     def forcing(self, t, tau):
         """Periodic amplitude a(t), mean one over a period."""
@@ -284,7 +290,6 @@ def parabolic_system(
     form="cubic",
     tau=1.0,
     steps_per_period=200,
-    theta=0.5,
     kappa=1.5,
     radial_dim=3,
     diffusivity=1.0,
@@ -296,7 +301,7 @@ def parabolic_system(
     if isinstance(profile, str):
         profile = spatial_profile(grid, profile)
     nl = Nonlinearity(form=form, strength=strength, modulation=modulation, profile=profile)
-    scheme = SteppingScheme(steps_per_period=steps_per_period, theta=theta)
+    scheme = SteppingScheme(steps_per_period=steps_per_period)
     kind = Parabolic(grid, nl, tau=tau, scheme=scheme, diffusivity=diffusivity)
     if not name:
         name = f"{domain}_{form}_{strength:g}"
@@ -506,13 +511,15 @@ def validate_dissipativity(system, sample_count=200, seed=7083):
         t[j] = rng.uniform(0.0, tau)
         node[j] = rng.integers(0, system.n)
         u[j] = rng.uniform(kappa, 2.0 * kappa) * (1.0 if rng.uniform() < 0.5 else -1.0)
-    if isinstance(kind, AnalyticScalar):
-        f = kind.value(u) - u
-    else:
-        nl, f = kind.nonlinearity, np.empty_like(u)
-        nl.g_into(u, f, np.empty_like(u))
-        f *= nl.amplitude(t, tau) * (1.0 if nl.profile is None else nl.profile[node])
-    margins = u * f  # fmax skips NaN margins, as a running max() does
+    # an overflowing margin keeps its sign as an infinity, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(kind, AnalyticScalar):
+            f = kind.value(u) - u
+        else:
+            nl, f = kind.nonlinearity, np.empty_like(u)
+            nl.g_into(u, f, np.empty_like(u))
+            f *= nl.amplitude(t, tau) * (1.0 if nl.profile is None else nl.profile[node])
+        margins = u * f  # fmax skips NaN margins, as a running max() does
     return PropertyReport(
         "dissipativity", sample_count, int(np.sum(margins >= 0.0)),
         float(np.fmax.reduce(margins, initial=-np.inf)), seed,

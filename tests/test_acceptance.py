@@ -32,7 +32,6 @@ from monotone_lab import (
     omega_plus_probe,
     parabolic_catalog,
     parabolic_system,
-    propagate_period,
     propagate_tangent,
     ring_rotation,
     sample_initial,
@@ -98,7 +97,7 @@ def test_02_discretization_fidelity(report):
     )
     xs = system.grid.nodes()
     u0 = np.sin(np.pi * xs)
-    out = propagate_period(system.state(u0), system).values
+    out = evaluate(system, system.state(u0)).values
     h = 1.0 / (n + 1)
     mu = 4.0 / (h * h) * np.sin(np.pi * h / 2.0) ** 2
     dt = 1.0 / m_steps
@@ -110,7 +109,7 @@ def test_02_discretization_fidelity(report):
         s = parabolic_system("dirichlet", 31, 15.0, steps_per_period=m)
         x = s.grid.nodes()
         w0 = 0.8 * np.sin(np.pi * x) + 0.3 * np.sin(2 * np.pi * x)
-        return propagate_period(s.state(w0), s).values
+        return evaluate(s, s.state(w0)).values
 
     ref_t = run_time(3200)
     errs_t = [np.max(np.abs(run_time(m) - ref_t)) for m in (100, 200, 400)]
@@ -120,7 +119,7 @@ def test_02_discretization_fidelity(report):
         s = parabolic_system("dirichlet", nn, 15.0, steps_per_period=1600)
         x = s.grid.nodes()
         w0 = 0.8 * np.sin(np.pi * x) + 0.3 * np.sin(2 * np.pi * x)
-        return propagate_period(s.state(w0), s).values
+        return evaluate(s, s.state(w0)).values
 
     ref_g = run_grid(255)
     errs_g = []

@@ -44,10 +44,9 @@ def _discrete_multipliers(par, c):
     """
     lam = _modes(par)
     m = par.scheme.steps_per_period
-    theta = par.scheme.theta
     dt = par.tau / m
-    s = (1.0 + (1.0 - theta) * dt * lam) / (1.0 - theta * dt * lam)
-    r = dt / (1.0 - theta * dt * lam)
+    s = (1.0 + 0.5 * dt * lam) / (1.0 - 0.5 * dt * lam)
+    r = dt / (1.0 - 0.5 * dt * lam)
     a = SLOPE[c] * par.nonlinearity.amplitude(dt * np.arange(m), par.tau)
     v, hist = np.ones_like(lam), np.zeros_like(lam)
     for k in range(m):

@@ -152,14 +152,16 @@ def test_build_rejects_bad_values():
 
 
 def test_build_overrides():
-    cfg = parse_config(
-        "[system]\nkind = logistic\nr = 3.5\nmonotone_expected = false\n"
-        "name = probe"
-    )
+    cfg = parse_config("[system]\nkind = logistic\nr = 3.5\nname = probe")
     system = build_experiment(cfg).system
     assert system.monotone_expected is False
     assert system.name == "probe"
     assert system.kind.param == 3.5
+    # whether a map is expected to be monotone is its kind's, not a key's
+    with pytest.raises(
+        ConfigError, match=r"^line 4: unknown key 'monotone_expected' in \[system\]$"
+    ):
+        parse_config("[system]\nkind = cubic\ngain = 0.1\nmonotone_expected = false\n")
 
 
 def test_build_sampler_default_amplitude():
@@ -721,7 +723,8 @@ def test_cli_symmetry_refuses_a_sampler_outside_the_box(tmp_path, capsys):
 PARABOLIC = "[system]\nkind = parabolic\n{system}[grid]\ndomain = ring\nn = 8\n"
 LINE = {"base": "0", "direction": "1", "s_min": "0", "s_max": "1"}
 
-# one config per float key and line vector, reading its value from {value}
+# one config per float key, line vector and removed key, reading its value
+# from {value}
 NONFINITE_CONFIGS = {
     **{key: CUBIC + f"{key} = {{value}}\n" for key in ("kappa", "gain")},
     "r": "[system]\nkind = logistic\nr = {value}\n",
@@ -759,6 +762,8 @@ FLOAT_SECTIONS = {
     key: section for section, table in SECTIONS.items()
     for key, kind in table.items() if kind is float
 }
+# keys the format no longer has: the parser refuses them by line number
+UNKNOWN = {"theta": "line 7: unknown key 'theta' in [time]"}
 # values a key cannot read or does not accept, with the message of each:
 # the key's own refusal, without a second prefix from its section's builder
 MISREAD = {
@@ -770,7 +775,7 @@ MISREAD = {
 
 
 @pytest.mark.parametrize("key, value", [
-    *((key, value) for key in sorted([*FLOAT_SECTIONS, "base", "direction"])
+    *((key, value) for key in sorted([*FLOAT_SECTIONS, *UNKNOWN, "base", "direction"])
       for value in ("nan", "inf")),
     *MISREAD,
 ])
@@ -781,6 +786,8 @@ def test_cli_refuses_nonfinite_parameters(key, value, tmp_path, capsys):
     assert main([command, str(path), *flags]) == 1
     if (key, value) in MISREAD:
         message = MISREAD[key, value]
+    elif key in UNKNOWN:
+        message = UNKNOWN[key]
     elif key in FLOAT_SECTIONS:
         message = f"[{FLOAT_SECTIONS[key]}] {key}: {value!r} is not finite"
     elif (key, value) == ("direction", "nan"):
@@ -790,3 +797,22 @@ def test_cli_refuses_nonfinite_parameters(key, value, tmp_path, capsys):
     else:
         message = "invalid [sampling] section: line_scan base, direction and range must be finite"
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("system, strength", [
+    ("", "1e308"),
+    ("modulation = 0.5\n", "9e307"),
+    ("spatial_profile = ramp\nmodulation = 0.3\n", "7e307"),
+])
+def test_cli_refuses_a_strength_whose_reaction_factor_overflows(system, strength,
+                                                                tmp_path, capsys):
+    # each step weighs its reaction by 1.5 * amplitude * profile, and the
+    # amplitude peaks at strength * (1 + modulation)
+    path = tmp_path / "huge_strength.cfg"
+    path.write_text(PARABOLIC.format(system=f"{system}strength = {strength}\n"))
+    assert main(["validate", str(path)]) == 1
+    message = (f"invalid parabolic configuration: strength {float(strength)!r}: the reaction "
+               "factor 1.5 * strength * (1 + modulation) * profile is not finite")
+    assert capsys.readouterr().err == f"error: {message}\n"
+    path.write_text(PARABOLIC.format(system=f"{system}strength = 5e307\n"))
+    assert build_experiment(load_config(path)).system.kind.nonlinearity.strength == 5e307

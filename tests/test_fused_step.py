@@ -96,10 +96,8 @@ def test_profiles_match_the_two_product_recursion(domain, profile):
     check_block(parabolic_system(domain, 16, 5.0, profile=profile, name=profile))
 
 
-@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
-def test_theta_matches_the_two_product_recursion(theta):
-    # n = 8 keeps dt / h^2 = 0.405 inside the explicit (theta = 0) limit
-    check_block(parabolic_system("dirichlet", 8, 5.0, theta=theta, name=f"theta_{theta}"))
+def test_crank_nicolson_matches_the_two_product_recursion():
+    check_block(parabolic_system("dirichlet", 8, 5.0, name="crank_nicolson"))
 
 
 def test_vectors_match_and_equal_their_one_column_blocks(ring5):
@@ -175,11 +173,11 @@ def test_step_matrix_is_64_byte_aligned_and_holds_the_step():
             assert mat.ctypes.data % 64 == 0, system.name
             assert mat.flags.c_contiguous
         np.testing.assert_array_equal(prop.stacked_v, prop.stacked[:, :2 * system.n])
-        n, dt, theta = system.n, kind.tau / kind.scheme.steps_per_period, kind.scheme.theta
+        n, dt = system.n, kind.tau / kind.scheme.steps_per_period
         lap = kind.diffusivity * build_diffusion(system.grid)
-        s_inv = np.linalg.inv(np.eye(n) - theta * dt * lap)
+        s_inv = np.linalg.inv(np.eye(n) - 0.5 * dt * lap)
         src = s_inv * dt
-        want = np.hstack([s_inv @ (np.eye(n) + (1.0 - theta) * dt * lap), src, -src])
+        want = np.hstack([s_inv @ (np.eye(n) + 0.5 * dt * lap), src, -src])
         np.testing.assert_array_equal(prop.stacked, want)
 
 
