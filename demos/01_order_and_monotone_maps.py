@@ -8,7 +8,6 @@ standard counterexample. Run as a script, read top to bottom.
 import numpy as np
 
 from monotone_lab import (
-    OrderTolerances,
     check_monotone,
     check_strong_monotone,
     cubic_map,
@@ -19,6 +18,7 @@ from monotone_lab import (
     strictly_less,
     strongly_less,
 )
+from monotone_lab.order import ETA_INTERIOR, TOL_EQ
 
 # ------------------------------------------------------------ relations
 
@@ -34,13 +34,13 @@ print(f"  strictly_less(x, y) = {strictly_less(x, y)}   (equal in node 1)")
 print(f"  strongly_less(x, y) = {strongly_less(x, y)}  (no interior gap)")
 print(f"  strongly_less(x, z) = {strongly_less(x, z)}   (gap in every node)")
 
-# tolerances are explicit: the equality slack absorbs roundoff, the
-# interior margin certifies a genuine gap
-tol = OrderTolerances(tol_eq=1e-12, eta_interior=1e-10)
+# the tolerances are module constants: the equality slack absorbs
+# roundoff, the interior margin certifies a genuine gap
+print(f"  tolerances: TOL_EQ = {TOL_EQ:g}, ETA_INTERIOR = {ETA_INTERIOR:g}")
 nudge = coop.state(x.values + 1e-11)
-print(f"  x vs x + 1e-11: strictly_less = {strictly_less(x, nudge, tol)}, "
-      f"strongly_less = {strongly_less(x, nudge, tol)}"
-      "  (1e-11 clears tol_eq but not eta_interior)")
+print(f"  x vs x + 1e-11: strictly_less = {strictly_less(x, nudge)}, "
+      f"strongly_less = {strongly_less(x, nudge)}"
+      "  (1e-11 clears TOL_EQ but not ETA_INTERIOR)")
 
 # ------------------------------------------------- order interval draws
 

@@ -20,9 +20,6 @@ from .errors import (
 )
 from .grids import Grid
 from .order import (
-    CHECK_TOL,
-    DEFAULT_TOL,
-    OrderTolerances,
     PropertyReport,
     StateVector,
     ValidationReport,
@@ -46,7 +43,6 @@ from .systems import (
     Parabolic,
     SystemSpec,
     apply_map,
-    catalog,
     check_strong_positivity,
     cubic_map,
     evaluate,
@@ -54,7 +50,6 @@ from .systems import (
     linear_cooperative,
     logistic_map,
     negation_map,
-    parabolic_catalog,
     parabolic_system,
     spatial_profile,
     trapping_check,
@@ -64,7 +59,6 @@ from .asymptotics import (
     Classification,
     ClassificationReport,
     ClassifyBudget,
-    CycleCandidate,
     CycleRecord,
     OmegaProbeReport,
     SideEstimate,

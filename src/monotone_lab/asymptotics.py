@@ -152,7 +152,7 @@ def _initial_values(system, x0):
 
 def _as_state_array(obj):
     """Coerce a cycle or an array of states to shape (k, n)."""
-    if isinstance(obj, (CycleRecord, CycleCandidate)):
+    if isinstance(obj, CycleRecord):
         return obj.points
     arr = np.asarray(obj, dtype=float)
     if arr.ndim == 1:
@@ -165,14 +165,6 @@ def _as_state_array(obj):
 
 # ---------------------------------------------------------------------------
 # cycle detection and refinement
-
-@dataclass(eq=False)
-class CycleCandidate:
-    """Raw window detection: the last `period` iterates of the tail."""
-
-    period: int
-    points: np.ndarray
-
 
 def _scan_periods(tails, p_max, tol_cyc):
     """Minimal period of each column of a tail block, 0 where none is found.
@@ -208,8 +200,9 @@ def detect_cycle(tail, p_max, tol_cyc):
     the last 2 * p_max states agree with their p-shifted predecessors to
     within tol_cyc in sup norm, so each candidate is vetted over at least two
     full turns of the cycle and divisor aliasing picks the smallest period
-    first. Returns a CycleCandidate or None. This is the one-column case of
-    the scan ``classify_many`` runs on a block of orbits.
+    first. Returns the cycle's points, the last p states of the tail as a
+    (p, n) array, or None. This is the one-column case of the scan
+    ``classify_many`` runs on a block of orbits.
     """
     arr = _as_state_array(tail)
     length = arr.shape[0]
@@ -222,7 +215,7 @@ def detect_cycle(tail, p_max, tol_cyc):
     p = int(_scan_periods(arr[:, :, None], p_max, tol_cyc)[0])
     if p == 0:
         return None
-    return CycleCandidate(p, arr[length - p:].copy())
+    return arr[length - p:].copy()
 
 
 @dataclass(eq=False)
@@ -246,6 +239,8 @@ class CycleRecord(JsonReport):
 def refine_cycle(system, candidate, newton_tol=1e-12, max_newton=12):
     """Polish a cycle candidate by damped Newton on G(z) = F^p(z) - z.
 
+    The candidate is a cycle's points, one row per point, as ``detect_cycle``
+    returns them, or a CycleRecord; the period is the number of rows.
     The Jacobian of G is the monodromy product minus the identity; a
     singular or stalled solve leaves the candidate unrefined with the
     converged flag down. The returned points are regenerated by iterating

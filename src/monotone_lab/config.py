@@ -270,6 +270,8 @@ def _build_sampler(cfg, system):
         raise ConfigError("[sampling] needs a strategy")
     fields = table.args("seed")
     count = table.take("count")
+    if count is not None and count < 0:
+        raise ConfigError("[sampling] count must be nonnegative")
     if strategy not in STRATEGIES:
         raise ConfigError(f"[sampling] strategy: unknown strategy {strategy!r}")
     if strategy == "line_scan":

@@ -7,10 +7,10 @@ States are compared componentwise. For x, y on the same grid:
 * ``strongly_less``: y - x lies in the interior of the cone, meaning every
   component exceeds a strictly positive margin.
 
-Finite precision forces both tolerances. ``tol_eq`` absorbs roundoff when
-deciding equality; ``eta_interior`` is the margin certifying interior
-membership, and must dominate ``tol_eq`` so that strongly below implies
-strictly below implies below.
+Finite precision forces both tolerances, module constants: the equality
+slack ``TOL_EQ`` absorbs roundoff when deciding equality, and the interior
+margin ``ETA_INTERIOR`` certifies interior membership. The monotonicity
+checks use the tighter ``CHECK_TOL_EQ`` and ``CHECK_ETA_INTERIOR``.
 """
 
 from dataclasses import dataclass, field
@@ -21,31 +21,12 @@ from .errors import DimensionMismatchError, EscapeError, OrderError
 from .grids import Grid
 from .reports import JsonReport
 
-
-@dataclass(frozen=True)
-class OrderTolerances:
-    """Comparison slacks: equality slack tol_eq, interior margin eta_interior.
-
-    Requires 0 <= tol_eq < eta_interior.
-    """
-
-    tol_eq: float = 1e-12
-    eta_interior: float = 1e-10
-
-    def __post_init__(self):
-        if not (0.0 <= self.tol_eq < self.eta_interior):
-            raise ValueError(
-                f"need 0 <= tol_eq < eta_interior, got {self.tol_eq} and {self.eta_interior}"
-            )
-
-
-DEFAULT_TOL = OrderTolerances()
-
-# Tighter slacks used by the monotonicity property checks below. The interior
-# margin is deliberately small: randomly drawn ordered pairs can be nearly
-# degenerate, and the interior gap of the image pair scales down with the
-# input separation.
-CHECK_TOL = OrderTolerances(tol_eq=1e-13, eta_interior=1e-12)
+# Each slack lies below its margin (0 <= TOL_EQ < ETA_INTERIOR), so strongly
+# below implies strictly below implies below. The checks' interior margin is
+# deliberately small: randomly drawn ordered pairs can be nearly degenerate,
+# and the interior gap of the image pair scales down with the input separation.
+TOL_EQ, ETA_INTERIOR = 1e-12, 1e-10
+CHECK_TOL_EQ, CHECK_ETA_INTERIOR = 1e-13, 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,26 +60,23 @@ def _check_same_grid(x, y):
         raise DimensionMismatchError(f"grids differ: {x.grid} vs {y.grid}")
 
 
-def leq(x, y, tol=None):
-    """True when x is below y componentwise, up to the equality slack."""
+def leq(x, y):
+    """True when x is below y componentwise, up to the equality slack TOL_EQ."""
     _check_same_grid(x, y)
-    tol = tol or DEFAULT_TOL
-    return bool(np.all(y.values - x.values >= -tol.tol_eq))
+    return bool(np.all(y.values - x.values >= -TOL_EQ))
 
 
-def strictly_less(x, y, tol=None):
+def strictly_less(x, y):
     """True when leq(x, y) and the two states differ beyond the slack."""
     _check_same_grid(x, y)
-    tol = tol or DEFAULT_TOL
     diff = y.values - x.values
-    return bool(np.all(diff >= -tol.tol_eq) and np.max(diff) > tol.tol_eq)
+    return bool(np.all(diff >= -TOL_EQ) and np.max(diff) > TOL_EQ)
 
 
-def strongly_less(x, y, tol=None):
-    """True when y - x lies in the cone interior: every gap exceeds eta_interior."""
+def strongly_less(x, y):
+    """True when y - x lies in the cone interior: every gap exceeds ETA_INTERIOR."""
     _check_same_grid(x, y)
-    tol = tol or DEFAULT_TOL
-    return bool(np.min(y.values - x.values) > tol.eta_interior)
+    return bool(np.min(y.values - x.values) > ETA_INTERIOR)
 
 
 def order_interval_sample(a, b, count, seed):
@@ -209,9 +187,9 @@ def check_monotone(system, pair_count=200, seed=7081):
     """Sampled order preservation: x <= y must give F(x) <= F(y).
 
     Draws ordered pairs from the trapping box and reports every pair whose
-    images violate the order beyond the equality slack, DEFAULT_TOL's
-    tol_eq = 1e-12. worst_margin is the largest componentwise excess of
-    F(x) over F(y) seen across pairs, so any value at or below tol_eq means
+    images violate the order beyond the equality slack TOL_EQ = 1e-12.
+    worst_margin is the largest componentwise excess of F(x) over F(y)
+    seen across pairs, so any value at or below TOL_EQ means
     a clean pass; a pair whose map escapes is a violation with margin inf.
     The pairs are drawn first, in one generator call with the bits of
     one-at-a-time draws, then both ends of all of them advance as the
@@ -223,7 +201,7 @@ def check_monotone(system, pair_count=200, seed=7081):
     fx, fy, escaped = _pair_images(system, xs, ys)
     margins = np.where(escaped, np.inf, np.max(fx - fy, axis=0))
     return PropertyReport(
-        "monotone", pair_count, int(np.sum(margins > DEFAULT_TOL.tol_eq)),
+        "monotone", pair_count, int(np.sum(margins > TOL_EQ)),
         float(np.max(margins, initial=-np.inf)), seed,
     )
 
@@ -231,10 +209,10 @@ def check_monotone(system, pair_count=200, seed=7081):
 def check_strong_monotone(system, pair_count=200, seed=7082):
     """Sampled strong order preservation: x < y must give F(x) strongly below F(y).
 
-    The slacks are CHECK_TOL's: pairs indistinguishable from equal (within
-    tol_eq = 1e-13) are skipped as vacuous. worst_margin is the minimum
-    interior gap min(F(y) - F(x)) observed, so the check passes exactly when
-    that gap stays above eta_interior = 1e-12; a pair whose map escapes is a
+    Pairs indistinguishable from equal (within CHECK_TOL_EQ = 1e-13) are
+    skipped as vacuous. worst_margin is the minimum interior gap
+    min(F(y) - F(x)) observed, so the check passes exactly when that gap
+    stays above CHECK_ETA_INTERIOR = 1e-12; a pair whose map escapes is a
     violation with gap -inf. The pairs are drawn first, in one generator
     call with the bits of one-at-a-time draws, then both ends of the tested
     ones advance as the columns of blocks.
@@ -242,10 +220,10 @@ def check_strong_monotone(system, pair_count=200, seed=7082):
     if pair_count < 0:
         raise ValueError("pair_count must be nonnegative")
     xs, ys = draw_ordered_pairs(system, np.random.default_rng(seed), pair_count)
-    tested = np.max(ys - xs, axis=0) > CHECK_TOL.tol_eq
+    tested = np.max(ys - xs, axis=0) > CHECK_TOL_EQ
     fx, fy, escaped = _pair_images(system, xs[:, tested], ys[:, tested])
     gaps = np.where(escaped, -np.inf, np.min(fy - fx, axis=0))
     return PropertyReport(
-        "strong_monotone", int(np.sum(tested)), int(np.sum(gaps <= CHECK_TOL.eta_interior)),
+        "strong_monotone", int(np.sum(tested)), int(np.sum(gaps <= CHECK_ETA_INTERIOR)),
         float(np.min(gaps, initial=np.inf)), seed,
     )

@@ -79,6 +79,8 @@ class SamplerSpec:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown sampler strategy {self.strategy!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.strategy in ("box_uniform", "smooth_field"):
             if not self.amplitude > 0.0:
                 raise ValueError("amplitude must be positive")

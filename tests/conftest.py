@@ -10,12 +10,12 @@ settings.register_profile(
 )
 settings.load_profile("lab")
 
-from monotone_lab import systems
+from shipped import shipped
 
 
 @pytest.fixture(scope="session")
 def cat():
-    return systems.catalog()
+    return shipped()
 
 
 @pytest.fixture(scope="session")

@@ -30,7 +30,6 @@ from monotone_lab import (
     line_probe,
     line_scan,
     omega_plus_probe,
-    parabolic_catalog,
     parabolic_system,
     propagate_tangent,
     ring_rotation,
@@ -43,6 +42,7 @@ from monotone_lab import (
     trivial_action,
     validate_dissipativity,
 )
+from shipped import shipped_parabolic
 
 ROOT = Path(__file__).resolve().parent.parent
 PARABOLIC_BUDGET = ClassifyBudget(max_iterations=400, p_max=8)
@@ -178,7 +178,7 @@ def test_04_standing_assumptions_across_catalog(cat, report):
     }
     ok = True
     details = []
-    for name, system in parabolic_catalog().items():
+    for name, system in shipped_parabolic().items():
         mono = check_monotone(system, pair_count=200)
         strong = check_strong_monotone(system, pair_count=200)
         positive = check_strong_positivity(system)

@@ -9,7 +9,6 @@ import pytest
 
 from monotone_lab import (
     ClassifyBudget,
-    CycleCandidate,
     DimensionMismatchError,
     EscapeError,
     NumericalError,
@@ -124,10 +123,12 @@ def test_orbit_csv_shape(coop):
 def test_detect_cycle_finds_minimal_period():
     four = np.tile([0.0, 1.0, 0.0, 2.0], 3)
     cand = detect_cycle(four, p_max=4, tol_cyc=1e-8)
-    assert cand.period == 4
+    assert len(cand) == 4
+    # the cycle's points are the tail's last p states, one row each
+    assert cand.shape == (4, 1) and cand.tobytes() == four[-4:].tobytes()
     two = np.tile([0.0, 1.0], 6)
-    assert detect_cycle(two, p_max=4, tol_cyc=1e-8).period == 2
-    assert detect_cycle(np.ones(12), p_max=4, tol_cyc=1e-8).period == 1
+    assert len(detect_cycle(two, p_max=4, tol_cyc=1e-8)) == 2
+    assert len(detect_cycle(np.ones(12), p_max=4, tol_cyc=1e-8)) == 1
 
 
 def test_detect_cycle_rejects_transients():
@@ -153,17 +154,17 @@ def test_detect_cycle_on_a_tail_holding_inf_does_not_warn():
         # an inf before the window spoils only the periods that reach it
         before = np.ones((12, 2))
         before[0] = np.inf
-        assert detect_cycle(before, p_max=4, tol_cyc=1e-8).period == 1
+        assert len(detect_cycle(before, p_max=4, tol_cyc=1e-8)) == 1
         mixed = np.tile([[0.0, 1.0], [2.0, 3.0]], (6, 1))
         mixed[0, 1] = -np.inf
-        assert detect_cycle(mixed, p_max=4, tol_cyc=1e-8).period == 2
+        assert len(detect_cycle(mixed, p_max=4, tol_cyc=1e-8)) == 2
 
 
 # ------------------------------------------------------------- refinement
 
 def test_refine_polishes_logistic_two_cycle(logistic):
     lo, hi = logistic_two_cycle()
-    cand = CycleCandidate(2, np.array([[lo + 1e-3], [hi - 1e-3]]))
+    cand = np.array([[lo + 1e-3], [hi - 1e-3]])
     rec = refine_cycle(logistic, cand, newton_tol=1e-12)
     assert rec.newton_converged
     assert rec.residual < 1e-12
@@ -173,7 +174,7 @@ def test_refine_polishes_logistic_two_cycle(logistic):
 def test_refine_handles_neutral_multiplier(logistic):
     # f'(u) = 1 at u = (1 - 1/r)/2, so the period-1 Newton matrix is singular
     u = (1.0 - 1.0 / LOGISTIC_R) / 2.0
-    cand = CycleCandidate(1, np.array([[u]]))
+    cand = np.array([[u]])
     rec = refine_cycle(logistic, cand, newton_tol=1e-12)
     assert not rec.newton_converged
     fu = LOGISTIC_R * u * (1.0 - u)
@@ -182,7 +183,7 @@ def test_refine_handles_neutral_multiplier(logistic):
 
 
 def test_refine_accepts_exact_cycle(cubic):
-    rec = refine_cycle(cubic, CycleCandidate(1, np.array([[1.0]])), newton_tol=1e-12)
+    rec = refine_cycle(cubic, np.array([[1.0]]), newton_tol=1e-12)
     assert rec.newton_converged
     assert rec.residual == 0.0
     assert rec.newton_iterations == 0
@@ -408,7 +409,7 @@ def test_a_huge_or_infinite_start_fails_unwarned(name, cat):
     # a caller's cycle whose point overflows the map
     for value in (1e200, -1e200):
         with pytest.raises(NumericalError, match="non-finite"):
-            refine_cycle(system, CycleCandidate(1, np.array([[value]])))
+            refine_cycle(system, np.array([[value]]))
         with pytest.raises(NumericalError, match="non-finite"):
             cycle_spectral_radius(system, np.array([[value]]))
 

@@ -15,12 +15,9 @@ import numpy as np
 import pytest
 
 from monotone_lab import (
-    CHECK_TOL,
-    DEFAULT_TOL,
     ClassifyBudget,
     EscapeError,
     NumericalError,
-    catalog,
     check_equivariance,
     check_monotone,
     check_strong_monotone,
@@ -39,8 +36,11 @@ from monotone_lab import (
     trivial_action,
     validate_dissipativity,
 )
-from monotone_lab.order import PropertyReport, draw_box_states
+from monotone_lab.order import (
+    CHECK_ETA_INTERIOR, CHECK_TOL_EQ, TOL_EQ, PropertyReport, draw_box_states,
+)
 from monotone_lab.systems import BLOCK_WIDTH, Parabolic, tangent_columns
+from shipped import shipped
 
 SYSTEMS = (
     "cubic_map",
@@ -82,13 +82,12 @@ def loop_ordered_pair(system, rng):
 
 def per_pair_monotone(system, pair_count, seed, strong):
     """(violations, pairs tested, worst margin) of a monotone check, pair by pair."""
-    tol = CHECK_TOL if strong else DEFAULT_TOL
     rng = np.random.default_rng(seed)
     violations, tested = 0, 0
     worst = np.inf if strong else -np.inf
     for _ in range(pair_count):
         x, y = loop_ordered_pair(system, rng)
-        if strong and np.max(y - x) <= tol.tol_eq:
+        if strong and np.max(y - x) <= CHECK_TOL_EQ:
             continue
         tested += 1
         try:
@@ -100,11 +99,11 @@ def per_pair_monotone(system, pair_count, seed, strong):
         if strong:
             gap = float(np.min(fy.values - fx.values))
             worst = min(worst, gap)
-            violations += gap <= tol.eta_interior
+            violations += gap <= CHECK_ETA_INTERIOR
         else:
             margin = float(np.max(fx.values - fy.values))
             worst = max(worst, margin)
-            violations += margin > tol.tol_eq
+            violations += margin > TOL_EQ
     return violations, tested, worst
 
 
@@ -122,8 +121,8 @@ def per_probe_positivity(system, probe_count, seed, eta=1e-12):
             v = rng.uniform(0.0, 1.0, size=n)
         if isinstance(kind, Parabolic):
             _, dv, failures = kind.propagator.tangent_columns(x, v, 2.0 * system.kappa)
-            if failures:
-                raise failures[0]
+            if failures:  # a failing probe is a violation at gap -inf
+                dv = np.array([-np.inf])
         elif hasattr(kind, "deriv"):
             dv = kind.deriv(x) * v
         else:
@@ -198,7 +197,7 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("name", sorted(catalog()))
+@pytest.mark.parametrize("name", sorted(shipped()))
 def test_block_samplers_match_one_at_a_time_draws(cat, name):
     system = cat[name]
     n, kappa = system.n, system.kappa
@@ -284,14 +283,16 @@ def test_equivariance_gap_is_infinite_where_a_column_escapes(logistic):
     assert rep.violations == 6
 
 
-def test_positivity_escape_raises_the_first_failing_probe():
+def test_positivity_escape_is_a_violation_at_infinite_gap():
     wild = parabolic_system("dirichlet", 16, strength=25.0, form="linear")
-    with pytest.raises(EscapeError) as block:
-        check_strong_positivity(wild, probe_count=5, seed=1)
-    with pytest.raises(EscapeError) as single:
-        per_probe_positivity(wild, 5, 1)
-    assert str(block.value) == str(single.value)
-    assert (block.value.step, block.value.sup) == (single.value.step, single.value.sup)
+    rep = check_strong_positivity(wild, probe_count=5, seed=1)
+    assert_same(rep, per_probe_positivity(wild, 5, 1))
+    assert (rep.violations, rep.worst_margin) == (5, -np.inf)
+    # a map that escapes from some box states: the probes that stay are graded
+    capped = parabolic_system("dirichlet", 8, 15.0, steps_per_period=20)
+    rep = check_strong_positivity(capped, probe_count=50, seed=7085)
+    assert_same(rep, per_probe_positivity(capped, 50, 7085))
+    assert 0 < rep.violations < 50 and rep.worst_margin == -np.inf
 
 
 def test_block_width_does_not_change_results(logistic):

@@ -19,7 +19,6 @@ import pytest
 
 from monotone_lab import (
     ClassifyBudget,
-    CycleCandidate,
     EscapeError,
     apply_map,
     classify_many,
@@ -369,7 +368,7 @@ def test_refine_cycle_carries_tangents_only_into_newton(cat, monkeypatch):
         points = np.array(points, dtype=float)
         period = len(points)
         seen.clear()
-        rec = refine_cycle(system, CycleCandidate(period, points), newton_tol=newton_tol)
+        rec = refine_cycle(system, points, newton_tol=newton_tol)
         assert seen[:period] == [False] * period, k
         assert any(seen) == newton, k
         # the graded closure of classify_many carries the ones tangent
@@ -433,8 +432,7 @@ def assert_block_newton_matches_alone(system, cands, newton_tol=1e-12):
     firsts = np.array([c[0] for c in cands]).T
     records, mw, _ = asymptotics._close_cycles(system, firsts, period, newton_tol, 12, True)
     for k, (cand, rec) in enumerate(zip(cands, records)):
-        alone = refine_cycle(system, CycleCandidate(period, np.array(cand)),
-                             newton_tol=newton_tol)
+        alone = refine_cycle(system, np.array(cand), newton_tol=newton_tol)
         assert (rec.newton_converged, rec.newton_iterations) == (
             alone.newton_converged, alone.newton_iterations), k
         np.testing.assert_allclose(rec.points, alone.points, rtol=0.0, atol=1e-12)

@@ -17,7 +17,7 @@ from monotone_lab import build_diffusion, cycle_spectral_radius, jacobian, parab
 # g'(c) of the cubic reaction at its zeros
 SLOPE = {0.0: 1.0, 1.0: -2.0, -1.0: -2.0}
 
-# (catalog system, equilibrium): radial annihilates no constant, so only 0
+# (shipped system, equilibrium): radial annihilates no constant, so only 0
 EQUILIBRIA = [
     ("neumann_cubic_5", 1.0),
     ("neumann_cubic_5", -1.0),

@@ -816,3 +816,28 @@ def test_cli_refuses_a_strength_whose_reaction_factor_overflows(system, strength
     assert capsys.readouterr().err == f"error: {message}\n"
     path.write_text(PARABOLIC.format(system=f"{system}strength = 5e307\n"))
     assert build_experiment(load_config(path)).system.kind.nonlinearity.strength == 5e307
+
+
+@pytest.mark.parametrize("key, message", [
+    ("seed", "invalid [sampling] section: seed must be nonnegative"),
+    ("count", "[sampling] count must be nonnegative"),
+])
+def test_cli_refuses_a_negative_seed_or_count(key, message, tmp_path, capsys):
+    text = (CONFIG_DIR / "ring_cubic_5.cfg").read_text()
+    line = next(row for row in text.splitlines() if row.startswith(f"{key} = "))
+    path = tmp_path / "negative.cfg"
+    path.write_text(text.replace(line, f"{key} = -1"))
+    for command in (["prevalence"], ["symmetry"], ["classify", "--x0", "smooth:3"]):
+        assert main([command[0], str(path), *command[1:]]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    path.write_text(text.replace(line, f"{key} = 0"))
+    exp = build_experiment(load_config(path))
+    assert (exp.sampler.seed if key == "seed" else exp.count) == 0
+
+
+def test_cli_refuses_a_negative_seed_flag(capsys):
+    for command in ("prevalence", "symmetry"):
+        assert main([command, cfg("ring_cubic_5.cfg"), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be nonnegative\n"
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        SamplerSpec("box_uniform", seed=-1)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from monotone_lab import EscapeError, NumericalError, build_diffusion, parabolic_system
-from monotone_lab.systems import parabolic_catalog
+from shipped import shipped_parabolic
 
 RTOL = 1e-13
 
@@ -78,9 +78,9 @@ def check_block(system, count=5, m=3, seed=0, amplitude=1.0):
     assert_close(got_one, want_one[:, :, 0], system.name)
 
 
-@pytest.mark.parametrize("name", sorted(parabolic_catalog()))
+@pytest.mark.parametrize("name", sorted(shipped_parabolic()))
 def test_catalog_blocks_match_the_two_product_recursion(name):
-    check_block(parabolic_catalog()[name])
+    check_block(shipped_parabolic()[name])
 
 
 def test_linear_form_matches_the_two_product_recursion():
@@ -163,7 +163,7 @@ def test_escaping_columns_fail_alone_and_the_rest_match():
 def test_step_matrix_is_64_byte_aligned_and_holds_the_step():
     # fresh systems too, built after allocations of assorted sizes, so the
     # heap offsets they would land on differ
-    systems = list(parabolic_catalog().values())
+    systems = list(shipped_parabolic().values())
     for n in (5, 12, 17, 32):
         np.empty(n * 3 + 1)
         systems.append(parabolic_system("neumann", n, 4.0, steps_per_period=20))
@@ -208,9 +208,9 @@ def matmul_period(prop, u, v=None):
     return u, v
 
 
-@pytest.mark.parametrize("name", sorted(parabolic_catalog()))
+@pytest.mark.parametrize("name", sorted(shipped_parabolic()))
 def test_step_products_round_as_matmul_does(name):
-    system = parabolic_catalog()[name]
+    system = shipped_parabolic()[name]
     prop = system.kind.propagator
     n, sup = system.n, 2.0 * system.kappa
     rng = np.random.default_rng(4)

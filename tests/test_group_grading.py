@@ -20,8 +20,9 @@ from monotone_lab import asymptotics
 from monotone_lab.asymptotics import ClassifyBudget, _perron_roots, _scan_periods
 from monotone_lab.order import draw_box_states
 from monotone_lab.systems import (
-    Parabolic, catalog, jacobian, linear_cooperative, logistic_map, tangent_columns,
+    Parabolic, jacobian, linear_cooperative, logistic_map, tangent_columns,
 )
+from shipped import shipped
 
 TOL = 1e-8
 
@@ -90,7 +91,7 @@ def catalog_groups():
     and the loop's result on the first four columns and every eighth (the
     loop is slow on the parabolic systems)."""
     groups = {}
-    for name, system in catalog().items():
+    for name, system in shipped().items():
         points, mw = cycle_group(system, 128)
         loops = {k: loop_perron_root(system, points[:, :, k])
                  for k in range(points.shape[2]) if k < 4 or k % 8 == 0}
@@ -170,7 +171,7 @@ def test_a_mixed_small_group_leaves_the_block_column_by_column():
 
 
 def test_cycle_spectral_radius_is_the_one_column_case():
-    for name, system in catalog().items():
+    for name, system in shipped().items():
         for c in (0.0, 0.3):
             points = np.full((2, system.n), c)
             det = asymptotics.cycle_spectral_radius(system, points, detail=True)

@@ -24,11 +24,11 @@ from monotone_lab import (
     classify_orbit,
     evaluate,
     load_config,
-    parabolic_catalog,
     parabolic_system,
     propagate_tangent,
 )
 from monotone_lab.systems import tangent_columns
+from shipped import shipped_parabolic
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -273,7 +273,7 @@ def test_escape_is_reported_at_its_step():
 
 
 def test_one_column_block_reproduces_the_vector_period():
-    for name, system in parabolic_catalog().items():
+    for name, system in shipped_parabolic().items():
         rng = np.random.default_rng(11)
         for _ in range(4):
             u = rng.uniform(-1.0, 1.0, system.n)

@@ -6,13 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from monotone_lab import (
-    CHECK_TOL,
-    DEFAULT_TOL,
     DimensionMismatchError,
     Grid,
     GridError,
     OrderError,
-    OrderTolerances,
     StateVector,
     check_monotone,
     check_strong_monotone,
@@ -23,6 +20,7 @@ from monotone_lab import (
     strictly_less,
     strongly_less,
 )
+from monotone_lab.order import CHECK_ETA_INTERIOR, CHECK_TOL_EQ, ETA_INTERIOR, TOL_EQ
 
 
 def flat(n):
@@ -71,20 +69,15 @@ def test_grid_validation():
 # ----------------------------------------------------------- tolerances
 
 def test_tolerance_invariant_enforced():
-    OrderTolerances(1e-12, 1e-10)
-    with pytest.raises(ValueError):
-        OrderTolerances(1e-10, 1e-12)
-    with pytest.raises(ValueError):
-        OrderTolerances(1e-10, 1e-10)
-    with pytest.raises(ValueError):
-        OrderTolerances(-1e-12, 1e-10)
+    # each equality slack lies below its interior margin, so strongly below
+    # implies strictly below implies below
+    assert 0.0 <= TOL_EQ < ETA_INTERIOR
+    assert 0.0 <= CHECK_TOL_EQ < CHECK_ETA_INTERIOR
 
 
 def test_default_tolerances():
-    assert DEFAULT_TOL.tol_eq == 1e-12
-    assert DEFAULT_TOL.eta_interior == 1e-10
-    assert CHECK_TOL.tol_eq == 1e-13
-    assert CHECK_TOL.eta_interior == 1e-12
+    assert (TOL_EQ, ETA_INTERIOR) == (1e-12, 1e-10)
+    assert (CHECK_TOL_EQ, CHECK_ETA_INTERIOR) == (1e-13, 1e-12)
 
 
 # ---------------------------------------------------------- StateVector
@@ -166,7 +159,7 @@ def test_leq_reflexive_and_antisymmetric(base):
     assert leq(x, x)
     y = sv(np.asarray(base) + 5e-13)
     if leq(x, y) and leq(y, x):
-        assert float(np.max(np.abs(x.values - y.values))) <= 2 * DEFAULT_TOL.tol_eq
+        assert float(np.max(np.abs(x.values - y.values))) <= 2 * TOL_EQ
 
 
 @given(
@@ -230,20 +223,20 @@ def test_monotone_check_passes_on_cooperative_systems(cubic, coop):
     for system in (cubic, coop):
         rep = check_monotone(system, pair_count=200, seed=7081)
         assert rep.passed, rep.to_json()
-        assert rep.worst_margin <= DEFAULT_TOL.tol_eq
+        assert rep.worst_margin <= TOL_EQ
 
 
 def test_monotone_check_fails_on_logistic(logistic):
     rep = check_monotone(logistic, pair_count=200, seed=7081)
     assert not rep.passed
     assert rep.violations > 0
-    assert rep.worst_margin > DEFAULT_TOL.tol_eq
+    assert rep.worst_margin > TOL_EQ
 
 
 def test_strong_monotone_check_passes_on_cooperative_matrix(coop):
     rep = check_strong_monotone(coop, pair_count=200, seed=7082)
     assert rep.passed, rep.to_json()
-    assert rep.worst_margin > CHECK_TOL.eta_interior
+    assert rep.worst_margin > CHECK_ETA_INTERIOR
 
 
 def test_strong_monotone_check_sees_reducible_coupling():
@@ -251,4 +244,4 @@ def test_strong_monotone_check_sees_reducible_coupling():
     system = linear_cooperative(matrix=[[0.5, 0.0], [0.0, 0.0]])
     rep = check_strong_monotone(system, pair_count=100, seed=2)
     assert not rep.passed
-    assert rep.worst_margin <= CHECK_TOL.eta_interior
+    assert rep.worst_margin <= CHECK_ETA_INTERIOR

@@ -1,4 +1,4 @@
-"""System constructors, the catalog, evaluation, and assumption validators."""
+"""System constructors, the shipped configs, evaluation, and assumption validators."""
 
 import numpy as np
 import pytest
@@ -15,22 +15,24 @@ from monotone_lab import (
     Parabolic,
     SystemSpec,
     apply_map,
-    catalog,
+    build_experiment,
     check_monotone,
     check_strong_positivity,
     cubic_map,
     evaluate,
     jacobian,
     linear_cooperative,
+    load_config,
     logistic_map,
     negation_map,
-    parabolic_catalog,
     parabolic_system,
     spatial_profile,
     trapping_check,
     validate_dissipativity,
 )
+from monotone_lab.config import SECTIONS
 from monotone_lab.systems import tangent_columns
+from shipped import CONFIGS, FILES, shipped_parabolic
 
 
 # ----------------------------------------------------------- construction
@@ -165,29 +167,56 @@ def test_named_profiles():
         spatial_profile(grid, "bump")
 
 
-# ---------------------------------------------------------------- catalog
+# ---------------------------------------------------------- shipped configs
+
+# config key -> the value a built system holds for it
+SYSTEM_READS = {
+    "kappa": lambda s: s.kappa,
+    "name": lambda s: s.name,
+    "gain": lambda s: s.kind.param,
+    "r": lambda s: s.kind.param,
+    "matrix": lambda s: ";".join(",".join(f"{v:g}" for v in row) for row in s.kind.matrix),
+    "nonlinearity": lambda s: s.kind.nonlinearity.form,
+    "strength": lambda s: s.kind.nonlinearity.strength,
+    "modulation": lambda s: s.kind.nonlinearity.modulation,
+    "domain": lambda s: s.grid.kind,
+    "n": lambda s: s.grid.n,
+    "radial_dimension": lambda s: s.grid.dim,
+    "tau": lambda s: s.kind.tau,
+    "steps_per_period": lambda s: s.kind.scheme.steps_per_period,
+}
+
 
 def test_catalog_contents(cat):
-    expected = {
-        "cubic_map", "logistic_map", "linear_cooperative",
-        "dirichlet_cubic_5", "dirichlet_cubic_15", "neumann_cubic_5",
-        "ring_cubic_5", "radial_cubic_15",
+    # one shipped system per file of FILES, each under a name of its own;
+    # a config outside FILES samples a shipped system, built alike, or
+    # names the system it was made for (one that fails a check)
+    assert len(cat) == len(FILES)
+    assert set(shipped_parabolic()) == {
+        name for name, system in cat.items() if isinstance(system.kind, Parabolic)
     }
-    assert set(cat) == expected
-    for key, system in cat.items():
-        assert system.name == key
-    assert set(parabolic_catalog()) == {
-        "dirichlet_cubic_5", "dirichlet_cubic_15", "neumann_cubic_5",
-        "ring_cubic_5", "radial_cubic_15",
-    }
+    others = sorted(p for p in CONFIGS.glob("*.cfg") if p.stem not in FILES)
+    assert others
+    for path in others:
+        system = build_experiment(load_config(path)).system
+        if system.name in cat:
+            assert repr(system) == repr(cat[system.name]), path.name
+        else:
+            assert system.name == path.stem
 
 
 def test_catalog_parameters(cat):
+    # every system key of a shipped config reaches the system built from it
+    for stem, (name, system) in zip(FILES, cat.items()):
+        cfg = load_config(CONFIGS / f"{stem}.cfg")
+        for section in ("system", "grid", "time"):
+            for key, text in cfg.get(section, {}).items():
+                if key != "kind":
+                    want = SECTIONS[section][key](text)
+                    assert SYSTEM_READS[key](system) == want, (stem, key)
+        # the library's defaults for what the configs leave out
+        assert system.monotone_expected == (name != "logistic_map"), name
     assert cat["logistic_map"].kappa == 1.0
-    assert cat["logistic_map"].monotone_expected is False
-    assert cat["ring_cubic_5"].kind.nonlinearity.strength == 5.0
-    assert cat["radial_cubic_15"].grid.dim == 3
-    assert cat["dirichlet_cubic_15"].kind.scheme.steps_per_period == 200
     assert negation_map().monotone_expected is False
 
 
@@ -337,13 +366,15 @@ def test_cubic_value_keeps_the_bits_of_the_formula():
 
 
 def test_jacobian_closed_forms(cubic, logistic, coop):
-    assert jacobian(cubic, cubic.state(0.0))[0, 0] == pytest.approx(1.1)
-    assert jacobian(cubic, cubic.state(1.0))[0, 0] == pytest.approx(0.8)
-    assert jacobian(logistic, logistic.state(0.25))[0, 0] == pytest.approx(1.6)
+    gain, r = cubic.kind.param, logistic.kind.param
+    assert jacobian(cubic, cubic.state(0.0))[0, 0] == pytest.approx(1.0 + gain)
+    assert jacobian(cubic, cubic.state(1.0))[0, 0] == pytest.approx(1.0 - 2.0 * gain)
+    assert jacobian(logistic, logistic.state(0.25))[0, 0] == pytest.approx(r / 2.0)
+    matrix = coop.kind.matrix.copy()
     mat = jacobian(coop, coop.zero_state())
-    np.testing.assert_allclose(mat, [[0.5, 0.2], [0.2, 0.5]])
+    np.testing.assert_allclose(mat, matrix)
     mat[0, 0] = 99.0  # returned copy must not alias the system matrix
-    np.testing.assert_allclose(coop.kind.matrix, [[0.5, 0.2], [0.2, 0.5]])
+    np.testing.assert_array_equal(coop.kind.matrix, matrix)
 
 
 # -------------------------------------------------------------- validators
