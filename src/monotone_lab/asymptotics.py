@@ -32,7 +32,7 @@ from .errors import DimensionMismatchError, EscapeError, OrderError
 from .grids import Grid
 from .order import StateVector
 from .reports import JsonReport
-from .systems import BLOCK_WIDTH, Parabolic, apply_map, map_rows, tangent_columns
+from .systems import Parabolic, apply_map, block_width, map_rows, tangent_columns
 
 VERDICTS = ("stable_cycle", "unstable_cycle", "unresolved", "escaped")
 
@@ -467,7 +467,7 @@ def classify_orbit(system, x0, budget=None):
 def classify_many(system, starts, budget=None):
     """Classify the orbits of the columns of ``starts`` (n, K) in lockstep.
 
-    The columns run BLOCK_WIDTH at a time. All live orbits of a block
+    The columns run block_width(n) at a time. All live orbits of a block
     advance together through the map, each column with its own sliding
     window; a column retires when it escapes or when its cycle is detected
     and graded, and the rest run on. A block maps into its window a segment
@@ -502,9 +502,10 @@ def classify_many(system, starts, budget=None):
         raise DimensionMismatchError(
             f"starts have shape {block.shape}, system expects ({system.n}, K)"
         )
-    if block.shape[1] > BLOCK_WIDTH:
-        return [cls for lo in range(0, block.shape[1], BLOCK_WIDTH)
-                for cls in classify_many(system, block[:, lo:lo + BLOCK_WIDTH], budget)]
+    width = block_width(system.n)
+    if block.shape[1] > width:
+        return [cls for lo in range(0, block.shape[1], width)
+                for cls in classify_many(system, block[:, lo:lo + width], budget)]
     window_len, every = 3 * budget.p_max, budget.check_every
     window = np.empty((window_len,) + block.shape)
     window[0] = block

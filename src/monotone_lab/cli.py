@@ -123,6 +123,9 @@ def main(argv=None):
         if getattr(ns, "func", None) is None:
             parser.print_usage(sys.stderr)
             return 1
+        for flag, least in (("samples", 0), ("iters", 0), ("thin", 1)):
+            if getattr(ns, flag, None) is not None and getattr(ns, flag) < least:
+                raise _UsageError(f"--{flag} must be {'at least 1' if least else 'nonnegative'}")
         return ns.func(ns)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -403,10 +406,11 @@ def cmd_symmetry(ns):
         system, exp.action, starts.T, exp.budget, exp.tol_sym
     )
     survey.sampler = sampler.describe()
+    fraction = survey.symmetric_fraction
     print(
-        f"symmetric limits: {survey.symmetric_count}/{survey.count} "
-        f"(fraction {survey.symmetric_fraction:.4f}), max deviation "
-        f"{survey.max_deviation:.3g}"
+        f"symmetric limits: {survey.symmetric_count}/{survey.count} (fraction "
+        f"{'undefined, no samples' if fraction is None else f'{fraction:.4f}'}), "
+        f"max deviation {survey.max_deviation:.3g}"
     )
     _emit_json(ns.out, survey, "symmetry survey")
     return 0

@@ -124,7 +124,7 @@ class _Propagator:
     (now, then) of every step; built once per system by
     ``Parabolic.propagator``. Its one entry point is ``tangent_columns``,
     which ``systems.tangent_columns`` calls in blocks of at most
-    ``BLOCK_WIDTH`` flat columns. States are column blocks (n, K), and a
+    ``block_width(n, m)`` columns. States are column blocks (n, K), and a
     vector runs as an (n, 1) block, so the two agree bit for bit. Two
     preallocated buffers [u_k; now_k; then_k] trade places every step: the
     product writes u_{k+1} into the other, whose then block the reaction

@@ -173,7 +173,7 @@ class SymmetrySurvey(JsonReport):
     count: int
     stable_count: int
     symmetric_count: int
-    symmetric_fraction: float
+    symmetric_fraction: Optional[float]
     max_deviation: float
     verdicts: list
     deviations: list
@@ -190,9 +190,9 @@ def symmetric_limit_survey(system, action, states, budget=None,
     The starts advance through ``classify_many`` as the columns of one
     block; each sample's verdicts are those of
     ``classify_symmetric_limit`` on it, up to block roundoff.
-    symmetric_fraction counts samples whose every detected cycle point is
-    invariant at tol_sym, over all samples; unresolved and escaped samples
-    therefore lower the fraction rather than dropping out.
+    symmetric_fraction (None without samples) counts samples whose every
+    cycle point is invariant at tol_sym, over all samples; unresolved and
+    escaped samples therefore lower the fraction rather than dropping out.
     """
     starts = [_initial_values(system, x0) for x0 in states]
     block = np.stack(starts, axis=1) if starts else np.empty((system.n, 0))
@@ -216,7 +216,7 @@ def symmetric_limit_survey(system, action, states, budget=None,
         if cls.verdict == "stable_cycle":
             stable += 1
     count = len(verdicts)
-    fraction = symmetric / count if count else 0.0
+    fraction = symmetric / count if count else None
     return SymmetrySurvey(
         count, stable, symmetric, fraction, worst, verdicts, deviations, tol_sym,
         system.name,

@@ -311,12 +311,17 @@ def parabolic_system(
 # ---------------------------------------------------------------------------
 # evaluation
 
-# The most flat columns (base columns times tangents per column) one map
-# call advances as a block: ``tangent_columns`` maps wider blocks in chunks
-# of this many, and ``classify_many`` runs its starts and closes its cycles
-# in blocks within it. Constant, since a column's bits depend on the width
-# of the block it runs in.
-BLOCK_WIDTH = 128
+# One map call advances at most ``block_width(n, m)`` base columns of n
+# entries with m tangents each: BLOCK_ENTRIES // n flat columns, as a step
+# costs microseconds fixed, but at least BLOCK_WIDTH, below which a column
+# costs more on large grids. ``tangent_columns`` maps wider blocks in
+# chunks, ``classify_many`` runs its starts and closures in blocks within
+# it. Fixed, since a column's bits depend on the width of the block it runs in.
+BLOCK_WIDTH, BLOCK_ENTRIES = 128, 8192
+
+
+def block_width(n, m=1):
+    return max(1, max(BLOCK_WIDTH, BLOCK_ENTRIES // n) // m)
 
 
 def tangent_columns(system, u, w=None, iteration=0):
@@ -331,16 +336,16 @@ def tangent_columns(system, u, w=None, iteration=0):
     EscapeError; those columns of ``y`` and of a parabolic ``dw`` hold no
     meaningful values; closed-form kinds look for them only when the whole
     block's sup (NaN when one is) is not within the box. The one map call:
-    it runs ``max(1, BLOCK_WIDTH // m)``
-    columns at a time, parabolic systems in one lockstep pass of base and
-    tangent. Loops that map blocks without tangents and retire the failing
-    columns call it with ``w`` None and read ``failures``.
+    it runs ``block_width(n, m)`` columns at a time (m is 1 unless along),
+    parabolic systems in one lockstep pass of base and tangent. Loops that
+    map blocks without tangents and retire the failing columns call it with
+    ``w`` None and read ``failures``.
     """
     kind = system.kind
     u = np.asarray(u, dtype=float)
     w = None if w is None else np.asarray(w, dtype=float)
     along = w is not None and w.ndim > u.ndim  # m tangents along each column
-    width = max(1, BLOCK_WIDTH // w.shape[-1]) if along else BLOCK_WIDTH
+    width = block_width(system.n, w.shape[-1] if along else 1)
     if u.ndim == 2 and u.shape[1] > width:
         y, dw, failures = np.empty_like(u), None if w is None else np.empty_like(w), {}
         for lo in range(0, u.shape[1], width):
@@ -381,8 +386,8 @@ def tangent_columns(system, u, w=None, iteration=0):
 
 
 def map_rows(system, block, rows, slots, iteration=0):
-    """Map ``block`` (n, K <= BLOCK_WIDTH) in place into window rows, iterate
-    k into ``rows[slots[k - 1]]``, up to the first map with a failing
+    """Map ``block`` (n, K <= block_width(n)) in place into window rows,
+    iterate k into ``rows[slots[k - 1]]``, up to the first map with a failing
     column; ``slots`` are distinct, ``block`` is no row written, and
     ``iteration`` numbers the first map. Returns ``(done, failures)``: the
     maps before that one and its ``tangent_columns`` failures ({} if none;
@@ -428,7 +433,7 @@ def apply_map(system, u, iteration=0):
     """Apply the map once to a raw value array. Fast path for orbit loops.
 
     ``tangent_columns`` without tangents, for a caller that stops at the
-    first failure: a block (n, K) maps in chunks of at most ``BLOCK_WIDTH``
+    first failure: a block (n, K) maps in chunks of ``block_width(n)``
     columns, and the first column that fails raises its EscapeError or
     NumericalError; one that overflows or turns non-finite does not warn.
     """

@@ -26,6 +26,7 @@ from monotone_lab import (
     draw_ordered_pairs,
     evaluate,
     interval_reflection,
+    linear_cooperative,
     logistic_map,
     negation_map,
     parabolic_system,
@@ -39,7 +40,7 @@ from monotone_lab import (
 from monotone_lab.order import (
     CHECK_ETA_INTERIOR, CHECK_TOL_EQ, TOL_EQ, PropertyReport, draw_box_states,
 )
-from monotone_lab.systems import BLOCK_WIDTH, Parabolic, tangent_columns
+from monotone_lab.systems import Parabolic, block_width, tangent_columns
 from shipped import shipped
 
 SYSTEMS = (
@@ -297,10 +298,14 @@ def test_positivity_escape_is_a_violation_at_infinite_gap():
 
 def test_block_width_does_not_change_results(logistic):
     count = 150
-    assert 2 * count > BLOCK_WIDTH
-    # a coarse ring keeps the per-sample references cheap
-    ring = parabolic_system("ring", 8, 5.0, steps_per_period=20)
-    for system in (logistic, ring):
+    # 64 nodes sit at the floor width, so the pairs (2 count columns) and
+    # probes of a 64-node closed form and of a coarse 64-node ring cross
+    # chunk edges with per-sample references this cheap; the logistic's
+    # pairs map in one call
+    coop = linear_cooperative(matrix=0.5 * np.eye(64) + 0.2 / 64)
+    ring = parabolic_system("ring", 64, 5.0, steps_per_period=20)
+    assert block_width(logistic.n) >= 2 * count and count > block_width(64)
+    for system in (logistic, coop, ring):
         assert_same(
             check_monotone(system, pair_count=count, seed=11),
             per_pair_monotone(system, count, 11, strong=False),
@@ -327,6 +332,8 @@ def test_zero_samples():
     assert check_strong_positivity(ring, probe_count=0).worst_margin == np.inf
     rep = check_equivariance(ring, ring_rotation(ring.grid), sample_count=0)
     assert (rep.violations, rep.worst_margin) == (0, -np.inf)
+    survey = symmetric_limit_survey(ring, ring_rotation(ring.grid), [])
+    assert (survey.count, survey.symmetric_fraction, survey.max_deviation) == (0, None, 0.0)
 
 
 def test_survey_matches_single_start_classification(ring5, cubic):
@@ -381,36 +388,65 @@ def assert_chunks_match(system, u, w, widths):
     return failures
 
 
-def test_identity_seeds_run_in_chunks_of_the_flat_width(ring5, monkeypatch):
-    n, count = ring5.n, 9
-    assert BLOCK_WIDTH // n == 8
-    rng = np.random.default_rng(4)
-    u = rng.uniform(-1.0, 1.0, (n, count))
-    u[:, 8] = 10.0  # leaves the box in the second chunk
-    seed = np.repeat(np.eye(n)[:, None, :], count, axis=1)
-    prop = ring5.kind.propagator
+def recorded_widths(system, monkeypatch):
+    """The base columns of every propagator call on ``system``, each checked
+    to be at most ``block_width(n, m)`` for its m tangents per column."""
+    prop = system.kind.propagator
     widths = []
 
     def recording(u0, v0, escape_sup, iteration=0):
-        widths.append(u0.shape[1])
+        along = v0 is not None and v0.ndim > u0.ndim
+        width = u0.shape[1] if u0.ndim == 2 else 1
+        assert width <= block_width(system.n, v0.shape[-1] if along else 1)
+        widths.append(width)
         return type(prop).tangent_columns(prop, u0, v0, escape_sup, iteration)
 
     monkeypatch.setattr(prop, "tangent_columns", recording)
+    return widths
+
+
+def test_identity_seeds_run_in_chunks_of_the_flat_width(ring5, monkeypatch):
+    n = ring5.n
+    width = block_width(n, n)
+    assert width == 32  # 8192 / 16 flat columns of 16 tangents each
+    count = width + 1
+    rng = np.random.default_rng(4)
+    u = rng.uniform(-1.0, 1.0, (n, count))
+    u[:, width] = 10.0  # leaves the box in the second chunk
+    seed = np.repeat(np.eye(n)[:, None, :], count, axis=1)
+    widths = recorded_widths(ring5, monkeypatch)
     tangent_columns(ring5, u, seed)
-    assert widths == [8, 1]
+    assert widths == [width, 1]
+    # the 400 ends of the default 200 pairs are one call of at most 512
+    widths.clear()
+    check_monotone(ring5)
+    check_strong_monotone(ring5)
+    assert widths == [400, 400] and block_width(n) == 512
+    # from 64 nodes up the widths stay at the floor of 128 columns
+    big = parabolic_system("ring", 128, 5.0, steps_per_period=20)
+    wide = rng.uniform(-1.0, 1.0, (128, 130))
+    big_widths = recorded_widths(big, monkeypatch)
+    tangent_columns(big, wide)
+    tangent_columns(big, wide, np.ones_like(wide))
+    tangent_columns(big, wide[:, :2], np.repeat(np.eye(128)[:, None, :], 2, axis=1))
+    assert big_widths == [128, 2, 128, 2, 1, 1]
     monkeypatch.undo()
-    failures = assert_chunks_match(ring5, u, seed, [8, 1])
-    assert sorted(failures) == [8]
-    assert isinstance(failures[8], EscapeError)
+    failures = assert_chunks_match(ring5, u, seed, [width, 1])
+    assert sorted(failures) == [width]
+    assert isinstance(failures[width], EscapeError)
 
 
 def test_a_wide_block_without_tangents_maps_in_chunks(coop):
+    width = block_width(coop.n)
+    assert width == 4096  # 8192 / 2
+    count = 2 * width + 44
     rng = np.random.default_rng(5)
-    u = rng.uniform(-1.5, 1.5, (coop.n, 300))
-    u[:, [3, 140, 299]] = 10.0
-    u[0, 200] = np.nan
-    widths = [BLOCK_WIDTH, BLOCK_WIDTH, 300 - 2 * BLOCK_WIDTH]
-    failures = assert_chunks_match(coop, u, None, widths)
-    assert sorted(failures) == [3, 140, 200, 299]
-    assert isinstance(failures[140], EscapeError)
-    assert isinstance(failures[200], NumericalError)
+    u = rng.uniform(-1.5, 1.5, (coop.n, count))
+    # failures on both sides of both chunk edges
+    escapes = [3, width - 1, width, 2 * width, count - 1]
+    u[:, escapes] = 10.0
+    u[0, 2 * width - 1] = np.nan
+    failures = assert_chunks_match(coop, u, None, [width, width, 44])
+    assert sorted(failures) == sorted(escapes + [2 * width - 1])
+    assert all(isinstance(failures[j], EscapeError) for j in escapes)
+    assert isinstance(failures[2 * width - 1], NumericalError)

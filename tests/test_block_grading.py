@@ -33,7 +33,7 @@ from monotone_lab import (
     smooth_field,
 )
 from monotone_lab import asymptotics, systems
-from monotone_lab.systems import BLOCK_WIDTH, tangent_columns
+from monotone_lab.systems import block_width, tangent_columns
 
 BUDGET = ClassifyBudget(max_iterations=400, p_max=8)
 
@@ -90,9 +90,12 @@ def reference(system, start, budget):
     return "unresolved", budget.max_iterations, None, None, None
 
 
-def assert_matches_reference(system, starts, budget=BUDGET):
+def assert_matches_reference(system, starts, budget=BUDGET, columns=None):
+    """classify_many on ``starts`` against the reference on ``columns``
+    (default all)."""
     got = classify_many(system, starts, budget)
-    for j, cls in enumerate(got):
+    for j in range(len(got)) if columns is None else columns:
+        cls = got[j]
         verdict, iters, period, rho, method = reference(system, starts[:, j], budget)
         assert (cls.verdict, cls.iterations_used) == (verdict, iters), j
         if period is None:
@@ -160,6 +163,13 @@ def shapes(blocks):
     return [(len(records), records[0].period) for records in blocks]
 
 
+def edge_columns(count, width, step):
+    """Every step-th of ``count`` columns and both sides of every edge of
+    the chunks of ``width``: the per-column reference is slow in Python."""
+    edges = [j for lo in range(width, count, width) for j in (lo - 1, lo)]
+    return sorted({*range(0, count, step), *edges, count - 1})
+
+
 def smooth_starts(system, count, seed=3):
     sampler = smooth_field(amplitude=1.0, seed=seed)
     return np.stack(
@@ -186,18 +196,19 @@ def test_catalog_blocks_match_reference(name, cat):
 
 
 def test_logistic_two_cycles_graded_in_chunks(logistic, closed_blocks):
-    # more than BLOCK_WIDTH period-2 columns resolve at the first
-    # checkpoint; classify_many runs its starts BLOCK_WIDTH columns at a
-    # time. Starts near the low point of the 2-cycle resolve together.
+    # more than block_width(1) = 8192 period-2 columns resolve at the first
+    # checkpoint; classify_many runs its starts that many columns at a
+    # time. Starts up to 0.02 below the low point of the 2-cycle resolve
+    # together (within about 2e-5 of it they resolve a checkpoint earlier).
+    width = block_width(logistic.n)
     r = logistic.kind.param
     low = (r + 1.0 - np.sqrt((r - 3.0) * (r + 1.0))) / (2.0 * r)
-    starts = low + np.linspace(-0.02, 0.02, BLOCK_WIDTH + 40)[None, :]
+    starts = low + np.linspace(-0.02, -0.001, width + 40)[None, :]
     got = classify_many(logistic, starts, BUDGET)
     assert {cls.cycle.period for cls in got} == {2}
-    assert shapes(closed_blocks)[0] == (BLOCK_WIDTH, 2)
+    assert shapes(closed_blocks)[0] == (width, 2)
     assert sum(k for k, _ in shapes(closed_blocks)) == starts.shape[1]
-    # the reference per column is slow in Python; every fifth column
-    for j in range(0, starts.shape[1], 5):
+    for j in edge_columns(starts.shape[1], width, 256):
         verdict, iters, period, rho, method = reference(logistic, starts[:, j], BUDGET)
         cls = got[j]
         assert (cls.verdict, cls.iterations_used) == (verdict, iters)
@@ -208,11 +219,12 @@ def test_logistic_two_cycles_graded_in_chunks(logistic, closed_blocks):
 
 def test_mixed_periods_in_one_block(closed_blocks):
     # the negation map: 0 is fixed and every other point has period 2. The
-    # first BLOCK_WIDTH starts run as one block, the last four as another.
+    # first block_width(1) starts run as one block, the last four as another.
     neg = negation_map()
-    starts = np.r_[0.0, np.linspace(0.1, 0.9, BLOCK_WIDTH + 3)][None, :]
-    got = assert_matches_reference(neg, starts)
-    assert shapes(closed_blocks) == [(1, 1), (BLOCK_WIDTH - 1, 2), (4, 2)]
+    width = block_width(neg.n)
+    starts = np.r_[0.0, np.linspace(0.1, 0.9, width + 3)][None, :]
+    got = assert_matches_reference(neg, starts, columns=edge_columns(width + 4, width, 64))
+    assert shapes(closed_blocks) == [(1, 1), (width - 1, 2), (4, 2)]
     assert got[0].cycle.period == 1 and got[1].cycle.period == 2
 
 
@@ -243,7 +255,7 @@ def test_dense_eigvals_fallback_in_blocks(closed_blocks, closure_maps):
     zero = np.zeros((half, half))
     mat = np.block([[zero, ones * (2.0 / half)], [ones / half, zero]])
     system = linear_cooperative(matrix=mat, kappa=5.0)
-    width = BLOCK_WIDTH // system.n
+    width = block_width(system.n, system.n)
     for count, chunks in ((1, [1]), (width + 1, [width + 1, width, 1])):
         closed_blocks.clear()
         closure_maps.clear()
@@ -260,18 +272,17 @@ def test_dense_eigvals_fallback_in_blocks(closed_blocks, closure_maps):
 
 @pytest.mark.parametrize("name", ["dirichlet_cubic_15", "ring_cubic_5"])
 def test_widths_straddling_the_chunk_width(name, cat, closed_blocks, closure_maps):
-    # K * n = BLOCK_WIDTH identity columns were one pass, BLOCK_WIDTH + n
-    # two chunks; thin passes carry 2 K flat columns and run whole
+    # block_width(n) + 1 starts are a full block and one more; thin passes
+    # carry 2 K flat columns and run whole, one call per block
     system = cat[name]
-    width = BLOCK_WIDTH // system.n
-    for count in (width, width + 1):
-        closed_blocks.clear()
-        closure_maps.clear()
-        assert_matches_reference(system, smooth_starts(system, count, seed=8))
-        assert shapes(closed_blocks) == [(count, 1)]
-        # the closure carries M 1 and any later product is one more call
-        # (the ring's constant limits close at M 1, Dirichlet's need two)
-        assert closure_maps == [(count, "thin")] * (1 + (name == "dirichlet_cubic_15"))
+    width = block_width(system.n)
+    starts = smooth_starts(system, width + 1, seed=8)
+    assert_matches_reference(system, starts, columns=edge_columns(width + 1, width, 32))
+    assert shapes(closed_blocks) == [(width, 1), (1, 1)]
+    # the closure carries M 1 and any later product is one more call
+    # (the ring's constant limits close at M 1, Dirichlet's need two)
+    products = 1 + (name == "dirichlet_cubic_15")
+    assert closure_maps == [(width, "thin")] * products + [(1, "thin")] * products
 
 
 def test_single_start_equals_the_one_column_path(dirichlet15):

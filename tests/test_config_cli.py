@@ -676,11 +676,36 @@ def test_cli_symmetry_survey(tmp_path, capsys):
     assert doc["symmetric_fraction"] == 1.0
 
 
+def test_cli_symmetry_without_samples_reports_no_fraction(tmp_path, capsys):
+    report = tmp_path / "sym.json"
+    assert main(
+        ["symmetry", cfg("ring_cubic_5.cfg"), "--samples", "0", "--out", str(report)]
+    ) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == (
+        "symmetric limits: 0/0 (fraction undefined, no samples), max deviation 0"
+    )
+    doc = json.loads(report.read_text())
+    assert (doc["count"], doc["symmetric_fraction"], doc["verdicts"]) == (0, None, [])
+
+
+@pytest.mark.parametrize("args, message", [
+    (["prevalence", "cubic.cfg", "--samples", "-1"], "--samples must be nonnegative"),
+    (["simulate", "cubic.cfg", "--x0", "0.3", "--iters", "-1"], "--iters must be nonnegative"),
+    (["simulate", "cubic.cfg", "--x0", "0.3", "--thin", "0"], "--thin must be at least 1"),
+])
+def test_cli_names_the_count_flag_it_refuses(args, message, capsys):
+    command, config, *flags = args
+    assert main([command, cfg(config), *flags]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_cli_symmetry_requires_section_and_equivariance(tmp_path, capsys):
     assert main(["symmetry", cfg("cubic.cfg"), "--samples", "2"]) == 1
     capsys.readouterr()
     assert main(["symmetry", cfg("ring_cubic_5.cfg"), "--samples", "-3"]) == 1
-    assert "count must be nonnegative" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --samples must be nonnegative\n"
     broken = tmp_path / "broken.cfg"
     broken.write_text(
         "[system]\nkind = parabolic\nstrength = 5.0\nspatial_profile = wave\n"
