@@ -298,10 +298,10 @@ def test_positivity_escape_is_a_violation_at_infinite_gap():
 
 def test_block_width_does_not_change_results(logistic):
     count = 150
-    # 64 nodes sit at the floor width, so the pairs (2 count columns) and
-    # probes of a 64-node closed form and of a coarse 64-node ring cross
-    # chunk edges with per-sample references this cheap; the logistic's
-    # pairs map in one call
+    # 64 nodes sit at the floor width of 128 columns, so the 2 count pair
+    # columns and the count probes of a 64-node closed form and of a 64-node
+    # ring at 20 steps per period cross chunk edges, with per-sample
+    # references this cheap; the logistic's pairs map in one call
     coop = linear_cooperative(matrix=0.5 * np.eye(64) + 0.2 / 64)
     ring = parabolic_system("ring", 64, 5.0, steps_per_period=20)
     assert block_width(logistic.n) >= 2 * count and count > block_width(64)
