@@ -467,12 +467,12 @@ def classify_orbit(system, x0, budget=None):
 def classify_many(system, starts, budget=None):
     """Classify the orbits of the columns of ``starts`` (n, K) in lockstep.
 
-    The columns run block_width(n) at a time. All live orbits of a block
-    advance together through the map, each column with its own sliding
-    window; a column retires when it escapes or when its cycle is detected
-    and graded, and the rest run on. A block maps into its window a segment
-    at a time (``systems.map_rows``): to the next checkpoint or the budget,
-    at most one turn. Rows after a failing map are dropped, its failing
+    The columns run block_width(3 p_max n) at a time, the entries of a
+    column's window. All live orbits of a block advance together through
+    the map, each column with its own sliding window; a column retires when
+    it escapes or when its cycle is detected and graded, and the rest run
+    on. A block maps into its window a segment at a time (``map_rows``): to
+    the next checkpoint or the budget, at most one turn. Rows after a failing map are dropped, its failing
     columns retire and the rest map on, so no map runs wider than map by
     map. Returns one Classification per column, in column order.
 
@@ -502,11 +502,11 @@ def classify_many(system, starts, budget=None):
         raise DimensionMismatchError(
             f"starts have shape {block.shape}, system expects ({system.n}, K)"
         )
-    width = block_width(system.n)
+    window_len, every = 3 * budget.p_max, budget.check_every
+    width = block_width(window_len * system.n)
     if block.shape[1] > width:
         return [cls for lo in range(0, block.shape[1], width)
                 for cls in classify_many(system, block[:, lo:lo + width], budget)]
-    window_len, every = 3 * budget.p_max, budget.check_every
     window = np.empty((window_len,) + block.shape)
     window[0] = block
     live = np.arange(block.shape[1])

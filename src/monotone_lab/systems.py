@@ -314,9 +314,9 @@ def parabolic_system(
 # One map call advances at most ``block_width(n, m)`` base columns of n
 # entries with m tangents each: BLOCK_ENTRIES // n flat columns, as a step
 # costs microseconds fixed, but at least BLOCK_WIDTH, below which a column
-# costs more on large grids. ``tangent_columns`` maps wider blocks in
-# chunks, ``classify_many`` runs its starts and closures in blocks within
-# it. Fixed, since a column's bits depend on the width of the block it runs in.
+# costs more on large grids. ``tangent_columns`` chunks by it, and
+# ``classify_many`` by block_width(3 p_max n), the entries of a column's
+# window. Fixed, since a column's bits depend on the width of its block.
 BLOCK_WIDTH, BLOCK_ENTRIES = 128, 8192
 
 

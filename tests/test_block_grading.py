@@ -38,6 +38,11 @@ from monotone_lab.systems import block_width, tangent_columns
 BUDGET = ClassifyBudget(max_iterations=400, p_max=8)
 
 
+def start_width(system, budget=BUDGET):
+    # classify_many's block: a column's window holds 3 p_max n entries
+    return block_width(3 * budget.p_max * system.n)
+
+
 def dense_radius(system, points, tol=1e-8):
     """Power products on the dense Jacobians around a cycle, stopped when the
     Collatz-Wielandt ratios close, with the eigvals fallback after a product
@@ -90,12 +95,9 @@ def reference(system, start, budget):
     return "unresolved", budget.max_iterations, None, None, None
 
 
-def assert_matches_reference(system, starts, budget=BUDGET, columns=None):
-    """classify_many on ``starts`` against the reference on ``columns``
-    (default all)."""
+def assert_matches_reference(system, starts, budget=BUDGET):
     got = classify_many(system, starts, budget)
-    for j in range(len(got)) if columns is None else columns:
-        cls = got[j]
+    for j, cls in enumerate(got):
         verdict, iters, period, rho, method = reference(system, starts[:, j], budget)
         assert (cls.verdict, cls.iterations_used) == (verdict, iters), j
         if period is None:
@@ -163,13 +165,6 @@ def shapes(blocks):
     return [(len(records), records[0].period) for records in blocks]
 
 
-def edge_columns(count, width, step):
-    """Every step-th of ``count`` columns and both sides of every edge of
-    the chunks of ``width``: the per-column reference is slow in Python."""
-    edges = [j for lo in range(width, count, width) for j in (lo - 1, lo)]
-    return sorted({*range(0, count, step), *edges, count - 1})
-
-
 def smooth_starts(system, count, seed=3):
     sampler = smooth_field(amplitude=1.0, seed=seed)
     return np.stack(
@@ -196,19 +191,21 @@ def test_catalog_blocks_match_reference(name, cat):
 
 
 def test_logistic_two_cycles_graded_in_chunks(logistic, closed_blocks):
-    # more than block_width(1) = 8192 period-2 columns resolve at the first
-    # checkpoint; classify_many runs its starts that many columns at a
-    # time. Starts up to 0.02 below the low point of the 2-cycle resolve
-    # together (within about 2e-5 of it they resolve a checkpoint earlier).
-    width = block_width(logistic.n)
+    # more than start_width period-2 columns resolve at the first
+    # checkpoint; classify_many runs its starts start_width columns at a
+    # time. Starts near the low point of the 2-cycle resolve together, save
+    # those within about 1e-5 of it, which resolve a checkpoint earlier.
     r = logistic.kind.param
     low = (r + 1.0 - np.sqrt((r - 3.0) * (r + 1.0))) / (2.0 * r)
-    starts = low + np.linspace(-0.02, -0.001, width + 40)[None, :]
+    width = start_width(logistic)
+    offsets = np.r_[np.linspace(-0.02, -1e-4, width - 40), np.linspace(1e-4, 0.02, 80)]
+    starts = low + offsets[None, :]
     got = classify_many(logistic, starts, BUDGET)
     assert {cls.cycle.period for cls in got} == {2}
     assert shapes(closed_blocks)[0] == (width, 2)
     assert sum(k for k, _ in shapes(closed_blocks)) == starts.shape[1]
-    for j in edge_columns(starts.shape[1], width, 256):
+    # the reference per column is slow in Python; every fifth column
+    for j in range(0, starts.shape[1], 5):
         verdict, iters, period, rho, method = reference(logistic, starts[:, j], BUDGET)
         cls = got[j]
         assert (cls.verdict, cls.iterations_used) == (verdict, iters)
@@ -219,13 +216,19 @@ def test_logistic_two_cycles_graded_in_chunks(logistic, closed_blocks):
 
 def test_mixed_periods_in_one_block(closed_blocks):
     # the negation map: 0 is fixed and every other point has period 2. The
-    # first block_width(1) starts run as one block, the last four as another.
+    # first start_width starts run as one block, the last four as another.
     neg = negation_map()
-    width = block_width(neg.n)
+    width = start_width(neg)
     starts = np.r_[0.0, np.linspace(0.1, 0.9, width + 3)][None, :]
-    got = assert_matches_reference(neg, starts, columns=edge_columns(width + 4, width, 64))
+    got = assert_matches_reference(neg, starts)
     assert shapes(closed_blocks) == [(1, 1), (width - 1, 2), (4, 2)]
     assert got[0].cycle.period == 1 and got[1].cycle.period == 2
+    # at the default p_max of 64 a column's window holds 192 states, so
+    # the blocks stay at the floor width of 128 columns
+    closed_blocks.clear()
+    classify_many(neg, starts[:, :130], ClassifyBudget())
+    assert start_width(neg, ClassifyBudget()) == 128
+    assert shapes(closed_blocks) == [(1, 1), (127, 2), (2, 2)]
 
 
 def test_columns_forced_through_newton(cubic, closed_blocks):
@@ -272,17 +275,18 @@ def test_dense_eigvals_fallback_in_blocks(closed_blocks, closure_maps):
 
 @pytest.mark.parametrize("name", ["dirichlet_cubic_15", "ring_cubic_5"])
 def test_widths_straddling_the_chunk_width(name, cat, closed_blocks, closure_maps):
-    # block_width(n) + 1 starts are a full block and one more; thin passes
-    # carry 2 K flat columns and run whole, one call per block
+    # K = block_width(n, n) identity-seeded columns are one pass, K + 1 two
+    # chunks; thin passes carry 2 K flat columns and run whole
     system = cat[name]
-    width = block_width(system.n)
-    starts = smooth_starts(system, width + 1, seed=8)
-    assert_matches_reference(system, starts, columns=edge_columns(width + 1, width, 32))
-    assert shapes(closed_blocks) == [(width, 1), (1, 1)]
-    # the closure carries M 1 and any later product is one more call
-    # (the ring's constant limits close at M 1, Dirichlet's need two)
-    products = 1 + (name == "dirichlet_cubic_15")
-    assert closure_maps == [(width, "thin")] * products + [(1, "thin")] * products
+    width = block_width(system.n, system.n)
+    for count in (width, width + 1):
+        closed_blocks.clear()
+        closure_maps.clear()
+        assert_matches_reference(system, smooth_starts(system, count, seed=8))
+        assert shapes(closed_blocks) == [(count, 1)]
+        # the closure carries M 1 and any later product is one more call
+        # (the ring's constant limits close at M 1, Dirichlet's need two)
+        assert closure_maps == [(count, "thin")] * (1 + (name == "dirichlet_cubic_15"))
 
 
 def test_single_start_equals_the_one_column_path(dirichlet15):
