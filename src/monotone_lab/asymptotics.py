@@ -32,7 +32,7 @@ from .errors import DimensionMismatchError, EscapeError, OrderError
 from .grids import Grid
 from .order import StateVector
 from .reports import JsonReport
-from .systems import Parabolic, apply_map, block_width, map_rows, tangent_columns
+from .systems import BLOCK_WIDTH, Parabolic, apply_map, map_rows, tangent_columns
 
 VERDICTS = ("stable_cycle", "unstable_cycle", "unresolved", "escaped")
 
@@ -467,12 +467,12 @@ def classify_orbit(system, x0, budget=None):
 def classify_many(system, starts, budget=None):
     """Classify the orbits of the columns of ``starts`` (n, K) in lockstep.
 
-    The columns run block_width(3 p_max n) at a time, the entries of a
-    column's window. All live orbits of a block advance together through
-    the map, each column with its own sliding window; a column retires when
-    it escapes or when its cycle is detected and graded, and the rest run
-    on. A block maps into its window a segment at a time (``map_rows``): to
-    the next checkpoint or the budget, at most one turn. Rows after a failing map are dropped, its failing
+    The columns run BLOCK_WIDTH at a time. All live orbits of a block
+    advance together through the map, each column with its own sliding
+    window; a column retires when it escapes or when its cycle is detected
+    and graded, and the rest run on. A block maps into its window a segment
+    at a time (``systems.map_rows``): to the next checkpoint or the budget,
+    at most one turn. Rows after a failing map are dropped, its failing
     columns retire and the rest map on, so no map runs wider than map by
     map. Returns one Classification per column, in column order.
 
@@ -502,11 +502,10 @@ def classify_many(system, starts, budget=None):
         raise DimensionMismatchError(
             f"starts have shape {block.shape}, system expects ({system.n}, K)"
         )
+    if block.shape[1] > BLOCK_WIDTH:
+        return [cls for lo in range(0, block.shape[1], BLOCK_WIDTH)
+                for cls in classify_many(system, block[:, lo:lo + BLOCK_WIDTH], budget)]
     window_len, every = 3 * budget.p_max, budget.check_every
-    width = block_width(window_len * system.n)
-    if block.shape[1] > width:
-        return [cls for lo in range(0, block.shape[1], width)
-                for cls in classify_many(system, block[:, lo:lo + width], budget)]
     window = np.empty((window_len,) + block.shape)
     window[0] = block
     live = np.arange(block.shape[1])

@@ -14,16 +14,16 @@ neighborhoods of the points already found.
 
 Every ensemble, the symmetry survey's included, draws its starts through
 ``sample_starts`` as the columns of one block and classifies them in
-lockstep (``asymptotics.classify_many``, which runs
-``systems.block_width(3 p_max n)`` consecutive columns at a time).
+lockstep (``asymptotics.classify_many``, which runs ``systems.BLOCK_WIDTH``
+consecutive columns at a time).
 
 Determinism contract: the random stream of sample i is seeded by the pair
 (sampler seed, i), and aggregation runs in index order. A sample's bits may
 depend on the block it runs in, since a block product can round differently
 from a vector product; its verdict, iterations and period do not, and its
-rho agrees with ``classify_orbit``'s to roundoff. The block width is
-fixed by n and p_max, so the report is a function of its inputs alone:
-identical for any thread count, apart from the wall_time field.
+rho agrees with ``classify_orbit``'s to roundoff. The block width is a
+constant, so the report is a function of its inputs alone: identical for
+any thread count, apart from the wall_time field.
 """
 
 import time

@@ -314,9 +314,9 @@ def parabolic_system(
 # One map call advances at most ``block_width(n, m)`` base columns of n
 # entries with m tangents each: BLOCK_ENTRIES // n flat columns, as a step
 # costs microseconds fixed, but at least BLOCK_WIDTH, below which a column
-# costs more on large grids. ``tangent_columns`` chunks by it, and
-# ``classify_many`` by block_width(3 p_max n), the entries of a column's
-# window. Fixed, since a column's bits depend on the width of its block.
+# costs more on large grids. ``tangent_columns`` chunks by it;
+# ``classify_many`` runs its starts BLOCK_WIDTH at a time, each with a window
+# of 3 p_max states. Fixed, since a column's bits depend on its block width.
 BLOCK_WIDTH, BLOCK_ENTRIES = 128, 8192
 
 

@@ -33,14 +33,9 @@ from monotone_lab import (
     smooth_field,
 )
 from monotone_lab import asymptotics, systems
-from monotone_lab.systems import block_width, tangent_columns
+from monotone_lab.systems import BLOCK_WIDTH, block_width, tangent_columns
 
 BUDGET = ClassifyBudget(max_iterations=400, p_max=8)
-
-
-def start_width(system, budget=BUDGET):
-    # classify_many's block: a column's window holds 3 p_max n entries
-    return block_width(3 * budget.p_max * system.n)
 
 
 def dense_radius(system, points, tol=1e-8):
@@ -191,18 +186,15 @@ def test_catalog_blocks_match_reference(name, cat):
 
 
 def test_logistic_two_cycles_graded_in_chunks(logistic, closed_blocks):
-    # more than start_width period-2 columns resolve at the first
-    # checkpoint; classify_many runs its starts start_width columns at a
-    # time. Starts near the low point of the 2-cycle resolve together, save
-    # those within about 1e-5 of it, which resolve a checkpoint earlier.
+    # more than BLOCK_WIDTH period-2 columns resolve at the first
+    # checkpoint; classify_many runs its starts BLOCK_WIDTH columns at a
+    # time. Starts near the low point of the 2-cycle resolve together.
     r = logistic.kind.param
     low = (r + 1.0 - np.sqrt((r - 3.0) * (r + 1.0))) / (2.0 * r)
-    width = start_width(logistic)
-    offsets = np.r_[np.linspace(-0.02, -1e-4, width - 40), np.linspace(1e-4, 0.02, 80)]
-    starts = low + offsets[None, :]
+    starts = low + np.linspace(-0.02, 0.02, BLOCK_WIDTH + 40)[None, :]
     got = classify_many(logistic, starts, BUDGET)
     assert {cls.cycle.period for cls in got} == {2}
-    assert shapes(closed_blocks)[0] == (width, 2)
+    assert shapes(closed_blocks)[0] == (BLOCK_WIDTH, 2)
     assert sum(k for k, _ in shapes(closed_blocks)) == starts.shape[1]
     # the reference per column is slow in Python; every fifth column
     for j in range(0, starts.shape[1], 5):
@@ -216,19 +208,12 @@ def test_logistic_two_cycles_graded_in_chunks(logistic, closed_blocks):
 
 def test_mixed_periods_in_one_block(closed_blocks):
     # the negation map: 0 is fixed and every other point has period 2. The
-    # first start_width starts run as one block, the last four as another.
+    # first BLOCK_WIDTH starts run as one block, the last four as another.
     neg = negation_map()
-    width = start_width(neg)
-    starts = np.r_[0.0, np.linspace(0.1, 0.9, width + 3)][None, :]
+    starts = np.r_[0.0, np.linspace(0.1, 0.9, BLOCK_WIDTH + 3)][None, :]
     got = assert_matches_reference(neg, starts)
-    assert shapes(closed_blocks) == [(1, 1), (width - 1, 2), (4, 2)]
+    assert shapes(closed_blocks) == [(1, 1), (BLOCK_WIDTH - 1, 2), (4, 2)]
     assert got[0].cycle.period == 1 and got[1].cycle.period == 2
-    # at the default p_max of 64 a column's window holds 192 states, so
-    # the blocks stay at the floor width of 128 columns
-    closed_blocks.clear()
-    classify_many(neg, starts[:, :130], ClassifyBudget())
-    assert start_width(neg, ClassifyBudget()) == 128
-    assert shapes(closed_blocks) == [(1, 1), (127, 2), (2, 2)]
 
 
 def test_columns_forced_through_newton(cubic, closed_blocks):

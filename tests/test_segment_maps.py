@@ -31,8 +31,8 @@ BUDGETS = [None, ClassifyBudget(max_iterations=100, p_max=8, check_every=5)]
 
 
 def every_map(system, starts, budget):
-    """``classify_many`` on one block of at most block_width(3 p_max n)
-    starts, one ``tangent_columns`` call and one escape test per map."""
+    """``classify_many`` on one block of at most BLOCK_WIDTH starts, one
+    ``tangent_columns`` call and one escape test per map."""
     budget = (budget if budget is not None else ClassifyBudget()).resolve(system)
     block = np.array(starts, dtype=float)
     length = 3 * budget.p_max

@@ -10,7 +10,7 @@ another, with ``CHECKOUT`` as the working directory:
   ``validate --report-only``, ``classify --x0 smooth:3`` and
   ``probe-omega --x0 zero``;
 - ``probe-line`` on ``cubic_line.cfg`` at the default resolution and at
-  ``--resolution 301`` and ``1001``, and on
+  ``--resolution 301`` and ``1001`` (several 128-column blocks), and on
   ``dirichlet_cubic_15.cfg`` along the ones direction through zero, a
   parabolic line that crosses an unstable cycle;
 - ``symmetry`` on ``ring_cubic_5.cfg`` with 60 samples and seed 9;
