@@ -182,13 +182,15 @@ def _scan_periods(tails, p_max, tol_cyc):
     oldest = length - 2 * p_max
     periods = np.zeros(count, dtype=int)
     with np.errstate(invalid="ignore"):
-        near = np.abs(tails[oldest] - tails[oldest - np.arange(1, p_max + 1)]).max(axis=1) < tol_cyc
+        near = tails[oldest] - tails[oldest - p_max:oldest][::-1]  # row p - 1: shift p
+        near = np.abs(near, out=near).max(axis=1) < tol_cyc
         p = 0
         while (todo := near[p:] & (periods == 0)).any():
             step = int(np.flatnonzero(todo.any(axis=1))[0])
             p, cols = p + step + 1, np.flatnonzero(todo[step])
-            shifted = tails[oldest - p: length - p, :, cols]
-            gaps = np.abs(tails[oldest:, :, cols] - shifted).reshape(-1, cols.size).max(axis=0)
+            pick = slice(None) if cols.size == count else cols  # a slice copies nothing
+            gaps = tails[oldest:, :, pick] - tails[oldest - p: length - p, :, pick]
+            gaps = np.abs(gaps, out=gaps).reshape(-1, cols.size).max(axis=0)
             periods[cols[gaps < tol_cyc]] = p
     return periods
 
@@ -220,7 +222,9 @@ def detect_cycle(tail, p_max, tol_cyc):
 
 @dataclass(eq=False)
 class CycleRecord(JsonReport):
-    """A polished periodic orbit: consecutive iterates, one row per point."""
+    """A polished periodic orbit: consecutive iterates, one row per point.
+    The records of one period group of ``classify_many`` share the base
+    array of their points."""
 
     grid: Grid = field(metadata={"json": False})
     period: int
@@ -253,7 +257,10 @@ def refine_cycle(system, candidate, newton_tol=1e-12, max_newton=12):
     runs on the cycles that resolve together.
     """
     pts = _as_state_array(candidate)
-    return _close_cycles(system, pts[:1].T, pts.shape[0], newton_tol, max_newton)[0][0]
+    xs, gaps, used, _, _ = _close_cycles(system, pts[:1].T, len(pts), newton_tol, max_newton)
+    gap = float(gaps[0])
+    return CycleRecord(system.grid, len(pts), gap, newton_converged=gap <= newton_tol,
+                       newton_iterations=int(used[0]), points=xs[:, :, 0].copy())
 
 
 def _closure_passes(system, firsts, period, seed=None):
@@ -288,9 +295,11 @@ def _close_cycles(system, firsts, period, newton_tol, max_newton, graded=False):
     these columns only: a singular solve stops that column, and the trial
     points of all pending columns are mapped as one block of identity
     passes, the step halved up to four times until the gap falls (a column
-    that fails in a trial has gap inf). Returns one CycleRecord per column,
-    rho not yet graded, M 1 around its points (None without ``graded``),
-    and column -> monodromy at its points for the columns Newton saw.
+    that fails in a trial has gap inf). Returns arrays over the columns:
+    the closed cycles' points (period, n, K), a view of the closure orbit,
+    their closure gaps and Newton iterations; then M 1 around the points
+    (None without ``graded``) and column -> monodromy at its points for the
+    columns Newton saw.
     """
     n, count = firsts.shape
     xs, mw, failed = _closure_passes(system, firsts, period,
@@ -333,11 +342,7 @@ def _close_cycles(system, firsts, period, newton_tol, max_newton, graded=False):
         pending = np.flatnonzero((iters == it) & (gaps > newton_tol))
     if graded and (moved := np.flatnonzero(iters)).size:
         mw[:, moved] = _turn(system, xs[:period][:, :, moved], np.ones((n, moved.size)))
-    return [
-        CycleRecord(system.grid, period, gap, newton_converged=gap <= newton_tol,
-                    newton_iterations=used, points=xs[:period, :, k].copy())
-        for k, (gap, used) in enumerate(zip(gaps.tolist(), iters.tolist()))
-    ], mw, monos
+    return xs[:period], gaps, iters, mw, monos
 
 
 def _turn(system, points, seed):
@@ -377,12 +382,14 @@ def cycle_spectral_radius(system, cycle, detail=False):
     identity passes, reported as such. ``detail`` returns the
     SpectralRadiusResult, whose iterations count the products made.
 
-    This is the one-column case of ``_perron_roots``, with which
-    ``classify_many`` grades each period group of its block closure passes;
-    a start classified alone gets this rho bit for bit.
+    This is the one-column case of ``_perron_roots``, which grades each
+    period group of ``classify_many``'s block closure passes as arrays over
+    the columns; only this function makes a SpectralRadiusResult of them,
+    and a start classified alone gets this rho bit for bit.
     """
     pts = _as_state_array(cycle)
-    det = _perron_roots(system, pts[:, :, None], None, {})[0]
+    rho, dense, products = _perron_roots(system, pts[:, :, None], None, {})
+    det = SpectralRadiusResult(float(rho[0]), "dense" if dense[0] else "power", int(products[0]))
     return det if detail else det.rho
 
 
@@ -394,29 +401,29 @@ def _perron_roots(system, points, mw, monos):
     own test; ceil((n + 1) / 2) products cost about one identity pass. A
     column that goes dense takes its M from ``monos`` (column -> M, from
     ``_close_cycles``), or else from one shared turn of identity passes.
+    Returns arrays over the columns: rho, whether it is the dense solve's,
+    and the power products made.
     """
     _, n, count = points.shape
-    results, live, w = [None] * count, np.arange(count), np.ones((n, count))
-    products = np.zeros(count, dtype=int)
+    live, w = np.arange(count), np.ones((n, count))
+    rho, dense, products = np.zeros(count), np.ones(count, dtype=bool), np.zeros(count, dtype=int)
     for k in range(1, (n + 2) // 2 + 1):
         mw = _turn(system, points[:, :, live], w) if mw is None else mw
         products[live], lam, ratios = k, np.abs(mw).max(axis=0), mw / w
         positive = (mw > 0.0).all(axis=0)
         done = (lam == 0.0) | positive & (np.ptp(ratios, 0) <= _POWER_TOL * ratios.max(0))
-        for j in np.flatnonzero(done):
-            results[live[j]] = SpectralRadiusResult(float(lam[j]), "power", k)
+        rho[live[done]], dense[live[done]] = lam[done], False
         keep = positive & ~done
         live, w, mw = live[keep], mw[:, keep] / lam[keep], None
         if not live.size:
             break
-    dense = [j for j, det in enumerate(results) if det is None]
-    if todo := [j for j in dense if j not in monos]:
+    slow = np.flatnonzero(dense).tolist()
+    if todo := [j for j in slow if j not in monos]:
         turn = _turn(system, points[:, :, todo], np.eye(n)[:, None].repeat(len(todo), 1))
         monos = {**monos, **dict(zip(todo, turn.transpose(1, 0, 2)))}
-    for j in dense:
-        rho = float(np.max(np.abs(np.linalg.eigvals(monos[j]))))
-        results[j] = SpectralRadiusResult(rho, "dense", int(products[j]))
-    return results
+    for j in slow:
+        rho[j] = np.max(np.abs(np.linalg.eigvals(monos[j])))
+    return rho, dense, products
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +481,9 @@ def classify_many(system, starts, budget=None):
     at a time (``systems.map_rows``): to the next checkpoint or the budget,
     at most one turn. Rows after a failing map are dropped, its failing
     columns retire and the rest map on, so no map runs wider than map by
-    map. Returns one Classification per column, in column order.
+    map. Returns one Classification per column, in column order, built
+    from the arrays over the columns that the blocks fill, which the
+    ensembles read instead (``_Columns``).
 
     The cycles detected at one checkpoint are closed as one block per
     period p: p tangent passes from the candidates' first points, each
@@ -482,12 +491,13 @@ def classify_many(system, starts, budget=None):
     first power product M 1 around it, and the columns whose gap exceeds
     newton_tol take their Newton steps together, on identity passes of
     those columns alone (``refine_cycle`` is the one-column case). The
-    group is then graded by power products, each one turn of thin passes
-    around the final points, every column stopping when its
-    Collatz-Wielandt enclosure closes and taking the dense eigvals solve,
-    on identity passes, when it does not (``_perron_roots``;
-    ``cycle_spectral_radius`` is its one-column case). A column that fails
-    in its first closure passes raises its error.
+    group is then graded as arrays on its closure points by power
+    products, each one turn of thin passes around them, every column
+    stopping when its Collatz-Wielandt enclosure closes and taking the
+    dense eigvals solve, on identity passes, when it does not
+    (``_perron_roots``; ``cycle_spectral_radius`` is its one-column case).
+    The CycleRecord points of one group are views of one (K, p, n) array.
+    A column that fails in its first closure passes raises its error.
 
     A column's states may differ in the last bits from those of its start
     classified alone, because a block product rounds differently from a
@@ -496,20 +506,66 @@ def classify_many(system, starts, budget=None):
     periods agree unless a recurrence gap or an escape sits within roundoff
     of its threshold.
     """
+    columns = _classify_columns(system, starts, budget)
+    return [columns.classification(j) for j in range(columns.verdict.size)]
+
+
+class _Columns:
+    """What ``classify_many`` finds, as arrays over its columns: the index
+    into VERDICTS, iterations used, the escape message (None unless
+    escaped), and for a graded cycle its period (0 without one), closure
+    gap, Newton iterations, rho, whether rho is the dense solve's, and its
+    points (p, n), a view of its period group's (K, p, n) copy. Every
+    column starts unresolved; ``budget`` is resolved."""
+
+    def __init__(self, budget, grid, count):
+        self.budget, self.grid = budget, grid
+        self.verdict = np.full(count, VERDICTS.index("unresolved"))
+        self.iterations, self.period, self.newton = (np.zeros(count, dtype=int)
+                                                     for _ in range(3))
+        self.gap, self.rho, self.dense = np.zeros(count), np.zeros(count), np.zeros(count, bool)
+        self.escape, self.points = [None] * count, [None] * count
+
+    def classification(self, j):
+        """The Classification of column ``j``, with its CycleRecord."""
+        verdict, iters, budget = VERDICTS[self.verdict[j]], int(self.iterations[j]), self.budget
+        if self.points[j] is None:
+            notes = self.escape[j] or (
+                f"no cycle of period at most {budget.p_max} within "
+                f"{budget.max_iterations} iterations at tolerance {budget.tol_cyc:g}")
+            return Classification(verdict, iters, notes)
+        period, gap, rho = int(self.period[j]), float(self.gap[j]), float(self.rho[j])
+        method, converged = "dense" if self.dense[j] else "power", gap <= budget.newton_tol
+        stability = "stable" if verdict == "stable_cycle" else "unstable"
+        rec = CycleRecord(self.grid, period, gap, rho, stability, method, converged,
+                          int(self.newton[j]), points=self.points[j])
+        notes = (f"period {period}, spectral radius {rho:.6g} ({method}), "
+                 f"closure residual {gap:.3g}")
+        if not converged:
+            notes += ", refinement did not converge"
+        return Classification(verdict, iters, notes, rec)
+
+
+def _classify_columns(system, starts, budget):
+    """``classify_many``'s arrays over the columns of ``starts``."""
     budget = (budget if budget is not None else ClassifyBudget()).resolve(system)
-    block = np.array(starts, dtype=float)
-    if block.ndim != 2 or block.shape[0] != system.n:
+    starts = np.array(starts, dtype=float)
+    if starts.ndim != 2 or starts.shape[0] != system.n:
         raise DimensionMismatchError(
-            f"starts have shape {block.shape}, system expects ({system.n}, K)"
+            f"starts have shape {starts.shape}, system expects ({system.n}, K)"
         )
-    if block.shape[1] > BLOCK_WIDTH:
-        return [cls for lo in range(0, block.shape[1], BLOCK_WIDTH)
-                for cls in classify_many(system, block[:, lo:lo + BLOCK_WIDTH], budget)]
+    out = _Columns(budget, system.grid, starts.shape[1])
+    for lo in range(0, starts.shape[1], BLOCK_WIDTH):
+        _classify_block(system, starts[:, lo:lo + BLOCK_WIDTH], budget, out, lo)
+    return out
+
+
+def _classify_block(system, block, budget, out, lo):
+    """Classify the columns of ``block`` into ``out`` from column ``lo`` on."""
     window_len, every = 3 * budget.p_max, budget.check_every
     window = np.empty((window_len,) + block.shape)
     window[0] = block
-    live = np.arange(block.shape[1])
-    results = [None] * block.shape[1]
+    live = lo + np.arange(block.shape[1])
     iters = 0
 
     def retire(done):
@@ -528,51 +584,40 @@ def classify_many(system, starts, budget=None):
             for j, exc in sorted(failures.items()):
                 if not isinstance(exc, EscapeError):
                     raise exc
-                results[live[j]] = Classification(
-                    "escaped", iters - 1,
-                    f"orbit escaped at iteration {iters}: {exc}",
-                )
+                out.escape[live[j]] = f"orbit escaped at iteration {iters}: {exc}"
+            gone = live[list(failures)]
+            out.verdict[gone], out.iterations[gone] = VERDICTS.index("escaped"), iters - 1
             live, window = retire(list(failures))
             if not live.size:
                 break
         if iters == checkpoint >= window_len - 1:
             # the window rows in iterate order, oldest first
             tails = window[(iters + 1 + np.arange(window_len)) % window_len]
-            periods = _scan_periods(tails, budget.p_max, budget.tol_cyc)
-            resolved = np.flatnonzero(periods)
-            for p in sorted(set(periods[resolved].tolist())):
-                group = resolved[periods[resolved] == p]
-                firsts = tails[window_len - p][:, group]
-                records, mw, monos = _close_cycles(system, firsts, p, budget.newton_tol,
-                                                   budget.newton_max_iter, True)
-                points = np.stack([rec.points for rec in records], axis=2)
-                radii = _perron_roots(system, points, mw, monos)
-                for j, rec, det in zip(group, records, radii):
-                    results[live[j]] = _graded_classification(rec, det, budget, iters)
+            resolved = _grade_checkpoint(system, tails, budget, out, live, iters)
             if resolved.size:
                 live, window = retire(resolved)
-    for i in live:
-        results[i] = Classification(
-            "unresolved",
-            iters,
-            f"no cycle of period at most {budget.p_max} within "
-            f"{budget.max_iterations} iterations at tolerance {budget.tol_cyc:g}",
-        )
-    return results
+    out.iterations[live] = iters
 
 
-def _graded_classification(rec, det, budget, iters):
-    rec.rho, rec.rho_method = det.rho, det.method
-    stable = rec.rho <= 1.0 + budget.tol_stab
-    rec.stability = "stable" if stable else "unstable"
-    verdict = "stable_cycle" if stable else "unstable_cycle"
-    notes = (
-        f"period {rec.period}, spectral radius {rec.rho:.6g} ({rec.rho_method}), "
-        f"closure residual {rec.residual:.3g}"
-    )
-    if not rec.newton_converged:
-        notes += ", refinement did not converge"
-    return Classification(verdict, iters, notes, rec)
+def _grade_checkpoint(system, tails, budget, out, live, iters):
+    """Scan the window ``tails`` of the columns ``live`` of ``out`` at
+    iteration ``iters``, and close and grade each period group found, into
+    ``out``. Returns the positions in ``live`` of the columns graded."""
+    periods = _scan_periods(tails, budget.p_max, budget.tol_cyc)
+    resolved = np.flatnonzero(periods)
+    for p in sorted(set(periods[resolved].tolist())):
+        group = resolved[periods[resolved] == p]
+        xs, gaps, newton, mw, monos = _close_cycles(system, tails[-p][:, group], p,
+                                                    budget.newton_tol,
+                                                    budget.newton_max_iter, True)
+        rho, dense, _ = _perron_roots(system, xs, mw, monos)
+        ids = live[group]
+        out.period[ids], out.gap[ids], out.newton[ids] = p, gaps, newton
+        out.rho[ids], out.dense[ids], out.iterations[ids] = rho, dense, iters
+        out.verdict[ids] = np.where(rho <= 1.0 + budget.tol_stab, 0, 1)  # stable_cycle or not
+        for j, points in zip(ids.tolist(), xs.transpose(2, 0, 1).copy()):
+            out.points[j] = points
+    return resolved
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ neighborhoods of the points already found.
 Every ensemble, the symmetry survey's included, draws its starts through
 ``sample_starts`` as the columns of one block and classifies them in
 lockstep (``asymptotics.classify_many``, which runs ``systems.BLOCK_WIDTH``
-consecutive columns at a time).
+consecutive columns at a time); the prevalence and line reports read its
+arrays over the columns rather than one Classification per sample.
 
 Determinism contract: the random stream of sample i is seeded by the pair
 (sampler seed, i), and aggregation runs in index order. A sample's bits may
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import GridError, OrderError
 from .order import StateVector
-from .asymptotics import VERDICTS, ClassifyBudget, classify_many
+from .asymptotics import VERDICTS, ClassifyBudget, _classify_columns
 from .reports import JsonReport
 
 # each strategy's fields besides strategy and seed, in the order describe lists them
@@ -275,14 +276,15 @@ def wilson_interval(successes, total, z=WILSON_Z):
 
 
 def _classify_samples(system, sampler, count, budget):
-    """Samples 0..count-1 classified in lockstep, and the report fields every
-    ensemble shares: system name, sampler, resolved budget and wall time."""
+    """Samples 0..count-1 classified in lockstep, as ``classify_many``'s
+    arrays over the columns, and the report fields every ensemble shares:
+    system name, sampler, resolved budget and wall time."""
     resolved = (budget if budget is not None else ClassifyBudget()).resolve(system)
     start = time.perf_counter()
-    results = classify_many(system, sample_starts(system, sampler, count), resolved)
+    columns = _classify_columns(system, sample_starts(system, sampler, count), resolved)
     wall = time.perf_counter() - start
     keys = ("max_iterations", "p_max", "check_every", "tol_cyc", "tol_stab")
-    return results, {
+    return columns, {
         "system_name": system.name or system.kind.__class__.__name__,
         "sampler": sampler.describe(),
         "budget": {key: getattr(resolved, key) for key in keys},
@@ -306,33 +308,22 @@ def estimate_prevalence(system, sampler=None, count=DEFAULT_COUNT, budget=None,
             "prevalence experiments apply to monotone systems; "
             f"{system.name or system.kind} is declared non-monotone"
         )
-    results, shared = _classify_samples(system, sampler or default_sampler(system), count,
+    columns, shared = _classify_samples(system, sampler or default_sampler(system), count,
                                         budget)
-
-    counts = {name: 0 for name in VERDICTS}
-    periods = {}
-    rhos = []
-    for cls in results:
-        counts[cls.verdict] += 1
-        if cls.cycle is not None:
-            periods[cls.cycle.period] = periods.get(cls.cycle.period, 0) + 1
-            rhos.append(cls.cycle.rho)
-    if count > 0:
-        fraction = counts["stable_cycle"] / count
-        wilson = wilson_interval(counts["stable_cycle"], count)
-    else:
-        fraction = None
-        wilson = None
-    in_range, _ = np.histogram(
-        [r for r in rhos if r <= RHO_EDGES[-1]], bins=RHO_EDGES
-    )
-    overflow = sum(1 for r in rhos if r > RHO_EDGES[-1])
+    counts = dict(zip(VERDICTS, np.bincount(columns.verdict, minlength=len(VERDICTS)).tolist()))
+    cycles = columns.period > 0
+    periods, held = np.unique(columns.period[cycles], return_counts=True)
+    rhos = columns.rho[cycles]
+    fraction = counts["stable_cycle"] / count if count else None
+    wilson = wilson_interval(counts["stable_cycle"], count) if count else None
+    in_range, _ = np.histogram(rhos[rhos <= RHO_EDGES[-1]], bins=RHO_EDGES)
+    overflow = np.count_nonzero(rhos > RHO_EDGES[-1])
     return PrevalenceReport(
         count=count,
         counts=counts,
         stable_fraction=fraction,
         wilson_95=wilson,
-        period_histogram=dict(sorted(periods.items())),
+        period_histogram=dict(zip(periods.tolist(), held.tolist())),
         rho_histogram={
             "edges": [float(e) for e in RHO_EDGES],
             "counts": [int(c) for c in in_range],
@@ -380,10 +371,10 @@ def line_probe(system, sampler, budget=None, threads=None):
         raise ValueError("line_probe needs a line_scan sampler")
     if not system.monotone_expected:
         raise ValueError("line probes apply to monotone systems")
-    results, shared = _classify_samples(system, sampler, sampler.resolution, budget)
+    columns, shared = _classify_samples(system, sampler, sampler.resolution, budget)
     s_values = [float(s) for s in sampler.s_values()]
-    verdicts = [cls.verdict for cls in results]
-    rhos = [None if cls.cycle is None else cls.cycle.rho for cls in results]
+    verdicts = [VERDICTS[v] for v in columns.verdict.tolist()]
+    rhos = [rho if p else None for p, rho in zip(columns.period.tolist(), columns.rho.tolist())]
     bad = [
         {"index": i, "s": s_values[i], "verdict": verdicts[i]}
         for i in range(len(verdicts))

@@ -409,7 +409,8 @@ def map_rows(system, block, rows, slots, iteration=0):
     with np.errstate(over="ignore", invalid="ignore"):
         for slot in slots.tolist():
             src = kind.value(src, rows[slot])
-        bad = ~(np.abs(rows[slots]).max(axis=(1, 2)) <= 2.0 * system.kappa)
+        sup = rows[slots]
+        bad = ~(np.abs(sup, out=sup).max(axis=(1, 2)) <= 2.0 * system.kappa)
     if not bad.any():
         return len(slots), {}
     k = int(bad.argmax())

@@ -105,19 +105,21 @@ def assert_matches_reference(system, starts, budget=BUDGET):
 
 @pytest.fixture
 def closed_blocks(monkeypatch):
-    """The records of every block ``classify_many`` closes, one list per block.
+    """The closure of every block ``classify_many`` closes: its points
+    (period, n, K), gaps and Newton iterations, one tuple per block.
 
     ``refine_cycle`` (the reference's polish) closes its one column through
-    the same function; only the calls made by ``classify_many`` are kept.
+    the same function; only the calls made at ``classify_many``'s
+    checkpoints are kept.
     """
     blocks = []
     close = asymptotics._close_cycles
 
     def spy(system, firsts, period, *args):
-        records, *grading = close(system, firsts, period, *args)
-        if sys._getframe(1).f_code is classify_many.__code__:
-            blocks.append(records)
-        return (records, *grading)
+        points, gaps, newton, *grading = close(system, firsts, period, *args)
+        if sys._getframe(1).f_code is asymptotics._grade_checkpoint.__code__:
+            blocks.append((points, gaps, newton))
+        return (points, gaps, newton, *grading)
 
     monkeypatch.setattr(asymptotics, "_close_cycles", spy)
     return blocks
@@ -157,7 +159,7 @@ def closure_maps(monkeypatch):
 
 def shapes(blocks):
     """(columns, period) of each closed block."""
-    return [(len(records), records[0].period) for records in blocks]
+    return [(points.shape[2], points.shape[0]) for points, _, _ in blocks]
 
 
 def smooth_starts(system, count, seed=3):
@@ -228,11 +230,7 @@ def test_columns_forced_through_newton(cubic, closed_blocks):
     polished = [cls.cycle.newton_iterations for cls in got]
     assert max(polished) > 0 and min(polished) == 0
     # polished and unpolished columns share one block
-    assert any(
-        min(rec.newton_iterations for rec in records) == 0
-        < max(rec.newton_iterations for rec in records)
-        for records in closed_blocks
-    )
+    assert any(newton.min() == 0 < newton.max() for _, _, newton in closed_blocks)
 
 
 def test_dense_eigvals_fallback_in_blocks(closed_blocks, closure_maps):
@@ -301,11 +299,11 @@ def test_only_newton_and_dense_columns_take_identity_passes(dirichlet15, monkeyp
     firsts = np.stack([cls.cycle.points[0] for cls in got], axis=1)
     firsts[:, 2] += 1e-6
     seen.clear()
-    records, mw, monos = asymptotics._close_cycles(dirichlet15, firsts, 1, 1e-10, 12, True)
-    points = np.stack([rec.points for rec in records], axis=2)
-    grades = asymptotics._perron_roots(dirichlet15, points, mw, monos)
-    assert [rec.newton_iterations > 0 for rec in records] == [False, False, True, False]
-    assert {det.method for det in grades} == {"power"}
+    points, _, newton, mw, monos = asymptotics._close_cycles(dirichlet15, firsts, 1, 1e-10,
+                                                             12, True)
+    _, dense, _ = asymptotics._perron_roots(dirichlet15, points, mw, monos)
+    assert (newton > 0).tolist() == [False, False, True, False]
+    assert not dense.any()
     assert {width for width, kind in seen if kind == "identity"} == {1}
     assert {width for width, kind in seen if kind == "thin"} == {4, 1}
 
@@ -316,7 +314,7 @@ def test_newton_monodromies_serve_the_dense_solve(logistic, monkeypatch):
     r = logistic.kind.param
     fixed = 1.0 - 1.0 / r
     firsts = np.array([[fixed, fixed + 1e-2, fixed - 3e-2]])
-    records, mw, monos = asymptotics._close_cycles(logistic, firsts, 1, 1e-12, 12, True)
+    points, _, _, mw, monos = asymptotics._close_cycles(logistic, firsts, 1, 1e-12, 12, True)
     assert sorted(monos) == [1, 2]
     seen = []
     inner = asymptotics.tangent_columns
@@ -326,14 +324,14 @@ def test_newton_monodromies_serve_the_dense_solve(logistic, monkeypatch):
         return inner(system, u, w, iteration)
 
     monkeypatch.setattr(asymptotics, "tangent_columns", spy)
-    points = np.stack([rec.points for rec in records], axis=2)
-    grades = asymptotics._perron_roots(logistic, points, mw, monos)
+    rho, dense, products = asymptotics._perron_roots(logistic, points, mw, monos)
     # one identity pass, for the column that closed without Newton
     assert seen == [(1, "identity")]
-    for rec, det in zip(records, grades):
-        assert (det.method, det.iterations) == ("dense", 1)
-        assert det == asymptotics.cycle_spectral_radius(logistic, rec, detail=True)
-        assert det.rho == pytest.approx(r - 2.0, rel=1e-12)
+    for k, grade in enumerate(zip(rho.tolist(), dense.tolist(), products.tolist())):
+        assert grade[1:] == (True, 1)
+        det = asymptotics.cycle_spectral_radius(logistic, points[:, :, k], detail=True)
+        assert (det.rho, det.method, det.iterations) == (grade[0], "dense", 1)
+        assert grade[0] == pytest.approx(r - 2.0, rel=1e-12)
 
 
 def test_refine_cycle_carries_tangents_only_into_newton(cat, monkeypatch):
@@ -372,12 +370,14 @@ def test_refine_cycle_carries_tangents_only_into_newton(cat, monkeypatch):
         assert seen[:period] == [False] * period, k
         assert any(seen) == newton, k
         # the graded closure of classify_many carries the ones tangent
-        want = asymptotics._close_cycles(system, points[:1].T, period, newton_tol, 12,
-                                         True)[0][0]
-        for name in ("grid", "period", "residual", "rho", "stability", "rho_method",
-                     "newton_converged", "newton_iterations"):
-            assert getattr(rec, name) == getattr(want, name), (k, name)
-        assert rec.points.tobytes() == want.points.tobytes(), k
+        xs, gaps, newton, _, _ = asymptotics._close_cycles(system, points[:1].T, period,
+                                                           newton_tol, 12, True)
+        want = {"grid": system.grid, "period": period, "residual": gaps[0], "rho": None,
+                "stability": "undetermined", "rho_method": "",
+                "newton_converged": gaps[0] <= newton_tol, "newton_iterations": newton[0]}
+        for name, value in want.items():
+            assert getattr(rec, name) == value, (k, name)
+        assert rec.points.tobytes() == xs[:, :, 0].tobytes(), k
 
 
 # ------------------------------------------------------------ tangent passes
@@ -417,32 +417,34 @@ def test_a_column_failing_in_a_first_pass_raises_its_error(count):
     assert str(block.value) == str(alone.value)
     assert (block.value.step, block.value.sup) == (alone.value.step, alone.value.sup)
     # without the escaping column the block closes and grades the rest
-    records, mw, monos = asymptotics._close_cycles(wild, firsts[:, :-1], 1, 1e-10, 12, True)
+    points, gaps, _, mw, monos = asymptotics._close_cycles(wild, firsts[:, :-1], 1, 1e-10,
+                                                           12, True)
     rho = asymptotics.cycle_spectral_radius(wild, np.zeros((1, 16)), detail=True)
-    points = np.stack([rec.points for rec in records], axis=2)
-    for rec, det in zip(records, asymptotics._perron_roots(wild, points, mw, monos)):
-        assert rec.residual == 0.0 and rec.newton_converged
-        assert det.method == rho.method == "power"
-        assert det.rho == pytest.approx(rho.rho, rel=1e-12)
+    radii, dense, _ = asymptotics._perron_roots(wild, points, mw, monos)
+    assert (gaps == 0.0).all()
+    assert not dense.any() and rho.method == "power"
+    np.testing.assert_allclose(radii, rho.rho, rtol=1e-12, atol=0.0)
 
 
 def assert_block_newton_matches_alone(system, cands, newton_tol=1e-12):
-    """Close candidates of one period as a block and one at a time."""
+    """Close candidates of one period as a block and one at a time; returns
+    the block's (converged, Newton iterations) per column."""
     period = len(cands[0])
     firsts = np.array([c[0] for c in cands]).T
-    records, mw, _ = asymptotics._close_cycles(system, firsts, period, newton_tol, 12, True)
-    for k, (cand, rec) in enumerate(zip(cands, records)):
+    points, gaps, newton, mw, _ = asymptotics._close_cycles(system, firsts, period,
+                                                            newton_tol, 12, True)
+    polish = list(zip((gaps <= newton_tol).tolist(), newton.tolist()))
+    for k, cand in enumerate(cands):
         alone = refine_cycle(system, np.array(cand), newton_tol=newton_tol)
-        assert (rec.newton_converged, rec.newton_iterations) == (
-            alone.newton_converged, alone.newton_iterations), k
-        np.testing.assert_allclose(rec.points, alone.points, rtol=0.0, atol=1e-12)
-        assert rec.residual == pytest.approx(alone.residual, rel=0.0, abs=1e-12)
+        assert polish[k] == (alone.newton_converged, alone.newton_iterations), k
+        np.testing.assert_allclose(points[:, :, k], alone.points, rtol=0.0, atol=1e-12)
+        assert gaps[k] == pytest.approx(alone.residual, rel=0.0, abs=1e-12)
         # the first power product returned is M 1 at the final points
         mono = np.eye(system.n)
-        for point in rec.points:
+        for point in points[:, :, k]:
             mono = jacobian(system, system.state(point)) @ mono
         np.testing.assert_allclose(mw[:, k], mono.sum(axis=1), rtol=1e-13, atol=1e-15)
-    return records
+    return polish
 
 
 def test_block_newton_on_mixed_logistic_columns():
@@ -454,10 +456,9 @@ def test_block_newton_on_mixed_logistic_columns():
     neutral = (1.0 - 1.0 / r) / 2.0
     near = neutral + 1e-6
     values = [neutral, fixed + 1e-2, near, fixed - 3e-2, fixed, 0.3, 0.9]
-    records = assert_block_newton_matches_alone(logistic, [[[v]] for v in values])
-    iters = [rec.newton_iterations for rec in records]
-    assert iters == [0, 3, 0, 4, 0, 5, 5]
-    assert [rec.newton_converged for rec in records] == [
+    polish = assert_block_newton_matches_alone(logistic, [[[v]] for v in values])
+    assert [iters for _, iters in polish] == [0, 3, 0, 4, 0, 5, 5]
+    assert [converged for converged, _ in polish] == [
         False, True, False, True, True, True, True]
     f = lambda u: r * u * (1.0 - u)  # noqa: E731
     step = (near - f(near)) / (r * (1.0 - 2.0 * near) - 1.0)
@@ -468,10 +469,10 @@ def test_block_newton_on_mixed_logistic_columns():
     high = f(low)
     pairs = [(low + 1e-3, high - 1e-3), (low - 2e-2, high + 1e-2),
              (high + 5e-3, low), (low, high)]
-    records = assert_block_newton_matches_alone(
+    polish = assert_block_newton_matches_alone(
         logistic, [[[a], [b]] for a, b in pairs])
-    assert all(rec.newton_converged for rec in records)
-    assert min(rec.newton_iterations for rec in records[:3]) > 1
+    assert all(converged for converged, _ in polish)
+    assert min(iters for _, iters in polish[:3]) > 1
 
 
 @pytest.mark.parametrize("name", ["cubic_map", "linear_cooperative", "ring_cubic_5"])

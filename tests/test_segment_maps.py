@@ -8,6 +8,7 @@ get the same verdict, iteration count, diagnostics, cycle points,
 residual and rho bits, and a failing start the same error.
 """
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from monotone_lab import (
     parabolic_system,
 )
 from monotone_lab import asymptotics
-from monotone_lab.asymptotics import Classification
+from monotone_lab.asymptotics import VERDICTS
 from monotone_lab.errors import EscapeError, NumericalError
 from monotone_lab.systems import map_rows, tangent_columns
 
@@ -32,13 +33,16 @@ BUDGETS = [None, ClassifyBudget(max_iterations=100, p_max=8, check_every=5)]
 
 def every_map(system, starts, budget):
     """``classify_many`` on one block of at most BLOCK_WIDTH starts, one
-    ``tangent_columns`` call and one escape test per map."""
+    ``tangent_columns`` call and one escape test per map; each checkpoint is
+    graded by ``classify_many``'s own grading into its arrays over the
+    columns."""
     budget = (budget if budget is not None else ClassifyBudget()).resolve(system)
     block = np.array(starts, dtype=float)
     length = 3 * budget.p_max
     window = np.empty((length,) + block.shape)
     window[0] = block
-    live, results, iters = np.arange(block.shape[1]), [None] * block.shape[1], 0
+    out = asymptotics._Columns(budget, system.grid, block.shape[1])
+    live, iters = np.arange(block.shape[1]), 0
     with np.errstate(over="ignore", invalid="ignore"):
         while iters < budget.max_iterations and live.size:
             block, _, failures = tangent_columns(system, block, iteration=iters + 1)
@@ -46,8 +50,9 @@ def every_map(system, starts, budget):
             for j, exc in sorted(failures.items()):
                 if not isinstance(exc, EscapeError):
                     raise exc
-                results[live[j]] = Classification(
-                    "escaped", iters - 1, f"orbit escaped at iteration {iters}: {exc}")
+                out.verdict[live[j]] = VERDICTS.index("escaped")
+                out.iterations[live[j]] = iters - 1
+                out.escape[live[j]] = f"orbit escaped at iteration {iters}: {exc}"
             gone = list(failures)
             live, block = np.delete(live, gone), np.delete(block, gone, 1)
             window = np.delete(window, gone, 2)
@@ -58,26 +63,12 @@ def every_map(system, starts, budget):
                 iters % budget.check_every == 0 or iters == budget.max_iterations
             ):
                 tails = window[(iters + 1 + np.arange(length)) % length]
-                periods = asymptotics._scan_periods(tails, budget.p_max, budget.tol_cyc)
-                resolved = np.flatnonzero(periods)
-                for p in sorted(set(periods[resolved].tolist())):
-                    group = resolved[periods[resolved] == p]
-                    records, mw, monos = asymptotics._close_cycles(
-                        system, tails[length - p][:, group], p, budget.newton_tol,
-                        budget.newton_max_iter, True)
-                    points = np.stack([rec.points for rec in records], axis=2)
-                    radii = asymptotics._perron_roots(system, points, mw, monos)
-                    for j, rec, det in zip(group, records, radii):
-                        results[live[j]] = asymptotics._graded_classification(
-                            rec, det, budget, iters)
+                resolved = asymptotics._grade_checkpoint(system, tails, budget, out, live,
+                                                         iters)
                 live, block = np.delete(live, resolved), np.delete(block, resolved, 1)
                 window = np.delete(window, resolved, 2)
-    for i in live:
-        results[i] = Classification(
-            "unresolved", iters,
-            f"no cycle of period at most {budget.p_max} within "
-            f"{budget.max_iterations} iterations at tolerance {budget.tol_cyc:g}")
-    return results
+    out.iterations[live] = iters
+    return [out.classification(j) for j in range(out.verdict.size)]
 
 
 def outcome(classify, system, starts, budget):
@@ -174,3 +165,22 @@ def test_map_rows_fills_a_settled_parabolic_segment():
     done, failures = map_rows(system, np.zeros((8, 2)), rows, slots)
     assert (done, failures) == (4, {})
     assert (rows[slots] == 0.0).all() and np.isnan(rows[2:4]).all()
+
+
+def test_a_checkpoint_holds_at_most_three_windows():
+    # the window, its rows in iterate order for the scan and one gap
+    # difference: the sup test and the scan take their abs in place, and
+    # the scan reads slices of the rows
+    system, budget = cubic_map(0.1), ClassifyBudget(max_iterations=2048, p_max=512)
+    starts = np.linspace(-1.4, 1.4, 128)[None, :]
+    window = 3 * budget.p_max * system.n * starts.shape[1] * 8
+    classify_many(system, starts, budget)  # warm
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        got = classify_many(system, starts, budget)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert {cls.verdict for cls in got} == {"stable_cycle"}
+    assert peak <= 3 * window

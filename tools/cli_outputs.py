@@ -2,13 +2,15 @@
 
     python3 tools/cli_outputs.py CHECKOUT OUTDIR
 
-Runs 54 ``monotone-lab`` commands against the package in ``CHECKOUT/src``
+Runs 55 ``monotone-lab`` commands against the package in ``CHECKOUT/src``
 and the configs in ``CHECKOUT/configs``, one process each and one after
 another, with ``CHECKOUT`` as the working directory:
 
 - for each shipped config: ``prevalence --samples 40`` (JSON and CSV),
   ``validate --report-only``, ``classify --x0 smooth:3`` and
   ``probe-omega --x0 zero``;
+- ``prevalence --samples 300`` on ``cubic.cfg``: three 128-column blocks,
+  the last one partial;
 - ``probe-line`` on ``cubic_line.cfg`` at the default resolution and at
   ``--resolution 301`` and ``1001`` (several 128-column blocks), and on
   ``dirichlet_cubic_15.cfg`` along the ones direction through zero, a
@@ -97,6 +99,8 @@ def commands(checkout):
         ]
     line = "configs/cubic_line.cfg"
     out += [
+        ("prevalence-cubic-300", ["prevalence", "configs/cubic.cfg", "--samples", "300"],
+         {"--out": "json", "--csv": "csv"}),
         ("probe-line-default", ["probe-line", line], {"--out": "json"}),
         ("probe-line-301", ["probe-line", line, "--resolution", "301"],
          {"--out": "json"}),
