@@ -482,8 +482,8 @@ def classify_many(system, starts, budget=None):
     at most one turn. Rows after a failing map are dropped, its failing
     columns retire and the rest map on, so no map runs wider than map by
     map. Returns one Classification per column, in column order, built
-    from the arrays over the columns that the blocks fill, which the
-    ensembles read instead (``_Columns``).
+    from the arrays over the columns that the blocks fill (``_Columns``),
+    which every multi-start experiment reads instead, building none.
 
     The cycles detected at one checkpoint are closed as one block per
     period p: p tangent passes from the candidates' first points, each
@@ -677,7 +677,7 @@ def _probe_direction(system, direction):
         raise DimensionMismatchError(
             f"direction has shape {v.shape}, system expects ({system.n},)"
         )
-    if np.min(v) <= 0.0:
+    if not np.min(v) > 0.0:
         raise OrderError("probe direction must be strongly positive")
     return v
 
@@ -692,10 +692,11 @@ def _widest_gap(sets):
                default=0.0)
 
 
-def _one_side(sign, classifications, omega_base):
-    verdicts = [cls.verdict for cls in classifications]
-    sets = [cls.cycle.points for cls in classifications if cls.cycle is not None]
-    if len(sets) < len(classifications):
+def _one_side(sign, columns, cols, omega_base):
+    """The SideEstimate of ``sign`` from the columns ``cols`` of ``columns``."""
+    verdicts = [VERDICTS[columns.verdict[j]] for j in cols]
+    sets = [columns.points[j] for j in cols]
+    if any(points is None for points in sets):
         # some perturbed orbit failed to settle, no limit to speak of
         return SideEstimate(sign, verdicts, False, None, None, "inconclusive")
     consistent = _widest_gap(sets) <= _TOL_SET
@@ -724,14 +725,15 @@ def omega_plus_probe(system, x, direction=None, eps_values=(1e-2, 1e-3, 1e-4),
     of the limits without altering the primary verdicts.
 
     The base point and every perturbed start are classified together, as
-    the columns of one ``classify_many`` block.
+    the columns of one ``classify_many`` block, and the probe reads their
+    verdicts and omega sets from its column arrays, building no Classification.
     """
     base = _initial_values(system, x)
     v = _probe_direction(system, direction)
     eps_values = tuple(sorted((float(e) for e in eps_values), reverse=True))
     if len(eps_values) == 0:
         raise ValueError("need at least one eps value")
-    if any(e <= 0.0 for e in eps_values):
+    if any(not e > 0.0 for e in eps_values):
         raise ValueError("eps values must be positive")
     # (sign, direction) of each side: upper, lower, then the extra uppers
     sides = [(1, v), (-1, v)]
@@ -742,15 +744,14 @@ def omega_plus_probe(system, x, direction=None, eps_values=(1e-2, 1e-3, 1e-4),
                 "largest perturbation leaves the trapping box; shrink eps or v"
             )
     starts = [base] + [base + sign * eps * w for sign, w in sides for eps in eps_values]
-    results = classify_many(system, np.stack(starts, axis=1), budget)
-    base_cls = results[0]
-    omega_base = None if base_cls.cycle is None else base_cls.cycle.points
+    columns = _classify_columns(system, np.stack(starts, axis=1), budget)
+    base_verdict, omega_base = VERDICTS[columns.verdict[0]], columns.points[0]
     notes = ""
-    if base_cls.verdict in ("unresolved", "escaped"):
-        notes = f"base orbit {base_cls.verdict}; membership cannot be graded"
+    if base_verdict in ("unresolved", "escaped"):
+        notes = f"base orbit {base_verdict}; membership cannot be graded"
     count = len(eps_values)
     estimates = [
-        _one_side(sign, results[1 + i * count: 1 + (i + 1) * count], omega_base)
+        _one_side(sign, columns, range(1 + i * count, 1 + (i + 1) * count), omega_base)
         for i, (sign, _) in enumerate(sides)
     ]
     upper, lower = estimates[:2]
@@ -766,7 +767,7 @@ def omega_plus_probe(system, x, direction=None, eps_values=(1e-2, 1e-3, 1e-4),
         direction=v,
         eps_values=eps_values,
         tol_set=_TOL_SET,
-        base_verdict=base_cls.verdict,
+        base_verdict=base_verdict,
         omega_base=omega_base,
         upper=upper,
         lower=lower,
@@ -795,7 +796,7 @@ def separation_probe(system, x, scales=(1e-2, 1e-4), direction=None, budget=None
     v = _probe_direction(system, direction)
     pushes = []
     for scale in scales:
-        if scale <= 0.0:
+        if not scale > 0.0:
             raise ValueError("scales must be positive")
         for sign in (1.0, -1.0):
             y = base0 + sign * scale * v

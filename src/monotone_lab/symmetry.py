@@ -4,8 +4,9 @@ Actions are node permutations, so they are exactly order preserving and
 norm preserving: the cyclic rotations of the ring lattice (the discrete
 stand-in for rotations of a circle), the mirror flip of the interval, and
 the trivial group. Equivariance of a system under an action is a checkable
-property, not an assumption; classification of limits composes
-classify_orbit with a per-cycle-point symmetry verdict.
+property, not an assumption; a limit gets a symmetry verdict per cycle
+point, and the survey reads the cycle points from the column arrays of
+classify_many, building no per-sample Classification.
 
 Symmetry is judged at cycle points only. Transients of an equivariant
 system are generally asymmetric and say nothing about the limit.
@@ -20,7 +21,7 @@ from .errors import DimensionMismatchError, GridError
 from .grids import Grid
 from .order import PropertyReport, StateVector, draw_box_states
 from .reports import JsonReport
-from .asymptotics import _initial_values, classify_many, classify_orbit
+from .asymptotics import VERDICTS, _classify_columns, _initial_values, classify_orbit
 from .systems import tangent_columns
 
 DEFAULT_TOL_SYM = 1e-5  # sup deviation below which a state counts as invariant
@@ -91,11 +92,10 @@ class SymmetryVerdict(JsonReport):
 
 
 def symmetry_deviation(u, action, tol_sym=DEFAULT_TOL_SYM):
-    """Max over generators of sup|g.u - u|, with a verdict at tol_sym."""
+    """Max over generators of sup|g.u - u|, with a verdict at tol_sym; ``u``
+    is one state or a (p, n) stack of them, such as a cycle's points."""
     values = u.values if isinstance(u, StateVector) else np.asarray(u, dtype=float)
-    per = [
-        float(np.max(np.abs(values[perm] - values))) for perm in action.generators
-    ]
+    per = [float(np.max(np.abs(values[..., perm] - values))) for perm in action.generators]
     deviation = max(per)
     return SymmetryVerdict(deviation, deviation < tol_sym, per, tol_sym)
 
@@ -151,13 +151,8 @@ def classify_symmetric_limit(system, action, x0, budget=None,
     point (an empty list when no cycle was detected).
     """
     cls = classify_orbit(system, x0, budget)
-    return cls, _cycle_verdicts(cls, action, tol_sym)
-
-
-def _cycle_verdicts(cls, action, tol_sym):
-    if cls.cycle is None:
-        return []
-    return [symmetry_deviation(pt, action, tol_sym) for pt in cls.cycle.points]
+    points = [] if cls.cycle is None else cls.cycle.points
+    return cls, [symmetry_deviation(pt, action, tol_sym) for pt in points]
 
 
 @dataclass(eq=False)
@@ -187,37 +182,25 @@ def symmetric_limit_survey(system, action, states, budget=None,
                            tol_sym=DEFAULT_TOL_SYM):
     """Classify given starts, grade their cycle points and aggregate.
 
-    The starts advance through ``classify_many`` as the columns of one
-    block; each sample's verdicts are those of
-    ``classify_symmetric_limit`` on it, up to block roundoff.
+    The starts advance as the columns of one ``classify_many`` block, whose
+    column arrays the survey reads, building no Classification; each
+    sample's verdicts are those of ``classify_symmetric_limit`` on it, up
+    to block roundoff.
     symmetric_fraction (None without samples) counts samples whose every
     cycle point is invariant at tol_sym, over all samples; unresolved and
     escaped samples therefore lower the fraction rather than dropping out.
     """
     starts = [_initial_values(system, x0) for x0 in states]
     block = np.stack(starts, axis=1) if starts else np.empty((system.n, 0))
-    results = classify_many(system, block, budget)
-    verdicts = []
-    deviations = []
-    stable = 0
-    symmetric = 0
-    worst = 0.0
-    for cls in results:
-        per_point = _cycle_verdicts(cls, action, tol_sym)
-        verdicts.append(cls.verdict)
-        if per_point:
-            dev = max(v.deviation for v in per_point)
-            deviations.append(dev)
-            worst = max(worst, dev)
-            if all(v.symmetric for v in per_point):
-                symmetric += 1
-        else:
-            deviations.append(None)
-        if cls.verdict == "stable_cycle":
-            stable += 1
+    columns = _classify_columns(system, block, budget)
+    verdicts = [VERDICTS[v] for v in columns.verdict.tolist()]
+    graded = [None if points is None else symmetry_deviation(points, action, tol_sym)
+              for points in columns.points]
+    deviations = [None if v is None else v.deviation for v in graded]
     count = len(verdicts)
-    fraction = symmetric / count if count else None
+    symmetric = sum(v is not None and v.symmetric for v in graded)
     return SymmetrySurvey(
-        count, stable, symmetric, fraction, worst, verdicts, deviations, tol_sym,
-        system.name,
+        count, verdicts.count("stable_cycle"), symmetric, symmetric / count if count else None,
+        max((d for d in deviations if d is not None), default=0.0), verdicts, deviations,
+        tol_sym, system.name,
     )

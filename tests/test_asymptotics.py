@@ -524,8 +524,16 @@ def test_omega_probe_validation(cubic, coop):
         omega_plus_probe(cubic, 0.0, eps_values=())
     with pytest.raises(ValueError):
         omega_plus_probe(cubic, 0.0, eps_values=(-1e-3,))
+    # NaN fails every comparison, so each test reads "not x > 0"
+    for eps_values in ((np.nan,), (1e-2, np.nan)):
+        with pytest.raises(ValueError, match="eps values must be positive"):
+            omega_plus_probe(cubic, 0.0, eps_values=eps_values)
     with pytest.raises(OrderError):
         omega_plus_probe(coop, [0.0, 0.0], direction=[1.0, 0.0])
+    with pytest.raises(OrderError):
+        omega_plus_probe(cubic, 0.0, direction=[np.nan])
+    with pytest.raises(OrderError):
+        omega_plus_probe(coop, [0.0, 0.0], direction=[1.0, np.nan])
     with pytest.raises(DimensionMismatchError):
         omega_plus_probe(coop, [0.0, 0.0], direction=[1.0])
 
@@ -558,6 +566,11 @@ def test_separation_probe_validation(cubic):
         separation_probe(cubic, 0.0, scales=(-1e-2,))
     with pytest.raises(ValueError):
         separation_probe(cubic, 0.0, scales=(2.0,))
+    for scales in ((np.nan,), (np.nan, 1e-2), (1e-2, np.nan)):
+        with pytest.raises(ValueError, match="scales must be positive"):
+            separation_probe(cubic, 0.0, scales=scales)
+    with pytest.raises(OrderError):
+        separation_probe(cubic, 0.0, direction=[np.nan])
 
 
 def test_separation_probe_refuses_before_mapping(dirichlet15, monkeypatch):

@@ -664,6 +664,15 @@ def test_cli_probe_omega(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--eps", "--direction"])
+def test_cli_probe_omega_refuses_nan(capsys, flag):
+    # a NaN push is a usage error, refused before any orbit is mapped
+    assert main(["probe-omega", cfg("cubic.cfg"), "--x0", "0.3", flag, "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_cli_symmetry_survey(tmp_path, capsys):
     report = tmp_path / "sym.json"
     assert main(

@@ -85,6 +85,21 @@ def test_symmetry_deviation_examples():
     assert set(data) == {"deviation", "symmetric", "per_generator", "tol_sym"}
 
 
+def test_symmetry_deviation_of_a_stack_is_the_max_over_its_states():
+    # a (p, n) stack of states, as a cycle's points: the sup runs over all
+    # of them, per generator, with the bits of the states graded one by one
+    action = interval_reflection(Grid("dirichlet", 5))
+    stack = np.array([[0.1, 0.4, 0.7, 0.4, 0.1], [1.0, 0.3, 0.2, 0.25, 0.9],
+                      [1.0, 0.25, 0.5, 0.375, 0.75]])
+    whole = symmetry_deviation(stack, action, tol_sym=0.2)
+    rows = [symmetry_deviation(row, action, tol_sym=0.2) for row in stack]
+    assert [v.deviation for v in rows][::2] == [0.0, 0.25]
+    assert whole.deviation.hex() == max(v.deviation for v in rows).hex()
+    assert whole.per_generator == [whole.deviation]
+    assert not whole.symmetric and not all(v.symmetric for v in rows)
+    assert symmetry_deviation(stack, action, tol_sym=0.3).symmetric
+
+
 def test_trivial_action_sees_everything_symmetric():
     action = trivial_action(Grid("ring", 4))
     v = symmetry_deviation(np.array([3.0, -1.0, 0.5, 2.0]), action)
