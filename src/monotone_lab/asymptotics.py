@@ -24,6 +24,7 @@ an error; non-finite arithmetic still raises.
 """
 
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -48,6 +49,8 @@ class ClassifyBudget:
 
     ``None`` fields are resolved against the system: check_every defaults to
     p_max, tol_cyc to default_tol_cyc, newton_tol to max(1e-12, tol_cyc*1e-4).
+    The counts (max_iterations, p_max, check_every, newton_max_iter) must be
+    Python or numpy integers.
     """
 
     max_iterations: int = 500
@@ -59,6 +62,10 @@ class ClassifyBudget:
     newton_max_iter: int = 12
 
     def __post_init__(self):
+        for name in ("max_iterations", "p_max", "check_every", "newton_max_iter"):
+            val = getattr(self, name)
+            if not (isinstance(val, Integral) or val is None and name == "check_every"):
+                raise ValueError(f"{name} must be an integer")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.p_max < 1:
@@ -481,9 +488,12 @@ def classify_many(system, starts, budget=None):
     at a time (``systems.map_rows``): to the next checkpoint or the budget,
     at most one turn. Rows after a failing map are dropped, its failing
     columns retire and the rest map on, so no map runs wider than map by
-    map. Returns one Classification per column, in column order, built
-    from the arrays over the columns that the blocks fill (``_Columns``),
-    which every multi-start experiment reads instead, building none.
+    map. A block of any kind that maps to itself bit for bit fills the rest
+    of its segment unmapped (closed forms test every SETTLE_SPAN-th map),
+    with the rows every map would write. Returns one Classification per
+    column, in column order, built from the arrays over the columns that
+    the blocks fill (``_Columns``), which every multi-start experiment
+    reads instead, building none.
 
     The cycles detected at one checkpoint are closed as one block per
     period p: p tangent passes from the candidates' first points, each

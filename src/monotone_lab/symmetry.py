@@ -93,11 +93,18 @@ class SymmetryVerdict(JsonReport):
 
 def symmetry_deviation(u, action, tol_sym=DEFAULT_TOL_SYM):
     """Max over generators of sup|g.u - u|, with a verdict at tol_sym; ``u``
-    is one state or a (p, n) stack of them, such as a cycle's points."""
+    is one state or a (p, n) stack of them, such as a cycle's points.
+    Refuses a tol_sym that is not positive (or NaN)."""
+    _refuse_tolerance(tol_sym)
     values = u.values if isinstance(u, StateVector) else np.asarray(u, dtype=float)
     per = [float(np.max(np.abs(values[..., perm] - values))) for perm in action.generators]
     deviation = max(per)
     return SymmetryVerdict(deviation, deviation < tol_sym, per, tol_sym)
+
+
+def _refuse_tolerance(tol_sym):
+    if not tol_sym > 0.0:
+        raise ValueError("tol_sym must be positive")
 
 
 def spatial_variance(u):
@@ -148,8 +155,10 @@ def classify_symmetric_limit(system, action, x0, budget=None,
     """Classify the orbit and grade every cycle point against the action.
 
     Returns the Classification together with one SymmetryVerdict per cycle
-    point (an empty list when no cycle was detected).
+    point (an empty list when no cycle was detected). Refuses a tol_sym
+    that is not positive before the orbit runs.
     """
+    _refuse_tolerance(tol_sym)
     cls = classify_orbit(system, x0, budget)
     points = [] if cls.cycle is None else cls.cycle.points
     return cls, [symmetry_deviation(pt, action, tol_sym) for pt in points]
@@ -189,7 +198,9 @@ def symmetric_limit_survey(system, action, states, budget=None,
     symmetric_fraction (None without samples) counts samples whose every
     cycle point is invariant at tol_sym, over all samples; unresolved and
     escaped samples therefore lower the fraction rather than dropping out.
+    Refuses a tol_sym that is not positive before any start runs.
     """
+    _refuse_tolerance(tol_sym)
     starts = [_initial_values(system, x0) for x0 in states]
     block = np.stack(starts, axis=1) if starts else np.empty((system.n, 0))
     columns = _classify_columns(system, block, budget)

@@ -56,3 +56,19 @@ def ring5(cat):
 @pytest.fixture(scope="session")
 def radial15(cat):
     return cat["radial_cubic_15"]
+
+
+@pytest.fixture
+def value_calls(monkeypatch):
+    """Count the closed-form maps: the returned list grows by one per
+    ``AnalyticScalar.value`` call."""
+    from monotone_lab.systems import AnalyticScalar
+
+    calls, value = [], AnalyticScalar.value
+
+    def spy(self, u, out=None):
+        calls.append(1)
+        return value(self, u, out)
+
+    monkeypatch.setattr(AnalyticScalar, "value", spy)
+    return calls

@@ -68,6 +68,21 @@ def test_budget_validation():
             ClassifyBudget(**{name: float("nan")})
 
 
+@pytest.mark.parametrize("name", ["max_iterations", "p_max", "check_every",
+                                  "newton_max_iter"])
+def test_budget_counts_must_be_integers(name, cubic):
+    # a fractional count is refused where it is made, not deep in the
+    # orbit loop, and a NaN Newton budget no longer switches Newton off
+    for val in (2.5, 10.0, float("nan")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ClassifyBudget(**{name: val})
+    # Python and numpy integers classify alike
+    want = classify_orbit(cubic, 0.3, ClassifyBudget(**{name: 8}))
+    got = classify_orbit(cubic, 0.3, ClassifyBudget(**{name: np.int64(8)}))
+    assert (got.verdict, got.iterations_used, got.diagnostics) == (
+        want.verdict, want.iterations_used, want.diagnostics)
+
+
 def test_budget_resolution(cubic, dirichlet15):
     assert default_tol_cyc(cubic) == 1e-8
     assert default_tol_cyc(dirichlet15) == 1e-6

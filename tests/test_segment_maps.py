@@ -20,12 +20,19 @@ from monotone_lab import (
     classify_many,
     cubic_map,
     load_config,
+    logistic_map,
     parabolic_system,
+    sample_initial,
 )
 from monotone_lab import asymptotics
 from monotone_lab.asymptotics import VERDICTS
 from monotone_lab.errors import EscapeError, NumericalError
-from monotone_lab.systems import map_rows, tangent_columns
+from monotone_lab.systems import (
+    SETTLE_SPAN,
+    _maps_to_itself,
+    map_rows,
+    tangent_columns,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BUDGETS = [None, ClassifyBudget(max_iterations=100, p_max=8, check_every=5)]
@@ -156,6 +163,83 @@ def test_map_rows_stops_at_the_first_failing_map():
     assert [str(exc) for exc in failures.values()] == [str(exc) for exc in want.values()]
     assert failures[1].iteration == 5 + k
     assert (rows[:3] == -7.0).all()  # rows outside the slots are left alone
+
+
+def map_by_map(system, block, rows, slots, iteration=0):
+    """``map_rows`` with one ``tangent_columns`` call and one test per map."""
+    u = block
+    for k, slot in enumerate(slots):
+        rows[slot], _, failures = tangent_columns(system, u, iteration=iteration + k)
+        if failures:
+            return k, failures
+        u = rows[slot]
+    return len(slots), {}
+
+
+def same_rows_as_map_by_map(system, block, calls, length=400):
+    """Run ``map_rows`` and the reference on the same block into fresh rows;
+    returns (done, failures, maps) of ``map_rows``, counting the maps in
+    the ``value_calls`` list ``calls``."""
+    slots = (np.arange(length) + 3) % length
+    rows, want = np.full((2, length) + block.shape, -7.0)
+    done_want, failures_want = map_by_map(system, block, want, slots, 1)
+    calls.clear()
+    done, failures = map_rows(system, block.copy(), rows, slots, 1)
+    maps = len(calls)
+    assert done == done_want and list(failures) == list(failures_want)
+    assert [str(exc) for exc in failures.values()] == [
+        str(exc) for exc in failures_want.values()]
+    assert rows[slots[:done + bool(failures)]].tobytes() == want[
+        slots[:done + bool(failures)]].tobytes()
+    return done, failures, maps
+
+
+def test_map_rows_fills_a_settled_closed_form_segment(value_calls):
+    # the line of cubic_line.cfg, whose starts settle on +-1 and 0, plus
+    # zero columns: the block maps to itself bit for bit inside the segment
+    exp = build_experiment(load_config(CONFIGS / "cubic_line.cfg"))
+    system, sampler = exp.system, exp.sampler
+    line = [sample_initial(sampler, i, system.grid).values for i in range(sampler.resolution)]
+    block = np.concatenate([np.stack(line, axis=1), np.zeros((1, 3))], axis=1)
+    done, failures, calls = same_rows_as_map_by_map(system, block, value_calls)
+    assert (done, failures) == (400, {})
+    assert calls < 400 and calls % SETTLE_SPAN == 0
+    # map ``calls`` is the first tested one whose input maps to itself
+    for k, settled in ((calls, True), (calls - SETTLE_SPAN, False)):
+        before = slot_rows(system, block, k - 1)
+        assert _maps_to_itself(before, slot_rows(system, before, 1)) == settled
+
+
+def slot_rows(system, block, k):
+    """The k-th iterate of ``block``, map by map."""
+    for _ in range(k):
+        block = tangent_columns(system, block)[0]
+    return block
+
+
+def test_a_two_cycle_block_maps_every_row(value_calls):
+    # on the logistic 2-cycle F(x) == x never holds bit for bit, only
+    # F(F(x)) == x: no segment stops early
+    system = logistic_map(3.2)
+    block = np.array([[0.3, 0.5, 0.7, 0.9]])
+    done, failures, calls = same_rows_as_map_by_map(system, block, value_calls)
+    assert (done, failures, calls) == (400, {}, 400)
+    last = slot_rows(system, block, 400)
+    assert _maps_to_itself(last, slot_rows(system, last, 2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+def test_a_failing_start_beside_settled_columns_fails_at_its_map(bad, value_calls):
+    # 0, 1 and -1 map to themselves from the first map on, the bad start
+    # fails at that map: the sup test finds it in the first row
+    done, failures, _ = same_rows_as_map_by_map(
+        cubic_map(0.1), np.array([[0.0, 1.0, -1.0, bad]]), value_calls)
+    assert done == 0 and list(failures) == [3]
+    assert str(failures[3]) == "map produced a non-finite value"
+    # and a late overflow beside them still fails at its map, two
+    done, failures, _ = same_rows_as_map_by_map(
+        cubic_map(0.1, kappa=1e103), np.array([[0.0, 1.0, -1.0, 5.31e34]]), value_calls)
+    assert done == 1 and list(failures) == [3]
 
 
 def test_map_rows_fills_a_settled_parabolic_segment():

@@ -1,13 +1,14 @@
 """Blocks that map to themselves bit for bit are not mapped again.
 
 ``trapping_check`` stops at such a block, and ``systems.map_rows``, the
-segment mapper of ``classify_many``, fills the rest of a parabolic
-segment (up to the next checkpoint) without mapping. The references here
+segment mapper of ``classify_many``, fills the rest of a segment (up to
+the next checkpoint) without mapping, on every kind. The references here
 map every iterate: ``trapping_check`` must report exactly what the full
 horizon gives, and ``classify_many`` exactly what it gives with the rule
 switched off, bit for bit, with fewer maps. The maps are counted as
 ``systems.tangent_columns`` calls, which ``map_rows`` makes once per
-parabolic map; closed-form segments make none (see test_segment_maps.py).
+parabolic map; closed-form segments make none (see test_segment_maps.py),
+and their maps are counted as ``AnalyticScalar.value`` calls.
 """
 
 from dataclasses import astuple
@@ -182,7 +183,7 @@ def settling_starts(system):
      ClassifyBudget(max_iterations=10, p_max=8)],
     ids=["config", "off-schedule", "no-checkpoint"],
 )
-def test_classify_many_matches_every_map(name, budget, cat, monkeypatch):
+def test_classify_many_matches_every_map(name, budget, cat, monkeypatch, value_calls):
     # the whole block, whose settled columns retire with the rest, and the
     # first three starts alone
     system = cat[name]
@@ -190,14 +191,17 @@ def test_classify_many_matches_every_map(name, budget, cat, monkeypatch):
     blocks = [starts] + [starts[:, j:j + 1] for j in range(3)]
     calls = counted(monkeypatch, systems)
     got = [fingerprint(classify_many(system, block, budget)) for block in blocks]
-    fast = len(calls)
+    fast, fast_values = len(calls), len(value_calls)
     monkeypatch.setattr(systems, "_maps_to_itself", lambda before, after: False)
     calls.clear()
+    value_calls.clear()
     want = [fingerprint(classify_many(system, block, budget)) for block in blocks]
     assert got == want
     if name == "cubic_map":
-        # closed-form segments map without tangent_columns, settled or not
+        # closed-form segments map without tangent_columns, settled or not,
+        # and stop calling the map once settled
         assert fast == len(calls) == 0
+        assert fast_values < len(value_calls)
     else:
         assert fast < len(calls)
 

@@ -217,6 +217,24 @@ def test_survey_counts_unresolved_against_symmetry(cubic):
     assert survey.deviations == [None, None]
 
 
+@pytest.mark.parametrize("tol_sym", [float("nan"), -1.0, 0.0])
+def test_a_tolerance_that_is_not_positive_is_refused(tol_sym, cubic):
+    # a deviation of exactly 0 would otherwise count as not symmetric
+    action = trivial_action(cubic.grid)
+    short = ClassifyBudget(max_iterations=5, p_max=4)  # no cycle: nothing graded
+    calls = [
+        lambda: symmetry_deviation(np.array([0.3]), action, tol_sym),
+        lambda: classify_symmetric_limit(cubic, action, 0.3, tol_sym=tol_sym),
+        lambda: classify_symmetric_limit(cubic, action, 0.3, short, tol_sym),
+        lambda: symmetric_limit_survey(cubic, action, [0.3], tol_sym=tol_sym),
+        lambda: symmetric_limit_survey(cubic, action, [0.3], short, tol_sym),
+        lambda: symmetric_limit_survey(cubic, action, [], tol_sym=tol_sym),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="tol_sym must be positive"):
+            call()
+
+
 def test_radial_limit_is_steady(radial15):
     cls, verdicts = classify_symmetric_limit(
         radial15, trivial_action(radial15.grid), 0.2 * np.ones(radial15.n),
