@@ -320,9 +320,9 @@ def parabolic_system(
 BLOCK_WIDTH, BLOCK_ENTRIES = 128, 8192
 
 # map_rows tests a closed-form segment for a settled block after every
-# SETTLE_SPAN-th map. A test takes about a sixth of a 105-column cubic map
-# (0.7 against 4.5 us on 2 shared vCPUs), so a test per map made an unsettled
-# 191-map segment 6% longer; at 8 it stays within 1%, and a settled block
+# SETTLE_SPAN-th map. On a 105-column logistic block that never settles (the
+# cheapest closed form), a test after each of 191 maps made the segment about
+# 26% longer, a test after every 8th 0-6% (2 shared vCPUs); a settled block
 # maps at most 7 times more than it must
 SETTLE_SPAN = 8
 
